@@ -14,6 +14,7 @@ clique with no possible end or the failing model comparison).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import DomainError, RecognitionError
@@ -151,7 +152,11 @@ def span(G: Graph, v, cliques=None) -> int:
 @dataclass
 class CliquePreorder:
     """The seeded clique relation for one start clique: `pairs` holds
-    index pairs (i, j) meaning clique i comes strictly before j."""
+    index pairs (i, j) meaning clique i comes strictly before j.
+
+    `pairs` is the complete fixed point only when `asymmetric` is true:
+    the propagation stops at the first pair whose reverse it already
+    holds, since from then on the order can no longer be asymmetric."""
 
     cliques: list
     start: int
@@ -176,7 +181,8 @@ def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
         if j != start:
             pairs.add((start, j))
             work.append((start, j))
-    while work:
+    symmetric = False
+    while work and not symmetric:
         e, d = work.pop()
         ce, cd = cliques[e], cliques[d]
         # (E before D) and (E & C) - D nonempty  =>  C before D
@@ -184,12 +190,14 @@ def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
             if c != d and (c, d) not in pairs and (ce & cliques[c]) - cd:
                 pairs.add((c, d))
                 work.append((c, d))
+                symmetric |= (d, c) in pairs
         # (C before E) and (E & D') - C nonempty  =>  C before D'
         # here the popped pair plays the role (C, E) = (e, d)
         for d2 in range(m):
             if d2 != e and (e, d2) not in pairs and (cd & cliques[d2]) - ce:
                 pairs.add((e, d2))
                 work.append((e, d2))
+                symmetric |= (d2, e) in pairs
     asymmetric = not any((j, i) in pairs for (i, j) in pairs)
     classes = []
     if asymmetric:
@@ -225,18 +233,21 @@ def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
     return CliquePreorder(cliques, start, pairs, asymmetric, classes)
 
 
+def _possible_ends(G: Graph, cliques):
+    """Possible ends in clique order, each found only when asked for."""
+    for M in cliques:
+        try:
+            if clique_preorder(G, M, cliques).asymmetric:
+                yield M
+        except RecognitionError:
+            continue
+
+
 def possible_ends(G: Graph, cliques=None):
     """Max cliques whose seeded order is asymmetric.  Empty for connected
     non-interval graphs, which is the primary rejection certificate."""
     cliques = max_cliques(G) if cliques is None else cliques
-    out = []
-    for M in cliques:
-        try:
-            if clique_preorder(G, M, cliques).asymmetric:
-                out.append(M)
-        except RecognitionError:
-            continue
-    return out
+    return list(_possible_ends(G, cliques))
 
 
 def _merge_class(members):
@@ -324,12 +335,12 @@ def modular_partition(G: Graph, cliques=None) -> ModularPartition:
     if G.n < 2:
         raise DomainError("modular partition needs at least two vertices")
     cliques = max_cliques(G) if cliques is None else cliques
-    ends = possible_ends(G, cliques)
-    if not ends:
+    end = next(_possible_ends(G, cliques), None)
+    if end is None:
         raise RecognitionError(
             "no possible end: not an interval graph", certificate=G.vertices
         )
-    first = collapse_incomparables(G, ends[0], cliques)
+    first = collapse_incomparables(G, end, cliques)
     z_top = first.clique_order[-1]
     second = collapse_incomparables(first.graph, z_top, first.clique_order)
     vertex_class = {}
@@ -369,6 +380,36 @@ def modular_partition(G: Graph, cliques=None) -> ModularPartition:
         frozenset(vertex_class[v] for v in cell[0]) for cell in cells
     ]
     return ModularPartition(cells, modules, vertex_class, quotient, order, clique_position)
+
+
+class _Induced:
+    """The subgraph induced by one vertex set, with the max cliques and
+    the modular partition derived from it, each computed on first use."""
+
+    def __init__(self, graph: Graph, cliques=None):
+        self.graph = graph
+        if cliques is not None:
+            self.cliques = cliques
+
+    @functools.cached_property
+    def cliques(self):
+        return max_cliques(self.graph)
+
+    @functools.cached_property
+    def partition(self) -> ModularPartition:
+        return modular_partition(self.graph, self.cliques)
+
+
+def _induced(G: Graph, vset, memo: dict, cliques=None) -> _Induced:
+    """The per-call memo entry of `vset`, a subset of G's vertices.  Every
+    graph of one call is an induced subgraph of the same input, so a
+    vertex set names one subgraph, whichever graph it was taken from."""
+    vset = frozenset(vset)
+    entry = memo.get(vset)
+    if entry is None:
+        graph = G if len(vset) == G.n else G.subgraph(vset)
+        entry = memo[vset] = _Induced(graph, cliques)
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +452,7 @@ def _interval_of(vertex, order):
     return (min(positions), max(positions))
 
 
-def canon_L(H: Graph, cliques=None) -> LCanon:
+def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
     """Canonical ordered copy of the module-collapsed quotient of a
     connected graph, with per-module and per-clique position data.
 
@@ -420,9 +461,10 @@ def canon_L(H: Graph, cliques=None) -> LCanon:
     clique order is the one with the lexicographically smaller rendering;
     when both render identically the orders are reported palindromic.
     """
-    if not G_is_connected(H):
+    if not H.is_connected():
         raise DomainError("canon_L needs a connected graph")
-    cliques = max_cliques(H) if cliques is None else cliques
+    entry = _induced(H, H.vertices, {} if _memo is None else _memo, cliques)
+    cliques = entry.cliques
     apices = H.apices()
     if H.n == 1:
         only = cliques[0]
@@ -440,7 +482,7 @@ def canon_L(H: Graph, cliques=None) -> LCanon:
         modules = [ModuleRecord(rest, (1,), "single", 1)]
         colour = {c: (1,) for c in cliques}
         return LCanon(size, edges, intervals, 1, True, modules, colour)
-    part = modular_partition(H, cliques)
+    part = entry.partition
     L = part.quotient
     order_fwd = part.clique_order
     order_bwd = list(reversed(order_fwd))
@@ -465,14 +507,11 @@ def canon_L(H: Graph, cliques=None) -> LCanon:
 
     modules = []
     for cls in part.modules:
-        lv = None
-        for v in L.vertices:
-            if v == cls:
-                lv = v
-                break
-        assert lv is not None
-        holders = [p + 1 for p, clique in enumerate(kept) if lv in clique]
-        assert len(holders) == 1, "module vertex must have span one"
+        if cls not in L.adj:
+            raise RecognitionError("module is not a vertex of the quotient", certificate=cls)
+        holders = [p + 1 for p, clique in enumerate(kept) if cls in clique]
+        if len(holders) != 1:
+            raise RecognitionError("module vertex must have span one", certificate=cls)
         pos = holders[0]
         if palindromic and m > 1:
             mirror = m + 1 - pos
@@ -488,83 +527,91 @@ def canon_L(H: Graph, cliques=None) -> LCanon:
     return LCanon(L.n, edges, intervals, m, palindromic, modules, clique_colour)
 
 
-def G_is_connected(G: Graph) -> bool:
-    return G.is_connected()
-
-
 # ---------------------------------------------------------------------------
 # Decomposition components (the P sets)
 
 
-def _wg_big_classes(H: Graph):
+def _wg_big_classes(entry: _Induced):
     """Multi-vertex classes of the module partition of a connected graph."""
+    H = entry.graph
     if H.n <= 1:
         return []
     apices = H.apices()
     if apices:
         rest = frozenset(v for v in H.vertices if v not in apices)
         return [rest] if len(rest) > 1 else []
-    return list(modular_partition(H).modules)
+    return list(entry.partition.modules)
 
 
-def decomposition_components(G: Graph):
+def decomposition_components(G: Graph, _memo=None):
     """The filtered (clique, bound) pairs whose span component is a
     connected component of a decomposition module.
 
     Returned entries are (clique, n, vertex set); every distinct vertex
     set is one component vertex of the decomposition tree.
     """
-    cliques = max_cliques(G)
+    memo = {} if _memo is None else _memo
+    cliques = _induced(G, G.vertices, memo).cliques
     spans = span_map(G, cliques)
-    total = G.n
-    candidates = []
-    for M in cliques:
-        by_set = {}
-        for bound in range(1, total + 1):
-            keep = {v for v in G.vertices if spans[v] <= bound}
-            sub = G.subgraph(keep)
-            comp = None
-            for c in sub.components():
-                if c & M:
-                    comp = c
-                    break
-            if comp is None:
-                continue
-            by_set[comp] = bound  # ascending bound: keeps the maximum
-        for comp, bound in by_set.items():
-            candidates.append((M, bound, comp))
-    big_cache = {}
+    # The span filtration in one sweep: vertices join in increasing span
+    # order, and a union-find whose member lists merge small into large
+    # holds the components of the vertices with span <= bound.  A max
+    # clique's vertices below the bound are pairwise adjacent, so they lie
+    # in one component, reached through the clique's least-span vertex.
+    joining = sorted(G.vertices, key=spans.__getitem__)
+    anchor = {M: min(M, key=spans.__getitem__) for M in cliques}
+    root = {}
+    members = {}
+    by_set = {M: {} for M in cliques}  # clique -> {component: max bound}
+    current = {}
+    joined = 0
+    for bound in range(1, G.n + 1):
+        start = joined
+        while joined < len(joining) and spans[joining[joined]] <= bound:
+            v = joining[joined]
+            joined += 1
+            root[v] = v
+            members[v] = [v]
+            for w in G.adj[v]:
+                a, b = root.get(w), root[v]
+                if a is None or a == b:
+                    continue
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for x in members[b]:
+                    root[x] = a
+                members[a].extend(members.pop(b))
+        if joined > start:
+            frozen = {r: frozenset(vs) for r, vs in members.items()}
+            current = {M: frozen[root[v]] for M, v in anchor.items() if v in root}
+        for M, comp in current.items():
+            by_set[M][comp] = bound  # ascending bound: keeps the maximum
+    splits = {}
 
-    def big_classes(vset):
-        if vset not in big_cache:
-            big_cache[vset] = _wg_big_classes(G.subgraph(vset))
-        return big_cache[vset]
+    def module_split(vset):
+        """(big classes, apices) of vset if it is a module of G, else None."""
+        if vset not in splits:
+            split = None
+            if G.is_module(vset):
+                entry = _induced(G, vset, memo)
+                split = (_wg_big_classes(entry), entry.graph.apices())
+            splits[vset] = split
+        return splits[vset]
 
-    apex_cache = {}
-
-    def apices_of(vset):
-        if vset not in apex_cache:
-            apex_cache[vset] = G.subgraph(vset).apices()
-        return apex_cache[vset]
-
-    sets_by_clique = {}
-    for M, bound, comp in candidates:
-        sets_by_clique.setdefault(M, {})[bound] = comp
     result = []
-    for M, bound, comp in candidates:
-        ok = True
-        for upper_bound, upper in sets_by_clique[M].items():
-            if upper_bound <= bound or upper == comp:
-                continue
-            if not G.is_module(upper):
-                continue
-            inside_big = any(comp <= cls for cls in big_classes(upper))
-            apex_outside = bool(apices_of(upper) - comp)
-            if not (inside_big or apex_outside):
-                ok = False
-                break
-        if ok:
-            result.append((M, bound, comp))
+    for M in cliques:
+        for comp, bound in by_set[M].items():
+            for upper, upper_bound in by_set[M].items():
+                if upper_bound <= bound or upper == comp:
+                    continue
+                split = module_split(upper)
+                if split is None:
+                    continue
+                big, apices = split
+                if not (any(comp <= cls for cls in big) or apices - comp):
+                    break
+            else:
+                result.append((M, bound, comp))
     return result
 
 
@@ -578,6 +625,7 @@ class ColouredTree:
     plus the payloads the canonisation recursion reads."""
 
     parents: list
+    child_lists: list           # node -> its children, in creation order
     kinds: list                 # "root" | "component" | "arrangement" | "module"
     colours: dict               # node -> tuple of (m, n) pairs
     comp_set: dict = field(default_factory=dict)      # component node -> frozenset
@@ -588,44 +636,47 @@ class ColouredTree:
     arr_group: dict = field(default_factory=dict)     # arrangement node -> group tag
 
     def children(self, v):
-        return [w for w, p in enumerate(self.parents) if p == v]
+        return self.child_lists[v]
 
     def as_directed_tree(self) -> DirectedTree:
         return DirectedTree(self.parents)
 
 
-def build_modular_tree(G: Graph) -> ColouredTree:
+def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
     """Construct the coloured decomposition tree: component vertices per
     distinct filtered span component, at most three arrangement vertices
     per component, and one module vertex per multi-vertex module."""
-    pgroups = decomposition_components(G)
+    memo = {} if _memo is None else _memo
+    pgroups = decomposition_components(G, _memo=memo)
     comp_sets = sorted({comp for _, _, comp in pgroups}, key=_ckey)
     if frozenset(G.vertices) not in [
         comp for _, bound, comp in pgroups if bound == G.n
     ] and G.is_connected():
         raise RecognitionError("whole graph missing from decomposition components")
     parents = [None]
+    child_lists = [[]]
     kinds = ["root"]
     colours = {0: ()}
-    tree = ColouredTree(parents, kinds, colours)
-    node_of_comp = {}
+    tree = ColouredTree(parents, child_lists, kinds, colours)
 
     def new_node(kind, parent):
+        node = len(parents)
         parents.append(parent)
+        child_lists.append([])
+        child_lists[parent].append(node)
         kinds.append(kind)
-        return len(parents) - 1
+        return node
 
     def add_component(comp, parent):
         node = new_node("component", parent)
-        node_of_comp[comp] = node
         tree.comp_set[node] = comp
-        H = G.subgraph(comp)
         if len(comp) == 1:
             tree.colours[node] = ()
             tree.comp_lcanon[node] = None
             tree.comp_apices[node] = frozenset()
             return node
-        info = canon_L(H)
+        H = _induced(G, comp, memo).graph
+        info = canon_L(H, _memo=memo)
         tree.comp_lcanon[node] = info
         tree.comp_apices[node] = H.apices()
         tree.colours[node] = tuple(sorted(info.edges))
@@ -644,7 +695,8 @@ def build_modular_tree(G: Graph) -> ColouredTree:
                 for p in record.colour:
                     counts[p] = counts.get(p, 0) + 1
                 tree.colours[mod] = tuple(sorted(counts.items()))
-                for sub in sorted(G.subgraph(record.vertices).components(), key=_ckey):
+                module = _induced(G, record.vertices, memo).graph
+                for sub in sorted(module.components(), key=_ckey):
                     if sub not in comp_sets:
                         raise RecognitionError(
                             "module component missing from decomposition components",
@@ -674,21 +726,22 @@ def interval_canon(G: Graph):
     Raises RecognitionError with a certificate when the input is not an
     interval graph.
     """
-    interval_model(G)  # full recognition; raises otherwise
-    tree = build_modular_tree(G)
+    memo = {}  # vertex set -> _Induced, shared by every phase of this call
+    interval_model(G, _memo=memo)  # full recognition; raises otherwise
+    tree = build_modular_tree(G, _memo=memo)
     dtree = tree.as_directed_tree()
-    memo = {}
+    compare_memo = {}
 
     def cmp_nodes(a, b):
-        return coloured_compare(dtree, tree.colours, a, b, memo)
+        return coloured_compare(dtree, tree.colours, a, b, compare_memo)
 
     def canon_module(mod_node):
-        blocks = [canon_component(c) for c in tree.children(mod_node)]
-        order = sorted(range(len(blocks)), key=_cmp_key(cmp_nodes, tree.children(mod_node)))
+        kids = tree.children(mod_node)
+        blocks = {c: canon_component(c) for c in kids}
         total = 0
         edges = set()
-        for idx in order:
-            bn, bedges = blocks[idx]
+        for c in sorted(kids, key=functools.cmp_to_key(cmp_nodes)):
+            bn, bedges = blocks[c]
             edges |= {(total + u, total + v) for u, v in bedges}
             total += bn
         return total, edges
@@ -705,7 +758,10 @@ def interval_canon(G: Graph):
             total = len(comp)
             if not modules:
                 return total, {(i, j) for i in range(1, total + 1) for j in range(i + 1, total + 1)}
-            assert len(modules) == 1
+            if len(modules) != 1:
+                raise RecognitionError(
+                    "apex component has more than one module", certificate=comp
+                )
             sub_n, sub_edges = canon_module(modules[0])
             edges = set(sub_edges)
             for i in range(1, total + 1):
@@ -795,9 +851,11 @@ def interval_canon(G: Graph):
                 for t in range(1, bn + 1):
                     a, b = sorted((x, start + t))
                     edges.add((a, b))
-        total = offset
-        assert total == len(comp), "assembled canon has wrong vertex count"
-        return total, edges
+        if offset != len(comp):
+            raise RecognitionError(
+                "assembled canon has wrong vertex count", certificate=comp
+            )
+        return offset, edges
 
     pieces = []
     for node in tree.children(0):
@@ -809,44 +867,36 @@ def interval_canon(G: Graph):
     for n, block in pieces:
         edges |= {(offset + u, offset + v) for u, v in block}
         offset += n
-    assert offset == G.n
+    if offset != G.n:
+        raise RecognitionError(
+            "canonical copy has wrong vertex count", certificate=(offset, G.n)
+        )
     return offset, tuple(sorted(edges))
-
-
-def _cmp_key(cmp, items):
-    import functools
-
-    keyed = functools.cmp_to_key(cmp)
-
-    def key(idx):
-        return keyed(items[idx])
-
-    return key
 
 
 # ---------------------------------------------------------------------------
 # Interval models and recognition
 
 
-def _component_clique_order(G: Graph, comp) -> list:
+def _component_clique_order(G: Graph, comp, memo) -> list:
     """A valid consecutive order of the component's max cliques."""
-    H = G.subgraph(comp)
-    cliques = max_cliques(H)
+    entry = _induced(G, comp, memo)
+    H, cliques = entry.graph, entry.cliques
     if H.n == 1 or len(cliques) == 1:
         return cliques
     apices = H.apices()
     if apices:
         rest = frozenset(v for v in H.vertices if v not in apices)
         order = []
-        for sub in sorted(G.subgraph(rest).components(), key=_ckey):
-            order.extend(_component_clique_order(H.subgraph(rest), sub))
+        for sub in sorted(_induced(G, rest, memo).graph.components(), key=_ckey):
+            order.extend(_component_clique_order(G, sub, memo))
         expanded = [frozenset(c | apices) for c in order]
         if sorted(expanded, key=_ckey) != sorted(cliques, key=_ckey):
             raise RecognitionError(
                 "apex component cliques fail to stack", certificate=comp
             )
         return expanded
-    part = modular_partition(H, cliques)
+    part = entry.partition
     order = []
     for cell in part.cells:
         if len(cell) == 1:
@@ -863,8 +913,8 @@ def _component_clique_order(G: Graph, comp) -> list:
                     "cell cliques disagree outside their module", certificate=c
                 )
         sub_cliques = []
-        for sub in sorted(G.subgraph(module).components(), key=_ckey):
-            sub_cliques.extend(_component_clique_order(H.subgraph(module), sub))
+        for sub in sorted(_induced(G, module, memo).graph.components(), key=_ckey):
+            sub_cliques.extend(_component_clique_order(G, sub, memo))
         expanded = [frozenset(sc | outside) for sc in sub_cliques]
         if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
             raise RecognitionError(
@@ -874,14 +924,15 @@ def _component_clique_order(G: Graph, comp) -> list:
     return order
 
 
-def interval_model(G: Graph):
+def interval_model(G: Graph, _memo=None):
     """A verified minimal interval model: list of (vertex, left, right)
     with clique positions 1..m per component, components laid out on
     disjoint ranges.  Raises RecognitionError when no model exists."""
+    memo = {} if _memo is None else _memo
     model = []
     offset = 0
     for comp in sorted(G.components(), key=_ckey):
-        order = _component_clique_order(G, comp)
+        order = _component_clique_order(G, comp, memo)
         positions = {}
         for p, clique in enumerate(order, start=1):
             for v in clique:

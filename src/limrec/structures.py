@@ -69,10 +69,6 @@ class Structure:
                 raise DomainError("element names must be distinct, one per element")
         self.names = names
 
-    @property
-    def number_sort_max(self) -> int:
-        return self.universe_size
-
     def elements(self) -> range:
         return range(self.universe_size)
 

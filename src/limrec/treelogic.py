@@ -478,44 +478,52 @@ def tree_canon_oracle(tree: DirectedTree) -> str:
     return subtree_string(tree, tree.root)
 
 
+def _coloured_ranks(tree: DirectedTree, colours) -> list:
+    """Per vertex, its rank among the vertices of equal colour and profile
+    under coloured_compare.  Equal profiles mean equal subtree sizes and
+    children are smaller, so ranks are assigned in increasing size order,
+    without recursion on depth."""
+    tb = tree.tables()
+    keys = [None] * tree.n  # vertex -> (colour, profile, rank)
+    by_size = {}
+    for v in range(tree.n):
+        by_size.setdefault(tree.size[v], []).append(v)
+    for size in sorted(by_size):
+        groups = {}
+        for v in by_size[size]:
+            kids = tuple(sorted(keys[c] for c in tree.children[v]))
+            head = (colours.get(v, ()), tb.profile[v])
+            groups.setdefault(head, {}).setdefault(kids, []).append(v)
+        for head, by_kids in groups.items():
+            for rank, kids in enumerate(sorted(by_kids)):
+                for v in by_kids[kids]:
+                    keys[v] = head + (rank,)
+    return [key[2] for key in keys]
+
+
 def coloured_compare(tree: DirectedTree, colours, a: int, b: int, _memo=None) -> int:
     """Total preorder on coloured subtrees: root colours first
     (lexicographically), then profiles, then recursively compared child
     lists.  Returns -1/0/1; 0 exactly on coloured-isomorphic subtrees.
-    With empty colours this is the plain canonical subtree order."""
-    if _memo is None:
-        _memo = {}
-    key = (a, b)
-    if key in _memo:
-        return _memo[key]
+    With empty colours this is the plain canonical subtree order.
+    A `_memo` dict shared by calls on one tree and colouring keeps the
+    per-vertex ranks, which are built once for the whole tree."""
     if a == b:
         return 0
     ca = colours.get(a, ())
     cb = colours.get(b, ())
     if ca != cb:
-        result = -1 if ca < cb else 1
-    else:
-        tb = tree.tables()
-        pa, pb = tb.profile[a], tb.profile[b]
-        if pa != pb:
-            result = -1 if pa < pb else 1
-        else:
-            import functools
-
-            cmp = functools.cmp_to_key(
-                lambda x, y: coloured_compare(tree, colours, x, y, _memo)
-            )
-            kids_a = sorted(tree.children[a], key=cmp)
-            kids_b = sorted(tree.children[b], key=cmp)
-            result = 0
-            for x, y in zip(kids_a, kids_b):
-                c = coloured_compare(tree, colours, x, y, _memo)
-                if c != 0:
-                    result = c
-                    break
-    _memo[key] = result
-    _memo[(b, a)] = -result
-    return result
+        return -1 if ca < cb else 1
+    tb = tree.tables()
+    pa, pb = tb.profile[a], tb.profile[b]
+    if pa != pb:
+        return -1 if pa < pb else 1
+    if _memo is None:
+        _memo = {}
+    if not _memo:
+        _memo.update(enumerate(_coloured_ranks(tree, colours)))
+    ra, rb = _memo[a], _memo[b]
+    return (ra > rb) - (ra < rb)
 
 
 def profile_order_direct(tree: DirectedTree, v: int, w: int) -> int:

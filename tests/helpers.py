@@ -4,6 +4,8 @@ import itertools
 import random
 from functools import lru_cache
 
+from limrec.errors import RecognitionError
+from limrec.intervalcanon import clique_preorder, max_cliques, modular_partition, span_map
 from limrec.treelogic import DirectedTree
 
 
@@ -204,3 +206,100 @@ def _degrees(edges, n):
         deg[a] += 1
         deg[b] += 1
     return deg
+
+
+# --- reference copies of the interval pipeline's full-work loops -------------
+#
+# The library stops the clique preorder at the first symmetric pair, takes
+# only the first possible end and builds the span filtration in one
+# union-find sweep.  These are the plain loops it replaced: the full least
+# fixed point, every possible end, and one induced subgraph per
+# (clique, bound) pair.
+
+
+def reference_clique_pairs(cliques, start):
+    """The full least fixed point of the order seeded at clique `start`."""
+    m = len(cliques)
+    pairs = {(start, j) for j in range(m) if j != start}
+    work = list(pairs)
+    while work:
+        e, d = work.pop()
+        ce, cd = cliques[e], cliques[d]
+        for c in range(m):
+            if c != d and (c, d) not in pairs and (ce & cliques[c]) - cd:
+                pairs.add((c, d))
+                work.append((c, d))
+        for d2 in range(m):
+            if d2 != e and (e, d2) not in pairs and (cd & cliques[d2]) - ce:
+                pairs.add((e, d2))
+                work.append((e, d2))
+    return pairs
+
+
+def reference_asymmetric(cliques, start):
+    pairs = reference_clique_pairs(cliques, start)
+    return not any((j, i) in pairs for i, j in pairs)
+
+
+def reference_possible_ends(G, cliques):
+    """Possible ends in clique order, decided by the full fixed point.  The
+    library's preorder still checks the classes of an asymmetric order:
+    its fixed point is complete whenever the order is asymmetric."""
+    for start, M in enumerate(cliques):
+        if not reference_asymmetric(cliques, start):
+            continue
+        try:
+            clique_preorder(G, M, cliques)
+        except RecognitionError:
+            continue
+        yield M
+
+
+def reference_decomposition_components(G, _memo=None):
+    """decomposition_components with one induced subgraph per (clique,
+    bound) pair.  `_memo` is accepted and ignored, so this can stand in
+    for the library function."""
+    cliques = max_cliques(G)
+    spans = span_map(G, cliques)
+    candidates = []
+    for M in cliques:
+        by_set = {}
+        for bound in range(1, G.n + 1):
+            sub = G.subgraph({v for v in G.vertices if spans[v] <= bound})
+            comp = next((c for c in sub.components() if c & M), None)
+            if comp is not None:
+                by_set[comp] = bound
+        candidates.extend((M, bound, comp) for comp, bound in by_set.items())
+
+    big_cache = {}
+
+    def big_classes(vset):
+        if vset not in big_cache:
+            H = G.subgraph(vset)
+            apices = H.apices()
+            rest = frozenset(H.vertices) - apices
+            if H.n <= 1:
+                big_cache[vset] = []
+            elif apices:
+                big_cache[vset] = [rest] if len(rest) > 1 else []
+            else:
+                big_cache[vset] = list(modular_partition(H).modules)
+        return big_cache[vset]
+
+    sets_by_clique = {}
+    for M, bound, comp in candidates:
+        sets_by_clique.setdefault(M, {})[bound] = comp
+    result = []
+    for M, bound, comp in candidates:
+        ok = True
+        for upper_bound, upper in sets_by_clique[M].items():
+            if upper_bound <= bound or upper == comp or not G.is_module(upper):
+                continue
+            inside_big = any(comp <= cls for cls in big_classes(upper))
+            apex_outside = bool(G.subgraph(upper).apices() - comp)
+            if not (inside_big or apex_outside):
+                ok = False
+                break
+        if ok:
+            result.append((M, bound, comp))
+    return result

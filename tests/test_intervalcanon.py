@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from limrec import intervalcanon
 from limrec.errors import RecognitionError
 from limrec.intervalcanon import (
     Graph, build_modular_tree, canon_L, clique_preorder, clique_witness,
@@ -11,8 +12,13 @@ from limrec.intervalcanon import (
     interval_canon, interval_model, is_interval_graph, max_cliques,
     modular_partition, possible_ends, span, span_map,
 )
+from limrec.structures import generate_random_interval_graph
 
-from .helpers import graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, mask_to_edges
+from .helpers import (
+    graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, mask_to_edges,
+    reference_asymmetric, reference_decomposition_components,
+    reference_possible_ends,
+)
 
 
 def graph_from_intervals(spans):
@@ -236,6 +242,19 @@ def test_strict_weak_order_iff_possible_end_exhaustive():
                 assert pre.asymmetric == (tuple(sorted(m)) in firsts)
 
 
+def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
+    # non-interval graphs included: their starts are the ones cut short
+    for n in range(1, 7):
+        for g in _connected_graphs(n):
+            cliques = max_cliques(g)
+            for start, m in enumerate(cliques):
+                try:
+                    got = clique_preorder(g, m, cliques).asymmetric
+                except RecognitionError:
+                    got = True  # raised only after the order proved asymmetric
+                assert got == reference_asymmetric(cliques, start), (g.edges(), m)
+
+
 # --- incomparability classes span modules ------------------------------------
 
 
@@ -411,6 +430,44 @@ def test_decomposition_matches_recursive_oracle_exhaustive():
             assert got == _oracle_decomposition_sets(g), sorted(g.edges())
 
 
+def _band(n, width):
+    return Graph(range(n), [(a, b) for a in range(n) for b in range(a + 1, min(n, a + width + 1))])
+
+
+def _differential_graphs():
+    for n, seed in ((20, 1), (30, 2), (40, 3), (50, 4), (60, 5)):
+        yield Graph.from_structure(generate_random_interval_graph(n, seed=seed))
+    for n in (15, 25):
+        yield _band(n, 1)  # a path
+        yield _band(n, 2)
+
+
+def _partition_fields(part):
+    return (
+        part.cells, part.modules, part.vertex_class, part.quotient.vertices,
+        part.quotient.adj, part.clique_order, part.clique_position,
+    )
+
+
+def test_sweep_and_first_end_match_reference_loops(monkeypatch):
+    for g in _differential_graphs():
+        assert decomposition_components(g) == reference_decomposition_components(g)
+        parts = {}
+        for comp in g.components():
+            h = g.subgraph(comp)
+            if h.n >= 2 and not h.apices():
+                parts[comp] = _partition_fields(modular_partition(h))
+        canon = interval_canon(g)
+        with monkeypatch.context() as patch:
+            patch.setattr(intervalcanon, "_possible_ends", reference_possible_ends)
+            patch.setattr(
+                intervalcanon, "decomposition_components", reference_decomposition_components
+            )
+            for comp, fields in parts.items():
+                assert _partition_fields(modular_partition(g.subgraph(comp))) == fields
+            assert interval_canon(g) == canon
+
+
 # --- canon_L -----------------------------------------------------------------
 
 
@@ -470,6 +527,8 @@ def test_modular_example_module_colours():
         if k == "module"
     )
     assert colours == [(1,), (1,), (2,), (2, 4), (2, 4), (3, 3)]
+    for v in range(len(tree.parents)):
+        assert tree.children(v) == [w for w, p in enumerate(tree.parents) if p == v]
 
 
 def test_modular_example_clique_positions():

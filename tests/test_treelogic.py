@@ -332,6 +332,13 @@ def test_coloured_compare_matches_brute_iso():
                 assert same == expected
 
 
+def test_coloured_compare_deep_equal_chains():
+    # two 1,500-vertex chains under one root: no recursion on depth
+    parents = [None, 0] + list(range(1, 1500)) + [0] + list(range(1501, 3000))
+    tree = DirectedTree(parents)
+    assert coloured_compare(tree, {}, 1, 1501) == 0
+
+
 def test_coloured_compare_plain_matches_gadget_order():
     for tree in all_trees(5):
         for v in range(tree.n):
