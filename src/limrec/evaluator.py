@@ -10,7 +10,7 @@ The streaming engine follows the two-machine evaluation strategy: it
 materializes the unravelling tree of the recursion graph at the queried
 (vertex, resource) pair, then decides acceptance by a depth-first sweep
 that visits children in decreasing subtree-size order while keeping
-per-level counters.  It asserts the logarithmic counter budget
+per-level counters.  It checks the logarithmic counter budget
 (sum of 2*l_v(i) at most 6*log2 |W|) at every step.
 """
 
@@ -20,10 +20,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, FormulaError, LimrecError
-from .structures import Structure, num_decode, num_encode
+from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
-    LrecEq, Not, Or, STRUCT, Var, expand_dtc, free_variables,
+    LrecEq, Not, Or, STRUCT, Var, _contains_dtc, _outer_variables, expand_dtc,
+    free_variables,
 )
 
 EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
@@ -35,39 +36,30 @@ class EvalContext:
     and the assignment restricted to the node's outer free variables.
     Never share across structures."""
 
-    def __init__(self, structure: Structure, edge_threshold: int = EDGE_MATERIALIZE_THRESHOLD):
+    def __init__(self, structure: Structure):
         self.structure = structure
-        self.edge_threshold = edge_threshold
+        self.edge_threshold = EDGE_MATERIALIZE_THRESHOLD
         self._graphs: dict = {}
         self._compiled: dict = {}
 
-    def _outer_key(self, node, alpha, outer_vars):
-        return (id(node), tuple(sorted(((v.name, v.sort), alpha[v]) for v in outer_vars)))
-
     def formula_graph(self, node: Lrec, alpha):
-        outer = (free_variables(node.phi_edge) - set(node.u) - set(node.v)) | (
-            free_variables(node.phi_label) - set(node.u) - set(node.p)
-        )
-        key = self._outer_key(node, alpha, outer)
-        graph = self._graphs.get(key)
-        if graph is None:
-            base = {v: alpha[v] for v in outer}
-            graph = FormulaGraph(self, node, base)
-            self._graphs[key] = graph
-        return graph
+        return self._graph(FormulaGraph, node, alpha)
 
     def quotient_graph(self, node: LrecEq, alpha):
-        outer = (
-            (free_variables(node.phi_eq) - set(node.u) - set(node.v))
-            | (free_variables(node.phi_edge) - set(node.u) - set(node.v))
-            | (free_variables(node.phi_label) - set(node.u) - set(node.p))
-        )
-        key = self._outer_key(node, alpha, outer)
-        graph = self._graphs.get(key)
+        return self._graph(QuotientGraph, node, alpha)
+
+    def _graph(self, kind, node, alpha):
+        """The graph of `node` under `alpha`, built once per value of the
+        node's outer variables."""
+        entry = self._graphs.get(id(node))
+        if entry is None:
+            # holding the node keeps its id from being reused
+            entry = self._graphs[id(node)] = (node, _outer_variables(node), {})
+        _, outer, graphs = entry
+        values = tuple(alpha[v] for v in outer)
+        graph = graphs.get(values)
         if graph is None:
-            base = {v: alpha[v] for v in outer}
-            graph = QuotientGraph(self, node, base)
-            self._graphs[key] = graph
+            graph = graphs[values] = kind(self, node, dict(zip(outer, values)))
         return graph
 
 
@@ -105,26 +97,6 @@ def evaluate(structure: Structure, assignment, formula: Formula, engine: str = "
     elif ctx.structure is not structure and ctx.structure != structure:
         raise LimrecError("context was built for a different structure")
     return _eval(ctx, alpha, formula, engine)
-
-
-def _contains_dtc(f: Formula) -> bool:
-    if isinstance(f, Dtc):
-        return True
-    if isinstance(f, Not):
-        return _contains_dtc(f.sub)
-    if isinstance(f, (And, Or)):
-        return _contains_dtc(f.left) or _contains_dtc(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return _contains_dtc(f.sub)
-    if isinstance(f, Count):
-        return _contains_dtc(f.sub)
-    if isinstance(f, Lrec):
-        return _contains_dtc(f.phi_edge) or _contains_dtc(f.phi_label)
-    if isinstance(f, LrecEq):
-        return (
-            _contains_dtc(f.phi_eq) or _contains_dtc(f.phi_edge) or _contains_dtc(f.phi_label)
-        )
-    return False
 
 
 class _Missing:
@@ -408,22 +380,31 @@ class FormulaGraph(LabelledGraph):
         return cached
 
 
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
+def _closure_classes(domain, related):
+    """Classes of the equivalence generated by the pairs of `domain` that
+    satisfy `related`, each in domain order.  Pairs already joined are
+    not tested."""
+    parent = list(range(len(domain)))
 
-    def find(self, x):
+    def find(x):
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    for i, a in enumerate(domain):
+        for j, b in enumerate(domain):
+            if i == j:
+                continue
+            ri, rj = find(i), find(j)
+            if ri != rj and related(a, b):
+                parent[max(ri, rj)] = min(ri, rj)
+    classes: dict[int, list] = {}
+    for i, t in enumerate(domain):
+        classes.setdefault(find(i), []).append(t)
+    return list(classes.values())
 
 
 class QuotientGraph(LabelledGraph):
@@ -443,43 +424,32 @@ class QuotientGraph(LabelledGraph):
         A = ctx.structure
         doms = [_domain(A, v) for v in node.u]
         self.domain = list(itertools.product(*doms))
-        uf = _UnionFind(len(self.domain))
-        eq_fn = _compile(ctx, node.phi_eq, "memo")
-        edge_fn = _compile(ctx, node.phi_edge, "memo")
         self._label_fn = _compile(ctx, node.phi_label, "memo")
         alpha = dict(base_alpha)
         self._alpha = alpha
-        for i, a in enumerate(self.domain):
-            for j, b in enumerate(self.domain):
-                if i == j or uf.find(i) == uf.find(j):
-                    continue
+
+        def pair_test(formula):
+            fn = _compile(ctx, formula, "memo")
+
+            def test(a, b):
                 alpha.update(zip(node.u, a))
                 alpha.update(zip(node.v, b))
-                if eq_fn(alpha):
-                    uf.union(i, j)
-        members: dict[int, list] = {}
-        for i, t in enumerate(self.domain):
-            members.setdefault(uf.find(i), []).append(t)
+                return fn(alpha)
+
+            return test
+
+        classes = _closure_classes(self.domain, pair_test(node.phi_eq))
+        edge_test = pair_test(node.phi_edge)
+        edges = ((a, b) for a in self.domain for b in self.domain if edge_test(a, b))
         # class representative: lexicographically least member
-        self._class_of = {}
-        self._members = {}
-        for group in members.values():
-            rep = min(group)
-            self._members[rep] = group
-            for t in group:
-                self._class_of[t] = rep
-        out: dict = {rep: set() for rep in self._members}
-        for a in self.domain:
-            for b in self.domain:
-                alpha.update(zip(node.u, a))
-                alpha.update(zip(node.v, b))
-                if edge_fn(alpha):
-                    out[self._class_of[a]].add(self._class_of[b])
+        reps, qedges, self._class_of = quotient_by_equivalence(classes, edges)
+        self._members = dict(zip(reps, classes))
+        out: dict = {rep: [] for rep in reps}
+        indeg: dict = {rep: 0 for rep in reps}
+        for a, b in qedges:
+            out[a].append(b)
+            indeg[b] += 1
         self._out = {rep: tuple(sorted(ns)) for rep, ns in out.items()}
-        indeg: dict = {rep: 0 for rep in self._members}
-        for rep, ns in self._out.items():
-            for b in ns:
-                indeg[b] += 1
         self._indeg = indeg
         self.width_p = len(node.p)
         self.label_bound = (A.universe_size + 1) ** self.width_p
@@ -550,9 +520,11 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
             res = []
             for b in children:
                 d = graph.in_degree(b)
-                assert d >= 1, "edge target must have an incoming edge"
+                if d < 1:
+                    raise LimrecError(f"edge target {b!r} reports in-degree {d}")
                 sub = (ell - 1) // d
-                assert sub < ell, "resource must strictly decrease"
+                if sub >= ell:
+                    raise LimrecError(f"resource {ell} does not decrease along an edge to {b!r}")
                 res.append(sub)
             frame[2] = children
             frame[3] = res
@@ -610,7 +582,10 @@ def unravel(graph: LabelledGraph, vertex, resource: int) -> Unravelling:
         if ell <= 0:
             continue
         for b in graph.out_neighbours(vertices[i]):
-            sub = (ell - 1) // graph.in_degree(b)
+            d = graph.in_degree(b)
+            if d < 1:
+                raise LimrecError(f"edge target {b!r} reports in-degree {d}")
+            sub = (ell - 1) // d
             j = len(vertices)
             vertices.append(b)
             resources.append(sub)
@@ -630,7 +605,7 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
     Children are visited in decreasing order of subtree size (ties by
     the child's representation), each path level i keeping counters
     t(i), c(i) of 2*l_v(i) bits.  The counter budget
-    sum_i 2*l_v(i) <= 6*log2|W| is asserted exactly at every visit.
+    sum_i 2*l_v(i) <= 6*log2|W| is checked exactly at every visit.
     """
     tree = unravel(graph, vertex, resource)
     w_count = len(tree)
@@ -650,13 +625,15 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
         frame = path[-1]
         node, kids, idx = frame[0], frame[1], frame[2]
         budget = sum(2 * fr[5] for fr in path)
-        assert (1 << budget) <= w_pow6, "counter budget exceeded"
+        if (1 << budget) > w_pow6:
+            raise LimrecError(f"counter budget of {budget} bits exceeds 6*log2|W|, |W| = {w_count}")
         if idx < len(kids):
             child = kids[idx]
             j = idx + 1  # 1-based rank of the child being entered
             frame[5] = (j - 1).bit_length()
             # t(i) = j-1 processed children must fit in l_v(i) bits
-            assert frame[3] == j - 1 and frame[3] <= (1 << frame[5]) - 1
+            if frame[3] != j - 1 or frame[3] > (1 << frame[5]) - 1:
+                raise LimrecError(f"counter t = {frame[3]} does not fit in {frame[5]} bits")
             path.append([child, ordered(child), 0, 0, 0, (w_count - 1).bit_length()])
             continue
         succeeds = (not tree.fail(node)) and graph.label_contains(tree.vertices[node], frame[4])
@@ -752,7 +729,6 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     ctx = EvalContext(structure)
     doms = [_domain(structure, var) for var in theta.u]
     domain = list(itertools.product(*doms))
-    index = {t: i for i, t in enumerate(domain)}
     alpha: dict = {}
 
     def holds(formula, pairs):
@@ -763,22 +739,15 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     v_tuples = [t for t in domain if holds(theta.theta_v, zip(theta.u, t))]
     if not v_tuples:
         raise DomainError("transduction undefined: empty universe formula")
-    uf = _UnionFind(len(domain))
-    for i, a in enumerate(domain):
-        for j, b in enumerate(domain):
-            if i == j or uf.find(i) == uf.find(j):
-                continue
-            if holds(theta.theta_approx, list(zip(theta.u, a)) + list(zip(theta.v, b))):
-                uf.union(i, j)
-    classes: dict[int, list] = {}
-    for t in v_tuples:
-        classes.setdefault(uf.find(index[t]), []).append(t)
-    reps = sorted(min(group) for group in classes.values())
-    class_index = {}
-    for root, group in classes.items():
-        idx = reps.index(min(group))
-        for t in group:
-            class_index[t] = idx
+    classes = _closure_classes(
+        domain,
+        lambda a, b: holds(theta.theta_approx, list(zip(theta.u, a)) + list(zip(theta.v, b))),
+    )
+    in_universe = set(v_tuples)
+    kept = [[t for t in group if t in in_universe] for group in classes]
+    reps, _, rep_of = quotient_by_equivalence((group for group in kept if group), ())
+    number = {rep: i for i, rep in enumerate(sorted(reps))}
+    class_index = {t: number[rep] for t, rep in rep_of.items()}
     vocab = Vocabulary(tuple((name, len(args)) for name, _, args in theta.relations))
     relations = {}
     for name, formula, arg_tuples in theta.relations:

@@ -234,20 +234,22 @@ def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
 
 
 def _possible_ends(G: Graph, cliques):
-    """Possible ends in clique order, each found only when asked for."""
+    """The asymmetric preorders seeded at each clique in clique order, each
+    found only when asked for."""
     for M in cliques:
         try:
-            if clique_preorder(G, M, cliques).asymmetric:
-                yield M
+            pre = clique_preorder(G, M, cliques)
         except RecognitionError:
             continue
+        if pre.asymmetric:
+            yield pre
 
 
 def possible_ends(G: Graph, cliques=None):
     """Max cliques whose seeded order is asymmetric.  Empty for connected
     non-interval graphs, which is the primary rejection certificate."""
     cliques = max_cliques(G) if cliques is None else cliques
-    return list(_possible_ends(G, cliques))
+    return [cliques[pre.start] for pre in _possible_ends(G, cliques)]
 
 
 def _merge_class(members):
@@ -272,12 +274,17 @@ class Collapse:
 def collapse_incomparables(G: Graph, M, cliques=None) -> Collapse:
     """Quotient G by the modules spanned by maximal incomparability
     classes of the order seeded at M (a possible end)."""
-    cliques = max_cliques(G) if cliques is None else cliques
     pre = clique_preorder(G, M, cliques)
     if not pre.asymmetric:
         raise RecognitionError(
             "start clique is not a possible end", certificate=M
         )
+    return _collapse(G, pre)
+
+
+def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
+    """collapse_incomparables for an asymmetric preorder already computed."""
+    cliques = pre.cliques
     spans = span_map(G, cliques)
     vertex_class = {v: v for v in G.vertices}
     for group in pre.classes:
@@ -340,7 +347,7 @@ def modular_partition(G: Graph, cliques=None) -> ModularPartition:
         raise RecognitionError(
             "no possible end: not an interval graph", certificate=G.vertices
         )
-    first = collapse_incomparables(G, end, cliques)
+    first = _collapse(G, end)
     z_top = first.clique_order[-1]
     second = collapse_incomparables(first.graph, z_top, first.clique_order)
     vertex_class = {}

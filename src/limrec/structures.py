@@ -285,36 +285,33 @@ def generate_random_interval_graph(n: int, seed: int = 0) -> Structure:
 
 
 def generate_random_circuit(n: int, seed: int = 0) -> Structure:
-    """Random tree-shaped Boolean circuit with fan-in <= 3.
+    """Random tree-shaped Boolean circuit with exactly n gates, fan-in <= 3.
 
-    Gate 0 is the output.  Internal gates are and/or/not, leaves are
-    the constants 0/1.  Tree shape keeps the in-degree path product at
-    1, which every evaluator in this package accepts.
+    Gate 0 is the output and every other gate hangs below a random
+    earlier gate with fewer than three children.  Gates with children
+    are and/or, or not when they have one child; leaves are the
+    constants 0/1.  Tree shape keeps the in-degree path product at 1,
+    which every evaluator in this package accepts.
     """
     if n < 1:
         raise DomainError("need n >= 1")
     rng = random.Random(seed)
-    edges = set()
-    kinds = {}
-    frontier = [0]
-    next_id = 1
-    while frontier:
-        gate = frontier.pop()
-        remaining = n - next_id
-        if remaining <= 0:
-            kinds[gate] = rng.choice(["P0", "P1"])
-            continue
-        kind = rng.choice(["Pand", "Por", "Pnot", "P0", "P1"])
-        kinds[gate] = kind
-        if kind in ("P0", "P1"):
-            continue
-        fan = 1 if kind == "Pnot" else rng.randint(1, min(3, remaining))
-        for _ in range(fan):
-            edges.add((gate, next_id))
-            frontier.append(next_id)
-            next_id += 1
-    size = max(next_id, 1)
-    rels = {"E": edges, "Pand": set(), "Por": set(), "Pnot": set(), "P0": set(), "P1": set()}
-    for gate in range(size):
-        rels[kinds.get(gate, "P1")].add((gate,))
-    return Structure(CIRCUIT_VOCAB, size, rels)
+    children = [[] for _ in range(n)]
+    open_gates = [0]  # gates that can take another child
+    for gate in range(1, n):
+        parent = rng.choice(open_gates)
+        children[parent].append(gate)
+        if len(children[parent]) == 3:
+            open_gates.remove(parent)
+        open_gates.append(gate)
+    rels = {"E": set(), "Pand": set(), "Por": set(), "Pnot": set(), "P0": set(), "P1": set()}
+    for gate, kids in enumerate(children):
+        if not kids:
+            kind = rng.choice(["P0", "P1"])
+        elif len(kids) == 1:
+            kind = rng.choice(["Pand", "Por", "Pnot"])
+        else:
+            kind = rng.choice(["Pand", "Por"])
+        rels[kind].add((gate,))
+        rels["E"].update((gate, kid) for kid in kids)
+    return Structure(CIRCUIT_VOCAB, n, rels)

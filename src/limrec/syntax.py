@@ -10,7 +10,7 @@ of them, and the evaluator only ever sees not/and/or.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import FormulaError, ParseError
@@ -131,38 +131,61 @@ def compatible(a: tuple[Var, ...], b: tuple[Var, ...]) -> bool:
     return len(a) == len(b) and all(x.sort == y.sort for x, y in zip(a, b))
 
 
+# The binding rule of every node type, stated once: the fields holding the
+# variables the node uses itself, then each subformula field with the
+# binder fields scoped over it.  A field holds a Var or a tuple of Vars.
+# Subformulas are listed in field order, which fixes the order of every walk.
+_BINDERS = {
+    Atom: (("args",), ()),
+    EqVar: (("left", "right"), ()),
+    LeqNum: (("left", "right"), ()),
+    Not: ((), (("sub", ()),)),
+    And: ((), (("left", ()), ("right", ()))),
+    Or: ((), (("left", ()), ("right", ()))),
+    Exists: ((), (("sub", ("var",)),)),
+    Forall: ((), (("sub", ("var",)),)),
+    Count: (("pvars",), (("sub", ("uvars",)),)),
+    Lrec: (("w", "r"), (("phi_edge", ("u", "v")), ("phi_label", ("u", "p")))),
+    LrecEq: (
+        ("w", "r"),
+        (("phi_eq", ("u", "v")), ("phi_edge", ("u", "v")), ("phi_label", ("u", "p"))),
+    ),
+    Dtc: (("s", "t"), (("sub", ("u", "v")),)),
+}
+
+
+def _rule(f: Formula):
+    try:
+        return _BINDERS[type(f)]
+    except KeyError:
+        raise FormulaError(f"unknown formula node {type(f).__name__}") from None
+
+
+def _vars(f: Formula, fields) -> tuple[Var, ...]:
+    out: tuple[Var, ...] = ()
+    for name in fields:
+        value = getattr(f, name)
+        out += (value,) if isinstance(value, Var) else value
+    return out
+
+
+def _outer_variables(f: Formula) -> tuple[Var, ...]:
+    """Variables free in f's subformulas that f itself does not bind, sorted.
+    For lrec and lreceq these are the outer assignment the recursion graph
+    depends on."""
+    out: set[Var] = set()
+    for name, binders in _rule(f)[1]:
+        out |= free_variables(getattr(f, name)) - set(_vars(f, binders))
+    return tuple(sorted(out, key=lambda v: (v.name, v.sort)))
+
+
 @lru_cache(maxsize=None)
 def free_variables(f: Formula) -> frozenset[Var]:
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, (EqVar, LeqNum)):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Not):
-        return free_variables(f.sub)
-    if isinstance(f, (And, Or)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_variables(f.sub) - {f.var}
-    if isinstance(f, Count):
-        return (free_variables(f.sub) - set(f.uvars)) | set(f.pvars)
-    if isinstance(f, Lrec):
-        return (
-            (free_variables(f.phi_edge) - set(f.u) - set(f.v))
-            | (free_variables(f.phi_label) - set(f.u) - set(f.p))
-            | set(f.w)
-            | set(f.r)
-        )
-    if isinstance(f, LrecEq):
-        return (
-            (free_variables(f.phi_eq) - set(f.u) - set(f.v))
-            | (free_variables(f.phi_edge) - set(f.u) - set(f.v))
-            | (free_variables(f.phi_label) - set(f.u) - set(f.p))
-            | set(f.w)
-            | set(f.r)
-        )
-    if isinstance(f, Dtc):
-        return (free_variables(f.sub) - set(f.u) - set(f.v)) | set(f.s) | set(f.t)
-    raise FormulaError(f"unknown formula node {type(f).__name__}")
+    return frozenset(_outer_variables(f) + _vars(f, _rule(f)[0]))
+
+
+def _contains_dtc(f: Formula) -> bool:
+    return isinstance(f, Dtc) or any(_contains_dtc(getattr(f, name)) for name, _ in _rule(f)[1])
 
 
 def validate(f: Formula) -> None:
@@ -213,40 +236,14 @@ def validate(f: Formula) -> None:
 
 def _all_names(f: Formula) -> set[str]:
     names: set[str] = set()
-
-    def walk(g):
-        if isinstance(g, Atom):
-            names.update(a.name for a in g.args)
-        elif isinstance(g, (EqVar, LeqNum)):
-            names.update((g.left.name, g.right.name))
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, (Exists, Forall)):
-            names.add(g.var.name)
-            walk(g.sub)
-        elif isinstance(g, Count):
-            names.update(v.name for v in g.uvars + g.pvars)
-            walk(g.sub)
-        elif isinstance(g, Lrec):
-            for tup in (g.u, g.v, g.p, g.w, g.r):
-                names.update(v.name for v in tup)
-            walk(g.phi_edge)
-            walk(g.phi_label)
-        elif isinstance(g, LrecEq):
-            for tup in (g.u, g.v, g.p, g.w, g.r):
-                names.update(v.name for v in tup)
-            walk(g.phi_eq)
-            walk(g.phi_edge)
-            walk(g.phi_label)
-        elif isinstance(g, Dtc):
-            for tup in (g.u, g.v, g.s, g.t):
-                names.update(v.name for v in tup)
-            walk(g.sub)
-
-    walk(f)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        uses, subs = _rule(g)
+        names.update(v.name for v in _vars(g, uses))
+        for name, binders in subs:
+            names.update(v.name for v in _vars(g, binders))
+            stack.append(getattr(g, name))
     return names
 
 
@@ -276,61 +273,19 @@ def substitute(f: Formula, mapping: dict[Var, Var]) -> Formula:
     replacement targets are assumed not to be captured (use fresh names)."""
     if not mapping:
         return f
-
-    def sub_var(v: Var) -> Var:
-        return mapping.get(v, v)
-
-    def prune(mp, bound):
-        return {k: v for k, v in mp.items() if k not in bound}
-
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(sub_var(a) for a in f.args))
-    if isinstance(f, EqVar):
-        return EqVar(sub_var(f.left), sub_var(f.right))
-    if isinstance(f, LeqNum):
-        return LeqNum(sub_var(f.left), sub_var(f.right))
-    if isinstance(f, Not):
-        return Not(substitute(f.sub, mapping))
-    if isinstance(f, And):
-        return And(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, mapping), substitute(f.right, mapping))
-    if isinstance(f, Exists):
-        return Exists(f.var, substitute(f.sub, prune(mapping, {f.var})))
-    if isinstance(f, Forall):
-        return Forall(f.var, substitute(f.sub, prune(mapping, {f.var})))
-    if isinstance(f, Count):
-        inner = prune(mapping, set(f.uvars))
-        return Count(f.uvars, substitute(f.sub, inner), tuple(sub_var(p) for p in f.pvars))
-    if isinstance(f, Lrec):
-        edge_mp = prune(mapping, set(f.u) | set(f.v))
-        lab_mp = prune(mapping, set(f.u) | set(f.p))
-        return Lrec(
-            f.u, f.v, f.p,
-            substitute(f.phi_edge, edge_mp),
-            substitute(f.phi_label, lab_mp),
-            tuple(sub_var(x) for x in f.w),
-            tuple(sub_var(x) for x in f.r),
-        )
-    if isinstance(f, LrecEq):
-        ev_mp = prune(mapping, set(f.u) | set(f.v))
-        lab_mp = prune(mapping, set(f.u) | set(f.p))
-        return LrecEq(
-            f.u, f.v, f.p,
-            substitute(f.phi_eq, ev_mp),
-            substitute(f.phi_edge, ev_mp),
-            substitute(f.phi_label, lab_mp),
-            tuple(sub_var(x) for x in f.w),
-            tuple(sub_var(x) for x in f.r),
-        )
-    if isinstance(f, Dtc):
-        inner = prune(mapping, set(f.u) | set(f.v))
-        return Dtc(
-            f.u, f.v, substitute(f.sub, inner),
-            tuple(sub_var(x) for x in f.s),
-            tuple(sub_var(x) for x in f.t),
-        )
-    raise FormulaError(f"unknown formula node {type(f).__name__}")
+    uses, subs = _rule(f)
+    changes = {}
+    for name in uses:
+        value = getattr(f, name)
+        if isinstance(value, Var):
+            changes[name] = mapping.get(value, value)
+        else:
+            changes[name] = tuple(mapping.get(v, v) for v in value)
+    for name, binders in subs:
+        bound = set(_vars(f, binders))
+        inner = {k: v for k, v in mapping.items() if k not in bound}
+        changes[name] = substitute(getattr(f, name), inner)
+    return replace(f, **changes)
 
 
 def and_all(parts) -> Formula:
@@ -363,26 +318,6 @@ def expand_dtc(f: Formula) -> Formula:
     fresh = _Fresh(f)
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, (Atom, EqVar, LeqNum)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.sub))
-        if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.sub))
-        if isinstance(g, Forall):
-            return Forall(g.var, walk(g.sub))
-        if isinstance(g, Count):
-            return Count(g.uvars, walk(g.sub), g.pvars)
-        if isinstance(g, Lrec):
-            return Lrec(g.u, g.v, g.p, walk(g.phi_edge), walk(g.phi_label), g.w, g.r)
-        if isinstance(g, LrecEq):
-            return LrecEq(
-                g.u, g.v, g.p, walk(g.phi_eq), walk(g.phi_edge), walk(g.phi_label), g.w, g.r
-            )
         if isinstance(g, Dtc):
             psi = walk(g.sub)
             vprime = fresh.tuple_like(g.v, "_w")
@@ -397,7 +332,7 @@ def expand_dtc(f: Formula) -> Formula:
             for ri in reversed(r):
                 out = Exists(ri, out)
             return out
-        raise FormulaError(f"unknown formula node {type(g).__name__}")
+        return replace(g, **{name: walk(getattr(g, name)) for name, _ in _rule(g)[1]})
 
     return walk(f)
 

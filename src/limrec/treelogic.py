@@ -11,7 +11,7 @@ than four vertices bypass the gadgets and use the direct comparator.
 
 from __future__ import annotations
 
-from .errors import DomainError, RecognitionError
+from .errors import DomainError, LimrecError, RecognitionError
 from .evaluator import LabelledGraph, evaluate, x_membership
 from .structures import Structure
 from .syntax import parse_formula, svar
@@ -469,9 +469,16 @@ def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
 
 
 def subtree_string(tree: DirectedTree, v: int) -> str:
-    """Canonical parenthesis string: equal strings iff isomorphic subtrees."""
-    parts = sorted(subtree_string(tree, c) for c in tree.children[v])
-    return "(" + "".join(parts) + ")"
+    """Canonical parenthesis string: equal strings iff isomorphic subtrees.
+    Built level by level from the deepest up (Aho–Hopcroft–Ullman), so
+    deep trees need no recursion."""
+    order = [v]
+    for u in order:  # breadth-first: every child comes after its parent
+        order.extend(tree.children[u])
+    code = {}
+    for u in reversed(order):
+        code[u] = "(" + "".join(sorted(code.pop(c) for c in tree.children[u])) + ")"
+    return code[v]
 
 
 def tree_canon_oracle(tree: DirectedTree) -> str:
@@ -642,7 +649,8 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
         for b in range(1, n + 1):
             if x_membership(graph, (tree.root, a, b), n):
                 edges.append((a, b))
-    assert len(edges) == n - 1, "canonical copy must be a tree"
+    if len(edges) != n - 1:
+        raise LimrecError(f"canonical copy has {len(edges)} edges, not the {n - 1} of a tree")
     return tuple(sorted(edges))
 
 
@@ -694,39 +702,57 @@ def _circuit_shape(structure: Structure):
     return out, indeg, kinds, roots[0]
 
 
+def _postorder(out, starts):
+    """The gates reachable from `starts`, each after all of its children;
+    raises on a cycle.  Iterative, so deep circuits need no recursion."""
+    done = set()
+    for start in starts:
+        if start in done:
+            continue
+        stack = [(start, iter(out[start]))]
+        open_gates = {start}
+        while stack:
+            v, kids = stack[-1]
+            for w in kids:
+                if w in open_gates:
+                    raise DomainError("circuit contains a cycle")
+                if w not in done:
+                    open_gates.add(w)
+                    stack.append((w, iter(out[w])))
+                    break
+            else:
+                stack.pop()
+                open_gates.remove(v)
+                done.add(v)
+                yield v
+
+
 def check_path_property(structure: Structure):
     """Verify the in-degree product along every path is at most |C|.
     Returns the worst product; raises with a witness path otherwise."""
     out, indeg, _, root = _circuit_shape(structure)
     n = structure.universe_size
-    state = {}
-    best = {}
-
-    def visit(v):
-        if state.get(v) == 1:
-            raise DomainError("circuit contains a cycle")
-        if state.get(v) == 2:
-            return best[v]
-        state[v] = 1
-        prod, path = 1, (v,)
+    best = {}  # gate -> (worst product below it, next gate on that path)
+    for v in _postorder(out, range(n)):
+        prod, nxt = 1, None
         for w in out[v]:
-            sub_prod, sub_path = visit(w)
-            cand = indeg[w] * sub_prod
+            cand = indeg[w] * best[w][0]
             if cand > prod:
-                prod, path = cand, (v,) + sub_path
-        state[v] = 2
-        best[v] = (prod, path)
-        return best[v]
+                prod, nxt = cand, w
+        best[v] = (prod, nxt)
 
-    worst, path = 1, (root,)
+    worst, start = 1, None
     for v in range(n):
-        prod, p = visit(v)
-        if prod > worst:
-            worst, path = prod, p
+        if best[v][0] > worst:
+            worst, start = best[v][0], v
     if worst > n:
+        path = []
+        while start is not None:
+            path.append(start)
+            start = best[start][1]
         raise RecognitionError(
             f"path property violated: product {worst} exceeds {n}",
-            certificate=path,
+            certificate=tuple(path),
         )
     return worst
 
@@ -743,23 +769,17 @@ def circuit_value(structure: Structure, engine: str = "memo") -> bool:
 def circuit_value_oracle(structure: Structure) -> bool:
     """Independent bottom-up evaluation."""
     out, _, kinds, root = _circuit_shape(structure)
-    memo = {}
-
-    def value(v):
-        if v in memo:
-            return memo[v]
+    value = {}
+    for v in _postorder(out, (root,)):
         kind = kinds[v]
         if kind == "P0":
-            result = False
+            value[v] = False
         elif kind == "P1":
-            result = True
+            value[v] = True
         elif kind == "Pand":
-            result = all(value(w) for w in out[v])
+            value[v] = all(value[w] for w in out[v])
         elif kind == "Por":
-            result = any(value(w) for w in out[v])
+            value[v] = any(value[w] for w in out[v])
         else:
-            result = not value(out[v][0])
-        memo[v] = result
-        return result
-
-    return value(root)
+            value[v] = not value[out[v][0]]
+    return value[root]

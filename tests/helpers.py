@@ -4,8 +4,12 @@ import itertools
 import random
 from functools import lru_cache
 
-from limrec.errors import RecognitionError
+from limrec.errors import FormulaError, RecognitionError
 from limrec.intervalcanon import clique_preorder, max_cliques, modular_partition, span_map
+from limrec.syntax import (
+    NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or,
+    Var, and_all, eq_tuple, is_zero,
+)
 from limrec.treelogic import DirectedTree
 
 
@@ -242,17 +246,18 @@ def reference_asymmetric(cliques, start):
 
 
 def reference_possible_ends(G, cliques):
-    """Possible ends in clique order, decided by the full fixed point.  The
-    library's preorder still checks the classes of an asymmetric order:
-    its fixed point is complete whenever the order is asymmetric."""
+    """Preorders of the possible ends in clique order, decided by the full
+    fixed point.  The library's preorder still checks the classes of an
+    asymmetric order: its fixed point is complete whenever the order is
+    asymmetric."""
     for start, M in enumerate(cliques):
         if not reference_asymmetric(cliques, start):
             continue
         try:
-            clique_preorder(G, M, cliques)
+            pre = clique_preorder(G, M, cliques)
         except RecognitionError:
             continue
-        yield M
+        yield pre
 
 
 def reference_decomposition_components(G, _memo=None):
@@ -303,3 +308,205 @@ def reference_decomposition_components(G, _memo=None):
         if ok:
             result.append((M, bound, comp))
     return result
+
+
+# --- reference copies of the formula walkers ----------------------------------
+#
+# The library derives free variables, substitution, the name set and the dtc
+# rewrite from one binder table.  These are the per-node-type walkers it
+# replaced, kept to check that the table states every binding rule as before.
+
+
+def reference_free_variables(f):
+    if isinstance(f, Atom):
+        return frozenset(f.args)
+    if isinstance(f, (EqVar, LeqNum)):
+        return frozenset((f.left, f.right))
+    if isinstance(f, Not):
+        return reference_free_variables(f.sub)
+    if isinstance(f, (And, Or)):
+        return reference_free_variables(f.left) | reference_free_variables(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return reference_free_variables(f.sub) - {f.var}
+    if isinstance(f, Count):
+        return (reference_free_variables(f.sub) - set(f.uvars)) | set(f.pvars)
+    if isinstance(f, Lrec):
+        return (
+            (reference_free_variables(f.phi_edge) - set(f.u) - set(f.v))
+            | (reference_free_variables(f.phi_label) - set(f.u) - set(f.p))
+            | set(f.w)
+            | set(f.r)
+        )
+    if isinstance(f, LrecEq):
+        return (
+            (reference_free_variables(f.phi_eq) - set(f.u) - set(f.v))
+            | (reference_free_variables(f.phi_edge) - set(f.u) - set(f.v))
+            | (reference_free_variables(f.phi_label) - set(f.u) - set(f.p))
+            | set(f.w)
+            | set(f.r)
+        )
+    if isinstance(f, Dtc):
+        return (reference_free_variables(f.sub) - set(f.u) - set(f.v)) | set(f.s) | set(f.t)
+    raise FormulaError(f"unknown formula node {type(f).__name__}")
+
+
+def reference_all_names(f):
+    names = set()
+
+    def walk(g):
+        if isinstance(g, Atom):
+            names.update(a.name for a in g.args)
+        elif isinstance(g, (EqVar, LeqNum)):
+            names.update((g.left.name, g.right.name))
+        elif isinstance(g, Not):
+            walk(g.sub)
+        elif isinstance(g, (And, Or)):
+            walk(g.left)
+            walk(g.right)
+        elif isinstance(g, (Exists, Forall)):
+            names.add(g.var.name)
+            walk(g.sub)
+        elif isinstance(g, Count):
+            names.update(v.name for v in g.uvars + g.pvars)
+            walk(g.sub)
+        elif isinstance(g, Lrec):
+            for tup in (g.u, g.v, g.p, g.w, g.r):
+                names.update(v.name for v in tup)
+            walk(g.phi_edge)
+            walk(g.phi_label)
+        elif isinstance(g, LrecEq):
+            for tup in (g.u, g.v, g.p, g.w, g.r):
+                names.update(v.name for v in tup)
+            walk(g.phi_eq)
+            walk(g.phi_edge)
+            walk(g.phi_label)
+        elif isinstance(g, Dtc):
+            for tup in (g.u, g.v, g.s, g.t):
+                names.update(v.name for v in tup)
+            walk(g.sub)
+
+    walk(f)
+    return names
+
+
+def reference_substitute(f, mapping):
+    if not mapping:
+        return f
+
+    def sub_var(v):
+        return mapping.get(v, v)
+
+    def prune(mp, bound):
+        return {k: v for k, v in mp.items() if k not in bound}
+
+    if isinstance(f, Atom):
+        return Atom(f.rel, tuple(sub_var(a) for a in f.args))
+    if isinstance(f, EqVar):
+        return EqVar(sub_var(f.left), sub_var(f.right))
+    if isinstance(f, LeqNum):
+        return LeqNum(sub_var(f.left), sub_var(f.right))
+    if isinstance(f, Not):
+        return Not(reference_substitute(f.sub, mapping))
+    if isinstance(f, And):
+        return And(reference_substitute(f.left, mapping), reference_substitute(f.right, mapping))
+    if isinstance(f, Or):
+        return Or(reference_substitute(f.left, mapping), reference_substitute(f.right, mapping))
+    if isinstance(f, Exists):
+        return Exists(f.var, reference_substitute(f.sub, prune(mapping, {f.var})))
+    if isinstance(f, Forall):
+        return Forall(f.var, reference_substitute(f.sub, prune(mapping, {f.var})))
+    if isinstance(f, Count):
+        inner = prune(mapping, set(f.uvars))
+        return Count(
+            f.uvars, reference_substitute(f.sub, inner), tuple(sub_var(p) for p in f.pvars)
+        )
+    if isinstance(f, Lrec):
+        edge_mp = prune(mapping, set(f.u) | set(f.v))
+        lab_mp = prune(mapping, set(f.u) | set(f.p))
+        return Lrec(
+            f.u, f.v, f.p,
+            reference_substitute(f.phi_edge, edge_mp),
+            reference_substitute(f.phi_label, lab_mp),
+            tuple(sub_var(x) for x in f.w),
+            tuple(sub_var(x) for x in f.r),
+        )
+    if isinstance(f, LrecEq):
+        ev_mp = prune(mapping, set(f.u) | set(f.v))
+        lab_mp = prune(mapping, set(f.u) | set(f.p))
+        return LrecEq(
+            f.u, f.v, f.p,
+            reference_substitute(f.phi_eq, ev_mp),
+            reference_substitute(f.phi_edge, ev_mp),
+            reference_substitute(f.phi_label, lab_mp),
+            tuple(sub_var(x) for x in f.w),
+            tuple(sub_var(x) for x in f.r),
+        )
+    if isinstance(f, Dtc):
+        inner = prune(mapping, set(f.u) | set(f.v))
+        return Dtc(
+            f.u, f.v, reference_substitute(f.sub, inner),
+            tuple(sub_var(x) for x in f.s),
+            tuple(sub_var(x) for x in f.t),
+        )
+    raise FormulaError(f"unknown formula node {type(f).__name__}")
+
+
+class _ReferenceFresh:
+    def __init__(self, f):
+        self.used = reference_all_names(f)
+        self.counter = 0
+
+    def var(self, sort, hint="v"):
+        while True:
+            name = f"{hint}{self.counter}"
+            self.counter += 1
+            if name not in self.used:
+                self.used.add(name)
+                return Var(name, sort)
+
+
+def reference_expand_dtc(f):
+    fresh = _ReferenceFresh(f)
+
+    def forall_all(vars_, body):
+        for v in reversed(vars_):
+            body = Forall(v, body)
+        return body
+
+    def walk(g):
+        if isinstance(g, (Atom, EqVar, LeqNum)):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.sub))
+        if isinstance(g, And):
+            return And(walk(g.left), walk(g.right))
+        if isinstance(g, Or):
+            return Or(walk(g.left), walk(g.right))
+        if isinstance(g, Exists):
+            return Exists(g.var, walk(g.sub))
+        if isinstance(g, Forall):
+            return Forall(g.var, walk(g.sub))
+        if isinstance(g, Count):
+            return Count(g.uvars, walk(g.sub), g.pvars)
+        if isinstance(g, Lrec):
+            return Lrec(g.u, g.v, g.p, walk(g.phi_edge), walk(g.phi_label), g.w, g.r)
+        if isinstance(g, LrecEq):
+            return LrecEq(
+                g.u, g.v, g.p, walk(g.phi_eq), walk(g.phi_edge), walk(g.phi_label), g.w, g.r
+            )
+        if isinstance(g, Dtc):
+            psi = walk(g.sub)
+            vprime = tuple(fresh.var(v.sort, "_w") for v in g.v)
+            p = tuple(fresh.var(NUMBER, "_p") for _ in g.u)
+            r = tuple(fresh.var(NUMBER, "_r") for _ in g.u)
+            psi_prime = reference_substitute(psi, dict(zip(g.v, vprime)))
+            phi_edge = And(psi, forall_all(vprime, Or(Not(psi_prime), eq_tuple(vprime, g.v))))
+            p_zero = and_all(is_zero(pi, fresh) for pi in p)
+            phi_label = Or(eq_tuple(g.v, g.s), And(Not(eq_tuple(g.v, g.s)), Not(p_zero)))
+            out = Lrec(g.v, g.u, p, phi_edge, phi_label, g.t, r)
+            for ri in reversed(r):
+                out = Exists(ri, out)
+            return out
+        raise FormulaError(f"unknown formula node {type(g).__name__}")
+
+    return walk(f)

@@ -187,6 +187,12 @@ def test_check_circuit(capsys):
     assert code == 0 and "value true" in out
 
 
+def test_gen_circuit_size(capsys):
+    for size in (1, 9, 100):
+        code, out, _ = run(capsys, "gen", "circuit", str(size), "--seed", "3")
+        assert code == 0 and f"universe {size}\n" in out
+
+
 def test_eval_engines_never_disagree_on_generated_circuits(capsys, tmp_path):
     formula = tmp_path / "f.formula"
     formula.write_text((DATA / "circuit_eval.formula").read_text())

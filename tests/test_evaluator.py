@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from limrec.errors import DomainError
+import limrec
+from limrec import evaluator
+from limrec.errors import DomainError, LimrecError
 from limrec.evaluator import (
-    EvalContext, ExplicitGraph, Transduction, apply_transduction, evaluate,
+    EvalContext, ExplicitGraph, LabelledGraph, Transduction, apply_transduction, evaluate,
     lrec_eq_membership, lrec_membership, lrec_membership_streaming, unravel,
     x_membership, x_membership_streaming,
 )
@@ -412,3 +417,82 @@ def test_transduction_undefined():
     )
     with pytest.raises(DomainError):
         apply_transduction(theta, g)
+
+
+# --- engine invariants and the on-demand recursion graph -------------------
+
+
+class _ZeroInDegreeGraph(LabelledGraph):
+    """Vertex 0 has an edge to vertex 1, which reports in-degree 0."""
+
+    def out_neighbours(self, vertex):
+        return (1,) if vertex == 0 else ()
+
+    def in_degree(self, vertex):
+        return 0
+
+    def label_contains(self, vertex, count):
+        return count == 0
+
+
+def test_engines_reject_an_edge_target_without_incoming_edges():
+    with pytest.raises(LimrecError, match="in-degree 0"):
+        x_membership(_ZeroInDegreeGraph(), 0, 5)
+    with pytest.raises(LimrecError, match="in-degree 0"):
+        x_membership_streaming(_ZeroInDegreeGraph(), 0, 5)
+
+
+def test_engine_invariant_checks_survive_python_O():
+    script = (
+        "import sys\n"
+        "from limrec.errors import LimrecError\n"
+        "from limrec.evaluator import LabelledGraph, x_membership\n"
+        "class G(LabelledGraph):\n"
+        "    def out_neighbours(self, v): return (1,) if v == 0 else ()\n"
+        "    def in_degree(self, v): return 0\n"
+        "    def label_contains(self, v, c): return c == 0\n"
+        "assert False, 'asserts must be off'\n"
+        "try:\n"
+        "    x_membership(G(), 0, 5)\n"
+        "except LimrecError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    src = str(Path(limrec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_lazy_formula_graph_matches_materialised(monkeypatch):
+    rng = random.Random(7)
+    n = 4
+    edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4}
+    structure = Structure(GRAPH_VOCAB, n, {"E": edges})
+    formula = parse_formula(
+        "[lrec x, y, #p : E(x, y) and not x = y ; x = s or count(y ; E(y, x)) = #p](z, #r)"
+    )
+    eager_ctx = EvalContext(structure)
+    monkeypatch.setattr(evaluator, "EDGE_MATERIALIZE_THRESHOLD", 0)
+    lazy_ctx = EvalContext(structure)
+    for s in range(n):
+        eager = eager_ctx.formula_graph(formula, {svar("s"): s})
+        lazy = lazy_ctx.formula_graph(formula, {svar("s"): s})
+        assert eager._materialized and not lazy._materialized
+        for v in [(a,) for a in range(n)]:
+            assert lazy.out_neighbours(v) == eager.out_neighbours(v)
+            assert lazy.in_degree(v) == eager.in_degree(v)
+            for count in range(-1, eager.label_bound + 1):
+                assert lazy.label_contains(v, count) == eager.label_contains(v, count)
+        for z in range(n):
+            for r in range(n + 1):
+                alpha = {svar("s"): s, svar("z"): z, nvar("r"): r}
+                for engine in ("memo", "stream"):
+                    assert evaluate(structure, alpha, formula, engine, ctx=lazy_ctx) == evaluate(
+                        structure, alpha, formula, engine, ctx=eager_ctx
+                    )

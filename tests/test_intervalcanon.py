@@ -468,6 +468,20 @@ def test_sweep_and_first_end_match_reference_loops(monkeypatch):
             assert interval_canon(g) == canon
 
 
+def test_one_preorder_per_graph_and_start(monkeypatch):
+    g = Graph.from_structure(generate_random_interval_graph(40, seed=3))
+    calls = []
+    original = intervalcanon.clique_preorder
+
+    def counting(G, M, cliques=None):
+        calls.append((frozenset(G.vertices), frozenset(G.edges()), M))
+        return original(G, M, cliques)
+
+    monkeypatch.setattr(intervalcanon, "clique_preorder", counting)
+    interval_canon(g)
+    assert len(calls) == len(set(calls)) == 10
+
+
 # --- canon_L -----------------------------------------------------------------
 
 

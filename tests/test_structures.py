@@ -171,3 +171,24 @@ def test_quotient_properties(k, data):
     assert len(reps) == len(classes)
     assert len(qedges) <= len(edges)
     assert all(rep_of[m] in reps for cls in classes for m in cls)
+
+
+def test_random_circuit_has_exactly_the_requested_gates():
+    for n in range(1, 61):
+        for seed in range(20):
+            s = generate_random_circuit(n, seed=seed)
+            assert s.universe_size == n
+            edges = s.rel("E")
+            assert len(edges) == n - 1
+            assert sorted(b for _, b in edges) == list(range(1, n))  # one parent each
+            assert all(a < b for a, b in edges)  # so no cycle: a tree under gate 0
+            out = {g: [b for a, b in edges if a == g] for g in range(n)}
+            kinds = {g: name for name in ("Pand", "Por", "Pnot", "P0", "P1")
+                     for (g,) in s.rel(name)}
+            assert sorted(kinds) == list(range(n))
+            assert sum(len(s.rel(name)) for name in ("Pand", "Por", "Pnot", "P0", "P1")) == n
+            for g in range(n):
+                assert len(out[g]) <= 3
+                assert (kinds[g] in ("P0", "P1")) == (not out[g])
+                if kinds[g] == "Pnot":
+                    assert len(out[g]) == 1

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from limrec.errors import ParseError
 from limrec.syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not,
-    Or, expand_dtc, free_variables, nvar, parse_formula, pretty, svar,
+    Or, _all_names, _contains_dtc, expand_dtc, free_variables, nvar, parse_formula,
+    pretty, substitute, svar,
+)
+
+from .helpers import (
+    reference_all_names, reference_expand_dtc, reference_free_variables,
+    reference_substitute,
 )
 
 
@@ -180,3 +186,19 @@ def test_expand_dtc_idempotent_and_free_preserving(f):
     expanded = expand_dtc(f)
     assert expand_dtc(expanded) == expanded
     assert free_variables(expanded) == free_variables(f)
+
+
+_mappings = st.tuples(
+    st.dictionaries(_svars, _svars), st.dictionaries(_nvars, _nvars)
+).map(lambda pair: {**pair[0], **pair[1]})
+
+
+@given(_formulas(), _mappings)
+@settings(max_examples=400, deadline=None)
+def test_binder_table_matches_reference_walkers(f, mapping):
+    assert free_variables(f) == reference_free_variables(f)
+    assert _all_names(f) == reference_all_names(f)
+    assert substitute(f, mapping) == reference_substitute(f, mapping)
+    expanded = expand_dtc(f)
+    assert expanded == reference_expand_dtc(f)
+    assert _contains_dtc(f) == (expanded != f)

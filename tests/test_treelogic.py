@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from limrec.errors import DomainError, RecognitionError
-from limrec.structures import Structure, generate_random_circuit, generate_random_tree
+from limrec.structures import (
+    CIRCUIT_VOCAB, Structure, generate_random_circuit, generate_random_tree,
+)
 from limrec.treelogic import (
     DirectedTree, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
     check_path_property, circuit_value, circuit_value_oracle,
@@ -401,6 +403,32 @@ def test_circuit_path_property_violation():
         tight += ["E b e", "E c e"]
         # now e has in-degree 3: product along a-b-e is 3; a-b-d-e: 2*3=6 > 5
         check_path_property(Structure.parse("\n".join(tight)))
+
+
+def test_path_property_certificate_is_the_worst_path():
+    tight = Structure.parse(
+        "vocab E/2 Pand/1 Por/1 Pnot/1 P0/1 P1/1\nuniverse 5\nnames a b c d e\n"
+        "E a b\nE a c\nE b d\nE c d\nE d e\nE b e\nE c e\n"
+        "Pand a\nPand b\nPand c\nPand d\nP1 e\n"
+    )
+    with pytest.raises(RecognitionError) as err:
+        check_path_property(tight)
+    # product along a-b-d-e (or a-c-d-e): in-degrees 1 * 2 * 3 = 6 > 5
+    assert err.value.certificate in ((0, 1, 3, 4), (0, 2, 3, 4))
+
+
+def test_deep_chain_and_path_need_no_recursion():
+    n = 3000
+    chain = Structure(CIRCUIT_VOCAB, n, {
+        "E": {(g, g + 1) for g in range(n - 1)},
+        "Pnot": {(g,) for g in range(n - 1)},
+        "P1": {(n - 1,)},
+    })
+    assert check_path_property(chain) == 1
+    assert circuit_value_oracle(chain) is False  # 2999 negations of true
+    path = DirectedTree([None] + list(range(n - 1)))
+    assert subtree_string(path, 0) == "(" * n + ")" * n
+    assert tree_canon_oracle(path) == subtree_string(path, 0)
 
 
 def test_circuit_random_tree_shaped_matches_oracle():
