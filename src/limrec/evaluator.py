@@ -289,9 +289,6 @@ class ExplicitGraph(LabelledGraph):
     def label_contains(self, vertex, count):
         return count in self._labels.get(vertex, ())
 
-    def vertices(self):
-        return set(self._out) | set(self._labels) | set(self._indeg)
-
 
 class FormulaGraph(LabelledGraph):
     """Recursion graph of one lrec node under a fixed outer assignment.

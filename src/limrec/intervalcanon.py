@@ -428,7 +428,6 @@ class ModuleRecord:
     vertices: frozenset         # the module, as original component vertices
     colour: tuple               # position multiset, ascending
     group: str                  # "single" | "low" | "high" | "mid"
-    pos_fwd: int                # 1-based clique position under the kept order
 
 
 @dataclass
@@ -486,7 +485,7 @@ def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
         size = len(apices) + 1
         intervals = [(1, 1)] * size
         _, edges = _render(intervals)
-        modules = [ModuleRecord(rest, (1,), "single", 1)]
+        modules = [ModuleRecord(rest, (1,), "single")]
         colour = {c: (1,) for c in cliques}
         return LCanon(size, edges, intervals, 1, True, modules, colour)
     part = entry.partition
@@ -527,7 +526,7 @@ def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
         else:
             colour = (pos,)
             group = "single"
-        modules.append(ModuleRecord(cls, colour, group, pos))
+        modules.append(ModuleRecord(cls, colour, group))
     clique_colour = {}
     for c, pos0 in part.clique_position.items():
         clique_colour[c] = positions_of(pos0 + 1)

@@ -69,12 +69,6 @@ class Structure:
                 raise DomainError("element names must be distinct, one per element")
         self.names = names
 
-    def elements(self) -> range:
-        return range(self.universe_size)
-
-    def numbers(self) -> range:
-        return range(self.universe_size + 1)
-
     def rel(self, name: str) -> frozenset:
         return self.relations[name]
 

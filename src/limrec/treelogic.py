@@ -11,6 +11,8 @@ than four vertices bypass the gadgets and use the direct comparator.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .errors import DomainError, LimrecError, RecognitionError
 from .evaluator import LabelledGraph, evaluate, x_membership
 from .structures import Structure
@@ -87,10 +89,7 @@ class DirectedTree:
         edges = {(p, v) for v, p in enumerate(self.parent) if p is not None}
         return Structure(GRAPH_VOCAB, self.n, {"E": edges})
 
-    def count_of_size(self, v: int, s: int) -> int:
-        return self.tables().count_by_size.get((v, s), 0)
-
-    def profile(self, v: int) -> tuple[int, ...]:
+    def profile(self, v: int) -> tuple:
         return self.tables().profile[v]
 
     def tables(self):
@@ -104,22 +103,18 @@ class _TreeTables:
 
     def __init__(self, tree: DirectedTree):
         self.tree = tree
-        n = tree.n
+        # (v, s) -> the children of v of subtree size s, ascending
         self.kids_by_size = {}
-        self.count_by_size = {}
-        for v in range(n):
-            for c in tree.children[v]:
-                key = (v, tree.size[c])
-                self.kids_by_size.setdefault(key, []).append(c)
-                self.count_by_size[key] = self.count_by_size.get(key, 0) + 1
-        for lst in self.kids_by_size.values():
-            lst.sort()
-        self.profile = [
-            (tree.size[v],)
-            + tuple(self.count_by_size.get((v, s), 0) for s in range(1, tree.size[v]))
-            for v in range(n)
-        ]
-        self._easy = {}
+        for c, p in enumerate(tree.parent):
+            if p is not None:
+                self.kids_by_size.setdefault((p, tree.size[c]), []).append(c)
+        # profile[v] = (size(v), (-s, count), ...) over the child sizes s of
+        # v, ascending; it orders like the dense (size(v), count of size 1,
+        # ..., count of size size(v) - 1) at a length linear in the degree
+        counts = [[] for _ in range(tree.n)]
+        for (v, s), kids in sorted(self.kids_by_size.items()):
+            counts[v].append((-s, len(kids)))
+        self.profile = [(tree.size[v],) + tuple(counts[v]) for v in range(tree.n)]
         self.iso_cache = {}
         self.order_cache = {}
         self._theta = {}
@@ -134,12 +129,7 @@ class _TreeTables:
     def easy(self, v, w) -> bool:
         """The pair fails the size/child-count screening of the recursive
         isomorphism procedure."""
-        key = (v, w)
-        cached = self._easy.get(key)
-        if cached is None:
-            cached = self.profile[v] != self.profile[w]
-            self._easy[key] = cached
-        return cached
+        return self.profile[v] != self.profile[w]
 
     def theta(self, u, t) -> int:
         """Number of children of u whose subtree is isomorphic to T_t."""
@@ -213,7 +203,7 @@ class _IsoGadget(LabelledGraph):
             if wh != w or k != 0 or tree.parent[vh] != v:
                 return ()
             s = tree.size[vh]
-            cap = tb.count_by_size.get((v, s), 0)
+            cap = len(tb.kids_of_size(v, s))
             return tuple(
                 (2, v, w, vh, c, kk)
                 for c in tb.kids_of_size(w, s)
@@ -225,7 +215,7 @@ class _IsoGadget(LabelledGraph):
         s = tree.size[vh]
         if tree.size[wh] != s:
             return ()
-        cap = tb.count_by_size.get((v, s), 0)
+        cap = len(tb.kids_of_size(v, s))
         if not (1 <= k <= cap):
             return ()
         if t == 2:
@@ -253,7 +243,7 @@ class _IsoGadget(LabelledGraph):
         s = tree.size[x]
         if tree.size[y] != s:
             return 0
-        cap = tb.count_by_size.get((pv, s), 0)
+        cap = len(tb.kids_of_size(pv, s))
         deg = cap
         if cap >= 2:
             deg += 2 * cap * cap
@@ -271,7 +261,7 @@ class _IsoGadget(LabelledGraph):
         if t == 1:
             return 1 <= m <= tree.n
         s = tree.size[vh]
-        cap = tb.count_by_size.get((v, s), 0)
+        cap = len(tb.kids_of_size(v, s))
         if t == 2:
             return m == (1 if cap == 1 else 3)
         return m == k
@@ -302,7 +292,7 @@ class _OrderGadget(LabelledGraph):
         s = tree.size[vh]
         if tree.size[wh] != s:
             return False
-        return 1 <= k <= tb.count_by_size.get((v, s), 0)
+        return 1 <= k <= len(tb.kids_of_size(v, s))
 
     def out_neighbours(self, vx):
         t, v, w, vh, wh, k = vx
@@ -317,7 +307,7 @@ class _OrderGadget(LabelledGraph):
                 if not tb.good(v, w, c):
                     continue
                 s = tree.size[c]
-                cap = tb.count_by_size.get((v, s), 0)
+                cap = len(tb.kids_of_size(v, s))
                 for d in tb.kids_of_size(w, s):
                     for kk in range(1, cap + 1):
                         out.append((1, v, w, c, d, kk))
@@ -325,7 +315,7 @@ class _OrderGadget(LabelledGraph):
         if not self._valid_inner(v, w, vh, wh, k):
             return ()
         s = tree.size[vh]
-        cap = tb.count_by_size.get((v, s), 0)
+        cap = len(tb.kids_of_size(v, s))
         if t == 1:
             first = (0, vh, wh, vh, wh, 0)
             if cap == 1:
@@ -366,11 +356,11 @@ class _OrderGadget(LabelledGraph):
             # target of a type-1 edge: (x, y) = (vhat, what)
             pv, pw = tree.parent[x], tree.parent[y]
             if tb.profile[pv] == tb.profile[pw] and tb.good(pv, pw, x):
-                deg += tb.count_by_size.get((pv, s), 0)
+                deg += len(tb.kids_of_size(pv, s))
             # targets of types 2 and 4: (x, y) = (wring/wprime, vhat)
             pv, pw = tree.parent[y], tree.parent[x]
             if tb.profile[pv] == tb.profile[pw] and tb.good(pv, pw, y):
-                cap = tb.count_by_size.get((pv, s), 0)
+                cap = len(tb.kids_of_size(pv, s))
                 if cap >= 2:
                     deg += cap * cap
                     if tb.theta(pv, x) == tb.theta(pw, x):
@@ -378,7 +368,7 @@ class _OrderGadget(LabelledGraph):
             # target of type 3: (x, y) = (vring, what)
             pv, pw = tree.parent[x], tree.parent[y]
             if tb.profile[pv] == tb.profile[pw]:
-                cap = tb.count_by_size.get((pv, s), 0)
+                cap = len(tb.kids_of_size(pv, s))
                 if cap >= 2:
                     goods = sum(
                         1
@@ -403,7 +393,7 @@ class _OrderGadget(LabelledGraph):
         if not self._valid_inner(v, w, vh, wh, k):
             return False
         if t == 1:
-            cap = tb.count_by_size.get((v, tree.size[vh]), 0)
+            cap = len(tb.kids_of_size(v, tree.size[vh]))
             return m == (1 if cap == 1 else 4)
         return m == k
 
@@ -558,52 +548,46 @@ class _CanonGraph(LabelledGraph):
         self.tb = tables
         self.tree = tables.tree
         self._layout = {}
+        self._copies = {}  # child -> block starts of its class, set by layout(parent)
 
     def layout(self, v):
-        """Per vertex: list of (members, e, size, positions p_{c,i})."""
+        """Per class of isomorphic children of v: (members, size, positions),
+        positions being the range of the block starts of its copies."""
         cached = self._layout.get(v)
         if cached is None:
             tree = self.tree
             classes = []
-            for c in sorted(tree.children[v]):
-                for cls in classes:
-                    if tree.size[cls[0][0]] == tree.size[c] and tree_isomorphic(
-                        tree, cls[0][0], c
+            for c in tree.children[v]:  # ascending by construction
+                for members in classes:
+                    if tree.size[members[0]] == tree.size[c] and tree_isomorphic(
+                        tree, members[0], c
                     ):
-                        cls[0].append(c)
+                        members.append(c)
                         break
                 else:
-                    classes.append(([c], None))
-            out = []
-            for members, _ in classes:
+                    classes.append([c])
+            cached = []
+            for members in classes:
                 rep = members[0]
-                below = [
-                    c
-                    for c in tree.children[v]
-                    if tree_order_less(tree, c, rep)
-                ]
+                below = (c for c in tree.children[v] if tree_order_less(tree, c, rep))
                 base = 2 + sum(tree.size[c] for c in below)
-                e = len(members)
                 size = tree.size[rep]
-                positions = [base + i * size for i in range(e)]
-                out.append((members, e, size, positions))
-            cached = out
+                positions = range(base, base + len(members) * size, size)
+                cached.append((members, size, positions))
+                for c in members:
+                    self._copies[c] = positions
             self._layout[v] = cached
         return cached
 
     def out_neighbours(self, vx):
         v, a, b = vx
-        tree = self.tree
-        if not tree.children[v]:
-            return ()
         out = []
-        top = tree.n
-        for members, e, size, positions in self.layout(v):
+        top = self.tree.n
+        for members, size, positions in self.layout(v):
             for p in positions:
                 m, nn = a - p + 1, b - p + 1
                 if 0 <= m <= top and 0 <= nn <= top:
-                    for child in members:
-                        out.append((child, m, nn))
+                    out.extend((child, m, nn) for child in members)
         return tuple(sorted(out))
 
     def in_degree(self, vx):
@@ -612,27 +596,20 @@ class _CanonGraph(LabelledGraph):
         parent = tree.parent[v]
         if parent is None:
             return 0
-        top = tree.n
-        for members, e, size, positions in self.layout(parent):
-            if v in members:
-                # one edge per copy whose source tuple stays inside the
-                # number sort; copies shifted past n generate no edge
-                return sum(
-                    1 for p in positions if p - 1 + a <= top and p - 1 + b <= top
-                )
-        return 0
+        self.layout(parent)
+        # one edge per copy whose source tuple stays inside the number
+        # sort; copies shifted past n generate no edge
+        return bisect_right(self._copies[v], tree.n + 1 - max(a, b))
 
     def label_contains(self, vx, m):
         v, a, b = vx
-        tree = self.tree
-        if not tree.children[v]:
-            return False
-        for members, e, size, positions in self.layout(v):
-            if a == 1 and b in positions and m == 0:
+        for members, size, positions in self.layout(v):
+            if m == 0 and a == 1 and b in positions:
                 return True
-            for p in positions:
-                if p <= a <= p + size - 1 and p <= b <= p + size - 1 and m == e:
-                    return True
+            # a and b lie in one copy's block and every copy must accept
+            i = (a - positions.start) // size
+            if m == len(members) and 0 <= i == (b - positions.start) // size < len(members):
+                return True
         return False
 
 

@@ -76,6 +76,15 @@ def coloured_canonical_form(tree: DirectedTree, colours, v):
     return (colours.get(v, ()), tuple(kids))
 
 
+def reference_dense_profile(tree: DirectedTree, v):
+    """The dense profile (size(v), number of children of size 1, ...,
+    number of children of size size(v) - 1)."""
+    counts = [0] * tree.size[v]
+    for c in tree.children[v]:
+        counts[tree.size[c]] += 1
+    return (tree.size[v],) + tuple(counts[1:])
+
+
 def graphs_up_to_iso(n, numpy_module):
     """Connected graph representatives on n vertices (canonical edge masks),
     built by extending the (n-1)-vertex representatives."""

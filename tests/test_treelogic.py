@@ -16,7 +16,7 @@ from limrec.treelogic import (
 
 from .helpers import (
     all_trees, coloured_canonical_form, permute_tree, random_permutation,
-    tree_shapes,
+    reference_dense_profile, tree_shapes,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -51,7 +51,24 @@ def test_profile_invariant():
         for v in range(tree.n):
             profile = tree.profile(v)
             assert profile[0] == tree.size[v]
-            assert sum(s * c for s, c in enumerate(profile[1:], start=1)) == tree.size[v] - 1
+            assert sum(-neg_s * c for neg_s, c in profile[1:]) == tree.size[v] - 1
+
+
+def test_compact_profiles_order_like_dense():
+    for tree in all_trees(7):
+        for v in range(tree.n):
+            for w in range(tree.n):
+                pv, pw = tree.profile(v), tree.profile(w)
+                dv, dw = reference_dense_profile(tree, v), reference_dense_profile(tree, w)
+                assert (pv == pw) == (dv == dw), (tree.parent, v, w)
+                assert (pv < pw) == (dv < dw), (tree.parent, v, w)
+
+
+def test_profiles_linear_size_on_deep_chains():
+    # the dense profiles of two 1,500-vertex chains hold 2,254,501 entries
+    parents = [None, 0] + list(range(1, 1500)) + [0] + list(range(1501, 3000))
+    tree = DirectedTree(parents)
+    assert sum(len(p) for p in tree.tables().profile) <= 3 * tree.n
 
 
 def test_iso_trivial_cases():
@@ -137,8 +154,13 @@ def test_gadget_in_degrees_match_edge_scan(builder):
 
 def test_canon_graph_in_degrees_match_edge_scan():
     # every tuple of the space is a vertex whether or not a root query
-    # reaches it, so scan the edges of the entire space
-    for tree in all_trees(6):
+    # reaches it, so scan the edges of the entire space; the star, the
+    # 3x3 spider and the complete binary tree add classes of three or
+    # more copies, blocks wider than one vertex and copies shifted past n
+    star = DirectedTree([None] + [0] * 9)
+    spider = DirectedTree([None, 0, 1, 2, 0, 4, 5, 0, 7, 8])
+    binary = DirectedTree([None] + [(v - 1) // 2 for v in range(1, 15)])
+    for tree in [*all_trees(6), star, spider, binary]:
         graph = tree.tables().canon_graph()
         top = tree.n
         everything = [
