@@ -17,13 +17,13 @@ per-level counters.  It checks the logarithmic counter budget
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, FormulaError, LimrecError
 from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
-    LrecEq, Not, Or, STRUCT, Var, _contains_dtc, _outer_variables, expand_dtc,
+    LrecEq, Not, Or, STRUCT, Var, _contains_dtc, _outer_variables, _rule, expand_dtc,
     free_variables,
 )
 
@@ -111,15 +111,93 @@ def _eval(ctx: EvalContext, alpha, f: Formula, engine: str) -> bool:
 
 
 def _compile(ctx: EvalContext, f: Formula, engine: str):
-    """Build (and cache) a closure deciding f over a mutating assignment
-    dict.  Quantifier closures save and restore the binding they touch,
-    so sharing one dict across calls is safe."""
+    """Build (once per context) a closure deciding f over a mutating
+    assignment dict.  Quantifier closures save and restore the binding
+    they touch, so sharing one dict across calls is safe.  The closure
+    evaluates the planned formula `_plan(f)`, not f in source order."""
     key = (f, engine)
     fn = ctx._compiled.get(key)
     if fn is None:
-        fn = _build(ctx, f, engine)
+        fn = _build(ctx, _plan(f), engine)
         ctx._compiled[key] = fn
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Static query planning.  Formulas are pure and every domain is non-empty
+# (a structure has at least one element, a number domain contains 0), so
+# reordering the operands of and/or and moving a quantifier past parts of
+# its body that do not mention its variable keep the truth value under
+# every assignment.
+
+
+# and/or operands run in ascending tier: quantifier-free, then
+# quantifiers, then count, then the recursion operators
+_TIER = {Exists: 1, Forall: 1, Count: 2, Lrec: 3, LrecEq: 3}
+
+
+def _cost(f: Formula) -> int:
+    """Static cost tier of f: the highest tier of any node in it."""
+    return max([_TIER.get(type(f), 0)] + [_cost(getattr(f, name)) for name, _ in _rule(f)[1]])
+
+
+def _parts(f: Formula, kind) -> list:
+    """The operands of the chain of `kind` (And or Or) nodes at the top
+    of f, in source order."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is kind:
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def _join(kind, parts) -> Formula:
+    """The `kind` chain of parts, cheapest first; ties keep their order."""
+    if len(parts) > 1:
+        parts = sorted(parts, key=_cost)
+    out = parts[0]
+    for part in parts[1:]:
+        out = kind(out, part)
+    return out
+
+
+def _miniscope(f: Exists | Forall) -> Formula:
+    """Push the quantifier f inwards over its (planned) body: forall
+    distributes over and, exists over or, and the parts of the body that
+    do not mention the variable move outside it."""
+    spread, keep = (And, Or) if isinstance(f, Forall) else (Or, And)
+    out = []
+    for part in _parts(f.sub, spread):
+        kept, bound = [], []
+        for piece in _parts(part, keep):
+            if f.var not in free_variables(piece):
+                kept.append(piece)
+                continue
+            if not bound:
+                kept.append(None)  # the quantifier's place: that of its first piece
+            bound.append(piece)
+        if bound:
+            quant = type(f)(f.var, _join(keep, bound))
+            # quant == f: nothing moved, so f is miniscoped already
+            kept[kept.index(None)] = quant if quant == f else _miniscope(quant)
+        out.append(_join(keep, kept))
+    return _join(spread, out)
+
+
+def _plan(f: Formula) -> Formula:
+    """The formula the evaluator compiles for f: bottom up, quantifiers
+    miniscoped and and/or operands in cost order."""
+    subs = _rule(f)[1]
+    if subs:
+        f = replace(f, **{name: _plan(getattr(f, name)) for name, _ in subs})
+    if isinstance(f, (And, Or)):
+        return _join(type(f), _parts(f, type(f)))
+    if isinstance(f, (Exists, Forall)):
+        return _miniscope(f)
+    return f
 
 
 def _build(ctx: EvalContext, f: Formula, engine: str):
@@ -143,21 +221,21 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         left, right = f.left, f.right
         return lambda alpha: alpha[left] <= alpha[right]
     if isinstance(f, Not):
-        sub = _compile(ctx, f.sub, engine)
+        sub = _build(ctx, f.sub, engine)
         return lambda alpha: not sub(alpha)
     if isinstance(f, And):
-        left = _compile(ctx, f.left, engine)
-        right = _compile(ctx, f.right, engine)
+        left = _build(ctx, f.left, engine)
+        right = _build(ctx, f.right, engine)
         return lambda alpha: left(alpha) and right(alpha)
     if isinstance(f, Or):
-        left = _compile(ctx, f.left, engine)
-        right = _compile(ctx, f.right, engine)
+        left = _build(ctx, f.left, engine)
+        right = _build(ctx, f.right, engine)
         return lambda alpha: left(alpha) or right(alpha)
     if isinstance(f, (Exists, Forall)):
         want = isinstance(f, Exists)
         var = f.var
         dom = _domain(A, var)
-        sub = _compile(ctx, f.sub, engine)
+        sub = _build(ctx, f.sub, engine)
 
         def quant(alpha, var=var, dom=dom, sub=sub, want=want):
             saved = alpha.get(var, _MISSING)
@@ -179,7 +257,7 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         uvars = f.uvars
         pvars = f.pvars
         doms = [_domain(A, v) for v in uvars]
-        sub = _compile(ctx, f.sub, engine)
+        sub = _build(ctx, f.sub, engine)
 
         def count_fn(alpha):
             target = num_encode([alpha[p] for p in pvars], n)

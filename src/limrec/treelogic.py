@@ -647,6 +647,7 @@ CIRCUIT_FORMULA_TEXT = (
     "or (Pnot(x) and #p = 0) or P1(x)](z, (#r1, #r2)) "
     "and forall #r (#r <= #r1 and #r <= #r2))"
 )
+CIRCUIT_FORMULA = parse_formula(CIRCUIT_FORMULA_TEXT)
 
 _GATE_RELS = ("Pand", "Por", "Pnot", "P0", "P1")
 
@@ -739,8 +740,7 @@ def circuit_value(structure: Structure, engine: str = "memo") -> bool:
     rejects inputs without the size-bounded path property."""
     _, _, _, root = _circuit_shape(structure)
     check_path_property(structure)
-    formula = parse_formula(CIRCUIT_FORMULA_TEXT)
-    return evaluate(structure, {svar("z"): root}, formula, engine=engine)
+    return evaluate(structure, {svar("z"): root}, CIRCUIT_FORMULA, engine=engine)
 
 
 def circuit_value_oracle(structure: Structure) -> bool:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 from limrec.errors import FormulaError, RecognitionError
 from limrec.intervalcanon import clique_preorder, max_cliques, modular_partition, span_map
+from limrec.structures import CIRCUIT_VOCAB, Structure
 from limrec.syntax import (
     NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or,
     Var, and_all, eq_tuple, is_zero,
@@ -53,6 +54,15 @@ def all_trees(max_n):
     for n in range(1, max_n + 1):
         for shape in tree_shapes(n):
             yield shape_to_tree(shape)
+
+
+def not_chain(n) -> Structure:
+    """A circuit of n - 1 negation gates in a chain above one true gate."""
+    return Structure(CIRCUIT_VOCAB, n, {
+        "E": {(g, g + 1) for g in range(n - 1)},
+        "Pnot": {(g,) for g in range(n - 1)},
+        "P1": {(n - 1,)},
+    })
 
 
 def permute_tree(tree: DirectedTree, perm) -> DirectedTree:

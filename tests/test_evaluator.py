@@ -1,10 +1,14 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limrec
 from limrec import evaluator
@@ -16,9 +20,13 @@ from limrec.evaluator import (
 )
 from limrec.structures import GRAPH_VOCAB, Structure, generate_layered_graph
 from limrec.syntax import (
-    And, Atom, EqVar, Forall, LeqNum, Lrec, LrecEq, Not, Or, nvar,
-    parse_formula, svar,
+    STRUCT, And, Atom, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or, free_variables,
+    nvar, parse_formula, pretty, svar,
 )
+from limrec.treelogic import CIRCUIT_FORMULA, circuit_value, circuit_value_oracle
+
+from .helpers import not_chain
+from .test_syntax import _formulas
 
 DATA = Path(__file__).parent / "data"
 
@@ -496,3 +504,119 @@ def test_lazy_formula_graph_matches_materialised(monkeypatch):
                     assert evaluate(structure, alpha, formula, engine, ctx=lazy_ctx) == evaluate(
                         structure, alpha, formula, engine, ctx=eager_ctx
                     )
+
+
+# --- the static query planner -----------------------------------------------
+
+
+def _unplanned():
+    """Patch the planner to source order: no miniscoping, every operand
+    of equal cost."""
+    return mock.patch.multiple(evaluator, _miniscope=lambda f: f, _cost=lambda f: 0)
+
+
+def test_planner_rewrites_the_circuit_formula(circuit_formula):
+    r, r1, r2 = nvar("r"), nvar("r1"), nvar("r2")
+    node = _lrec_node(circuit_formula)
+    planned = evaluator._plan(circuit_formula)
+    # one lrec query, reached only at the largest resource pair
+    assert planned == Exists(r1, And(
+        Forall(r, LeqNum(r, r1)),
+        Exists(r2, And(Forall(r, LeqNum(r, r2)), evaluator._plan(node))),
+    ))
+    # cheap disjuncts first, and the `#p = 0` sugar tests #p = #c before its forall
+    assert pretty(evaluator._plan(node.phi_label)) == (
+        "P1(x) or Por(x) and not exists #_c0 (#p = #_c0 and forall #_c1 #_c0 <= #_c1)"
+        " or Pnot(x) and exists #_c2 (#p = #_c2 and forall #_c3 #_c2 <= #_c3)"
+        " or Pand(x) and count(y ; E(x, y)) = #p"
+    )
+    with _unplanned():
+        assert evaluator._plan(circuit_formula) == circuit_formula
+    assert CIRCUIT_FORMULA == circuit_formula
+
+
+def test_planner_moves_a_shadowed_binder_out():
+    f = parse_formula("exists x (P(x) and exists x E(x, x))")
+    assert evaluator._plan(f) == parse_formula("exists x P(x) and exists x E(x, x)")
+
+
+@pytest.mark.parametrize("text", [
+    "exists x (P(x) and exists x E(x, x))",
+    "exists x (P(x) and E(x, x))",
+    "forall x (P(x) or E(x, x))",
+    "forall x (E(x, y) and (P(y) or E(y, x)))",
+    "exists x (E(x, y) or P(x) and P(y))",
+    "exists #p forall x (#p <= #q and (E(x, y) or not #q <= #p))",
+])
+def test_planned_matches_source_order_on_all_two_element_structures(text):
+    f = parse_formula(text)
+    free = sorted(free_variables(f), key=repr)
+    pairs = [(a, b) for a in range(2) for b in range(2)]
+    vocab = Vocabulary((("E", 2), ("P", 1)))
+    for bits in range(2 ** 6):
+        edges = {pairs[i] for i in range(4) if bits >> i & 1}
+        marked = {(v,) for v in range(2) if bits >> (4 + v) & 1}
+        structure = Structure(vocab, 2, {"E": edges, "P": marked})
+        for row in itertools.product(*(range(2 if v.sort == STRUCT else 3) for v in free)):
+            alpha = dict(zip(free, row))
+            planned = evaluate(structure, alpha, f)
+            with _unplanned():
+                assert evaluate(structure, alpha, f) == planned, (edges, marked, alpha)
+
+
+def _first_order_formulas():
+    """Quantifier-dense formulas over two variables of each sort: most
+    quantifiers bind a variable of both operands of an and/or, which is
+    where the miniscoping has the most to move."""
+    svars = st.sampled_from([svar("x"), svar("y")])
+    nvars = st.sampled_from([nvar("p"), nvar("q")])
+    atoms = st.one_of(
+        st.builds(lambda a, b: Atom("E", (a, b)), svars, svars),
+        st.builds(lambda a: Atom("P", (a,)), svars),
+        st.builds(EqVar, svars, svars),
+        st.builds(LeqNum, nvars, nvars),
+    )
+    quantifier = st.sampled_from([Exists, Forall])
+    connective = st.sampled_from([And, Or])
+    var = st.one_of(svars, nvars)
+    return st.recursive(atoms, lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(lambda c, a, b: c(a, b), connective, sub, sub),
+        st.builds(lambda q, v, s: q(v, s), quantifier, var, sub),
+        st.builds(lambda q, v, c, a, b: q(v, c(a, b)), quantifier, var, connective, sub, sub),
+    ), max_leaves=12)
+
+
+@given(st.one_of(_formulas(), _first_order_formulas()), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_planned_evaluation_matches_source_order(formula, seed):
+    rng = random.Random(seed)
+    free = sorted(free_variables(formula), key=repr)
+    for _ in range(8):
+        n = rng.randint(1, 3)
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        edges = {pair for pair in pairs if rng.random() < 0.5}
+        marked = {(v,) for v in range(n) if rng.random() < 0.5}
+        structure = Structure(Vocabulary((("E", 2), ("P", 1))), n, {"E": edges, "P": marked})
+        rows = list(itertools.product(*(range(n if v.sort == STRUCT else n + 1) for v in free)))
+        for engine in ("memo", "stream"):
+            planned_ctx, source_ctx = EvalContext(structure), EvalContext(structure)
+            for row in rng.sample(rows, min(len(rows), 6)):
+                alpha = dict(zip(free, row))
+                planned = evaluate(structure, alpha, formula, engine, ctx=planned_ctx)
+                with _unplanned():
+                    source = evaluate(structure, alpha, formula, engine, ctx=source_ctx)
+                assert planned == source, (structure, engine, alpha)
+
+
+def test_circuit_formula_graph_memo_is_linear_on_a_not_chain():
+    # Source order ran the lrec query for each of the (n+1)^2 resource
+    # pairs, leaving O(n^3) memo entries; planned, one query remains.
+    n = 200
+    chain = not_chain(n)
+    ctx = EvalContext(chain)
+    assert evaluate(chain, {svar("z"): 0}, CIRCUIT_FORMULA, ctx=ctx) is False
+    graphs = [g for _, _, by_values in ctx._graphs.values() for g in by_values.values()]
+    assert len(graphs) == 1
+    assert len(graphs[0].memo) <= 2 * n
+    assert circuit_value(chain) is circuit_value_oracle(chain) is False

@@ -7,11 +7,14 @@ import random
 
 import pytest
 
+from limrec.cli import main
 from limrec.intervalcanon import Graph, interval_canon
 from limrec.structures import generate_random_interval_graph, generate_random_tree
-from limrec.treelogic import DirectedTree, canon_edges_to_tree, tree_canon, tree_canon_oracle
+from limrec.treelogic import (
+    DirectedTree, canon_edges_to_tree, circuit_value_oracle, tree_canon, tree_canon_oracle,
+)
 
-from .helpers import permute_tree, random_permutation
+from .helpers import not_chain, permute_tree, random_permutation
 from .test_intervalcanon import _relabel
 
 pytestmark = pytest.mark.slow
@@ -50,3 +53,12 @@ def test_interval_canon_large_random_graphs():
         for j in range(len(canons)):
             if degrees[i] != degrees[j]:
                 assert canons[i] != canons[j], (i, j)
+
+
+def test_check_circuit_on_a_long_not_chain(tmp_path, capsys):
+    chain = not_chain(3000)
+    path = tmp_path / "chain.struct"
+    path.write_text(chain.serialize())
+    assert main(["check", "--kind", "circuit", str(path)]) == 0
+    value = str(circuit_value_oracle(chain)).lower()
+    assert capsys.readouterr().out.strip() == f"circuit ok, worst path product 1, value {value}"

@@ -150,8 +150,8 @@ def _formulas():
             st.builds(Not, children),
             st.builds(And, children, children),
             st.builds(Or, children, children),
-            st.builds(Exists, _svars, children),
-            st.builds(Forall, _nvars, children),
+            st.builds(Exists, st.one_of(_svars, _nvars), children),
+            st.builds(Forall, st.one_of(_svars, _nvars), children),
             st.builds(
                 lambda u, sub, p: Count((u,), sub, (p,)), _svars, children, _nvars
             ),

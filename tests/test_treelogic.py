@@ -5,7 +5,7 @@ import pytest
 
 from limrec.errors import DomainError, RecognitionError
 from limrec.structures import (
-    CIRCUIT_VOCAB, Structure, generate_random_circuit, generate_random_tree,
+    Structure, generate_random_circuit, generate_random_tree,
 )
 from limrec.treelogic import (
     DirectedTree, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
@@ -15,7 +15,7 @@ from limrec.treelogic import (
 )
 
 from .helpers import (
-    all_trees, coloured_canonical_form, permute_tree, random_permutation,
+    all_trees, coloured_canonical_form, not_chain, permute_tree, random_permutation,
     reference_dense_profile, tree_shapes,
 )
 
@@ -441,11 +441,7 @@ def test_path_property_certificate_is_the_worst_path():
 
 def test_deep_chain_and_path_need_no_recursion():
     n = 3000
-    chain = Structure(CIRCUIT_VOCAB, n, {
-        "E": {(g, g + 1) for g in range(n - 1)},
-        "Pnot": {(g,) for g in range(n - 1)},
-        "P1": {(n - 1,)},
-    })
+    chain = not_chain(n)
     assert check_path_property(chain) == 1
     assert circuit_value_oracle(chain) is False  # 2999 negations of true
     path = DirectedTree([None] + list(range(n - 1)))
