@@ -9,18 +9,13 @@ from .structures import (
     quotient_by_equivalence,
 )
 from .syntax import Formula, Var, expand_dtc, free_variables, parse_formula, pretty
-from .evaluator import (
-    EvalContext, Transduction, apply_transduction, evaluate, lrec_eq_membership,
-    lrec_membership, lrec_membership_streaming,
-)
+from .evaluator import EvalContext, Transduction, apply_transduction, evaluate
 from .treelogic import (
-    DirectedTree, build_iso_gadget, build_order_gadget, circuit_value,
-    tree_canon, tree_canon_oracle, tree_isomorphic, tree_order_less,
+    DirectedTree, circuit_value, tree_canon, tree_isomorphic, tree_order_less,
 )
 from .intervalcanon import (
-    Graph, build_modular_tree, canon_L, clique_preorder, coloured_tree_preorder,
-    decomposition_components, interval_canon, interval_model, is_interval_graph,
-    max_cliques, modular_partition, possible_ends, span,
+    Graph, build_modular_tree, canon_L, clique_preorder, decomposition_components,
+    interval_canon, interval_model, max_cliques, modular_partition,
 )
 
 __version__ = "0.1.0"

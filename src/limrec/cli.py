@@ -109,10 +109,8 @@ def cmd_check(args) -> int:
         verdict = circuit_value(structure)
         print(f"circuit ok, worst path product {worst}, value {str(verdict).lower()}")
         return 0
-    graph = Graph.from_structure(_load_structure(args.graph))
-    model = interval_model(graph)
     structure = _load_structure(args.graph)
-    for v, l, r in model:
+    for v, l, r in interval_model(Graph.from_structure(structure)):
         print(f"{structure.element_name(v)} {l} {r}")
     return 0
 

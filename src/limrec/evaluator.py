@@ -84,19 +84,23 @@ def evaluate(structure: Structure, assignment, formula: Formula, engine: str = "
 
     `engine` selects how lrec recursions are run: "memo", "stream", or
     "both" (runs both and insists they agree).  Passing a reusable `ctx`
-    lets sweeps share recursion graphs between calls.
+    lets sweeps share recursion graphs between calls.  Formulas nested
+    beyond Python's recursion limit raise FormulaError.
     """
     if engine not in ("memo", "stream", "both"):
         raise LimrecError(f"unknown engine {engine!r}")
-    if _contains_dtc(formula):
-        formula = expand_dtc(formula)
-    alpha = dict(assignment)
-    _check_bound(structure, alpha, formula)
-    if ctx is None:
-        ctx = EvalContext(structure)
-    elif ctx.structure is not structure and ctx.structure != structure:
-        raise LimrecError("context was built for a different structure")
-    return _eval(ctx, alpha, formula, engine)
+    try:
+        if _contains_dtc(formula):
+            formula = expand_dtc(formula)
+        alpha = dict(assignment)
+        _check_bound(structure, alpha, formula)
+        if ctx is None:
+            ctx = EvalContext(structure)
+        elif ctx.structure is not structure and ctx.structure != structure:
+            raise LimrecError("context was built for a different structure")
+        return _eval(ctx, alpha, formula, engine)
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
 
 
 class _Missing:
@@ -343,29 +347,6 @@ class LabelledGraph:
 
     def label_contains(self, vertex, count: int) -> bool:
         raise NotImplementedError
-
-
-class ExplicitGraph(LabelledGraph):
-    """A fully materialized labelled graph, mostly for tests."""
-
-    def __init__(self, out: dict, labels: dict):
-        super().__init__()
-        self._out = {v: tuple(sorted(ns)) for v, ns in out.items()}
-        indeg: dict = {}
-        for v, ns in self._out.items():
-            for b in ns:
-                indeg[b] = indeg.get(b, 0) + 1
-        self._indeg = indeg
-        self._labels = labels
-
-    def out_neighbours(self, vertex):
-        return self._out.get(vertex, ())
-
-    def in_degree(self, vertex):
-        return self._indeg.get(vertex, 0)
-
-    def label_contains(self, vertex, count):
-        return count in self._labels.get(vertex, ())
 
 
 class FormulaGraph(LabelledGraph):
@@ -723,38 +704,6 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
             parent[4] += 1
         parent[5] = (w_count - 1).bit_length()
     return bool(verdict)
-
-
-# ---------------------------------------------------------------------------
-# Public lrec entry points (operate on a structure + assignment + node)
-
-
-def lrec_membership(structure: Structure, assignment, node: Lrec, vertex, resource: int,
-                    ctx: EvalContext | None = None) -> bool:
-    """Membership of (vertex, resource) in the relation defined by an
-    lrec node under the given assignment."""
-    if ctx is None:
-        ctx = EvalContext(structure)
-    graph = ctx.formula_graph(node, dict(assignment))
-    return x_membership(graph, tuple(vertex), resource)
-
-
-def lrec_membership_streaming(structure: Structure, assignment, node: Lrec, vertex,
-                              resource: int, ctx: EvalContext | None = None) -> bool:
-    if ctx is None:
-        ctx = EvalContext(structure)
-    graph = ctx.formula_graph(node, dict(assignment))
-    return x_membership_streaming(graph, tuple(vertex), resource)
-
-
-def lrec_eq_membership(structure: Structure, assignment, node: LrecEq, vertex,
-                       resource: int, ctx: EvalContext | None = None) -> bool:
-    """Membership for lrec=: quotient the graph by the closure of phi_=,
-    union the labels over each class, then run the plain X-semantics."""
-    if ctx is None:
-        ctx = EvalContext(structure)
-    graph = ctx.quotient_graph(node, dict(assignment))
-    return x_membership(graph, graph.class_of(tuple(vertex)), resource)
 
 
 # ---------------------------------------------------------------------------

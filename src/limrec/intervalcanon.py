@@ -31,7 +31,7 @@ def _vkey(v):
 
 
 def _ckey(clique):
-    return tuple(sorted(clique, key=_vkey))
+    return tuple(sorted(map(_vkey, clique)))
 
 
 class Graph:
@@ -126,16 +126,6 @@ def max_cliques(G: Graph):
     return sorted(keep, key=_ckey)
 
 
-def clique_witness(G: Graph, clique) -> tuple:
-    """Lexicographically least pair (u, v) with N^c(u) & N^c(v) = clique."""
-    closed = {v: G.adj[v] | {v} for v in G.vertices}
-    for u in sorted(clique, key=_vkey):
-        for v in sorted(clique, key=_vkey):
-            if closed[u] & closed[v] == clique:
-                return (u, v)
-    raise RecognitionError(f"clique {set(clique)!r} has no witness pair")
-
-
 def span_map(G: Graph, cliques=None):
     cliques = max_cliques(G) if cliques is None else cliques
     spans = {v: 0 for v in G.vertices}
@@ -143,10 +133,6 @@ def span_map(G: Graph, cliques=None):
         for v in c:
             spans[v] += 1
     return spans
-
-
-def span(G: Graph, v, cliques=None) -> int:
-    return span_map(G, cliques)[v]
 
 
 @dataclass
@@ -243,13 +229,6 @@ def _possible_ends(G: Graph, cliques):
             continue
         if pre.asymmetric:
             yield pre
-
-
-def possible_ends(G: Graph, cliques=None):
-    """Max cliques whose seeded order is asymmetric.  Empty for connected
-    non-interval graphs, which is the primary rejection certificate."""
-    cliques = max_cliques(G) if cliques is None else cliques
-    return [cliques[pre.start] for pre in _possible_ends(G, cliques)]
 
 
 def _merge_class(members):
@@ -716,12 +695,6 @@ def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
     return tree
 
 
-def coloured_tree_preorder(tree: ColouredTree, a: int, b: int) -> int:
-    """Total preorder on the coloured subtrees: -1/0/1, 0 exactly on
-    coloured-isomorphic subtrees (colours first, then shape)."""
-    return coloured_compare(tree.as_directed_tree(), tree.colours, a, b)
-
-
 # ---------------------------------------------------------------------------
 # Canonisation over the tree
 
@@ -962,11 +935,3 @@ def interval_model(G: Graph, _memo=None):
                     "interval model disagrees with the graph", certificate=(a, b)
                 )
     return model
-
-
-def is_interval_graph(G: Graph) -> bool:
-    try:
-        interval_model(G)
-        return True
-    except RecognitionError:
-        return False

@@ -63,9 +63,11 @@ class Structure:
                     raise DomainError(f"tuple {t} of {name} outside universe")
             rels[name] = frozen
         self.relations = rels
+        self._index = {}
         if names is not None:
             names = tuple(names)
-            if len(names) != universe_size or len(set(names)) != universe_size:
+            self._index = {name: i for i, name in enumerate(names)}
+            if len(names) != universe_size or len(self._index) != universe_size:
                 raise DomainError("element names must be distinct, one per element")
         self.names = names
 
@@ -74,8 +76,8 @@ class Structure:
 
     def element_index(self, token: str) -> int:
         """Resolve an element given by name or by decimal index."""
-        if self.names and token in self.names:
-            return self.names.index(token)
+        if token in self._index:
+            return self._index[token]
         try:
             idx = int(token)
         except ValueError:

@@ -653,16 +653,22 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse the concrete syntax; returns a validated AST."""
+    """Parse the concrete syntax; returns a validated AST.  Formulas
+    nested too deeply for the recursive walks raise ParseError; the free
+    variables are computed (and cached) here so that every caller of
+    free_variables, the CLI's bindings included, is covered."""
     parser = _Parser(text)
-    f = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
     try:
+        f = parser.parse_formula()
+        tok = parser.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
         validate(f)
+        free_variables(f)
     except FormulaError as exc:
         raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     return f
 
 

@@ -5,8 +5,10 @@ Boolean circuit evaluation.
 The recursion graphs ("gadgets") live over the tuple space
 N(T) x V(T)^4 x N(T) and are queried through the generic engines; they
 are built directly as labelled graphs with analytic out-neighbour,
-in-degree and label functions, never materialized.  Trees with fewer
-than four vertices bypass the gadgets and use the direct comparator.
+in-degree and label functions, never materialized.  Trees of every size
+go through the gadgets: a vertex's type is a plain int that the engines
+never check against the number sort, so the paper's n >= 4 (type 4 must
+be a number of N(T)) does not apply.
 """
 
 from __future__ import annotations
@@ -82,15 +84,6 @@ class DirectedTree:
             return cls([None if p < 0 else p for p in vals])
         except DomainError as exc:
             raise RecognitionError(f"not a directed tree: {exc}") from None
-
-    def to_structure(self) -> Structure:
-        from .structures import GRAPH_VOCAB
-
-        edges = {(p, v) for v, p in enumerate(self.parent) if p is not None}
-        return Structure(GRAPH_VOCAB, self.n, {"E": edges})
-
-    def profile(self, v: int) -> tuple:
-        return self.tables().profile[v]
 
     def tables(self):
         if self._tables is None:
@@ -398,40 +391,20 @@ class _OrderGadget(LabelledGraph):
         return m == k
 
 
-def build_iso_gadget(tree: DirectedTree) -> LabelledGraph:
-    """The subtree-isomorphism recursion graph; query its type-0 vertex
-    (0, v, w, v, w, 0).  Trees with fewer than four vertices go through
-    the canonical-string oracle instead."""
-    if tree.n < 4:
-        raise DomainError("tree too small for the gadget; use the oracle path")
-    return tree.tables().iso_gadget()
-
-
-def build_order_gadget(tree: DirectedTree) -> LabelledGraph:
-    """The subtree-order recursion graph, same vertex layout."""
-    if tree.n < 4:
-        raise DomainError("tree too small for the gadget; use the oracle path")
-    return tree.tables().order_gadget()
-
-
 def _gadget_resource(tree: DirectedTree) -> int:
     return (tree.n + 1) ** 5 - 1
 
 
 def tree_isomorphic(tree: DirectedTree, v: int, w: int) -> bool:
     """Whether the subtrees rooted at v and w are isomorphic, decided by
-    the recursion-graph query for trees with >= 4 vertices and by the
-    canonical-string oracle below it."""
+    the query (0, v, w, v, w, 0) on the isomorphism gadget."""
     tb = tree.tables()
     key = (v, w)
     cached = tb.iso_cache.get(key)
     if cached is None:
-        if v == w:
-            cached = True
-        elif tree.n < 4:
-            cached = subtree_string(tree, v) == subtree_string(tree, w)
-        else:
-            cached = x_membership(tb.iso_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree))
+        cached = v == w or x_membership(
+            tb.iso_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
+        )
         tb.iso_cache[key] = cached
         tb.iso_cache[(w, v)] = cached
     return cached
@@ -444,35 +417,15 @@ def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
     key = (v, w)
     cached = tb.order_cache.get(key)
     if cached is None:
-        if v == w:
-            cached = False
-        elif tree.n < 4:
-            cached = profile_order_direct(tree, v, w) < 0
-        else:
-            cached = x_membership(tb.order_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree))
+        cached = v != w and x_membership(
+            tb.order_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
+        )
         tb.order_cache[key] = cached
     return cached
 
 
 # ---------------------------------------------------------------------------
-# Direct comparators and oracles
-
-
-def subtree_string(tree: DirectedTree, v: int) -> str:
-    """Canonical parenthesis string: equal strings iff isomorphic subtrees.
-    Built level by level from the deepest up (Aho–Hopcroft–Ullman), so
-    deep trees need no recursion."""
-    order = [v]
-    for u in order:  # breadth-first: every child comes after its parent
-        order.extend(tree.children[u])
-    code = {}
-    for u in reversed(order):
-        code[u] = "(" + "".join(sorted(code.pop(c) for c in tree.children[u])) + ")"
-    return code[v]
-
-
-def tree_canon_oracle(tree: DirectedTree) -> str:
-    return subtree_string(tree, tree.root)
+# The coloured subtree order
 
 
 def _coloured_ranks(tree: DirectedTree, colours) -> list:
@@ -521,11 +474,6 @@ def coloured_compare(tree: DirectedTree, colours, a: int, b: int, _memo=None) ->
         _memo.update(enumerate(_coloured_ranks(tree, colours)))
     ra, rb = _memo[a], _memo[b]
     return (ra > rb) - (ra < rb)
-
-
-def profile_order_direct(tree: DirectedTree, v: int, w: int) -> int:
-    """Oracle for the plain subtree order: -1/0/1 with 0 iff isomorphic."""
-    return coloured_compare(tree, {}, v, w)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +577,6 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
     if len(edges) != n - 1:
         raise LimrecError(f"canonical copy has {len(edges)} edges, not the {n - 1} of a tree")
     return tuple(sorted(edges))
-
-
-def canon_edges_to_tree(edges, n: int) -> DirectedTree:
-    parents = [None] * n
-    for a, b in edges:
-        parents[b - 1] = a - 1
-    return DirectedTree(parents)
 
 
 # ---------------------------------------------------------------------------
@@ -742,21 +683,3 @@ def circuit_value(structure: Structure, engine: str = "memo") -> bool:
     check_path_property(structure)
     return evaluate(structure, {svar("z"): root}, CIRCUIT_FORMULA, engine=engine)
 
-
-def circuit_value_oracle(structure: Structure) -> bool:
-    """Independent bottom-up evaluation."""
-    out, _, kinds, root = _circuit_shape(structure)
-    value = {}
-    for v in _postorder(out, (root,)):
-        kind = kinds[v]
-        if kind == "P0":
-            value[v] = False
-        elif kind == "P1":
-            value[v] = True
-        elif kind == "Pand":
-            value[v] = all(value[w] for w in out[v])
-        elif kind == "Por":
-            value[v] = any(value[w] for w in out[v])
-        else:
-            value[v] = not value[out[v][0]]
-    return value[root]

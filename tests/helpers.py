@@ -5,13 +5,142 @@ import random
 from functools import lru_cache
 
 from limrec.errors import FormulaError, RecognitionError
-from limrec.intervalcanon import clique_preorder, max_cliques, modular_partition, span_map
-from limrec.structures import CIRCUIT_VOCAB, Structure
+from limrec.evaluator import EvalContext, LabelledGraph, x_membership
+from limrec.intervalcanon import (
+    _possible_ends, _vkey, clique_preorder, interval_model, max_cliques, modular_partition,
+    span_map,
+)
+from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
     NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or,
     Var, and_all, eq_tuple, is_zero,
 )
-from limrec.treelogic import DirectedTree
+from limrec.treelogic import DirectedTree, _circuit_shape, _postorder
+
+
+# --- fixtures and oracles that the library itself does not call ---------------
+
+
+class ExplicitGraph(LabelledGraph):
+    """A fully materialized labelled graph."""
+
+    def __init__(self, out: dict, labels: dict):
+        super().__init__()
+        self._out = {v: tuple(sorted(ns)) for v, ns in out.items()}
+        indeg: dict = {}
+        for v, ns in self._out.items():
+            for b in ns:
+                indeg[b] = indeg.get(b, 0) + 1
+        self._indeg = indeg
+        self._labels = labels
+
+    def out_neighbours(self, vertex):
+        return self._out.get(vertex, ())
+
+    def in_degree(self, vertex):
+        return self._indeg.get(vertex, 0)
+
+    def label_contains(self, vertex, count):
+        return count in self._labels.get(vertex, ())
+
+
+def lrec_membership(structure, assignment, node, vertex, resource, ctx=None,
+                    engine=x_membership):
+    """Membership of (vertex, resource) in the relation of an lrec node
+    under the assignment, decided by `engine`."""
+    ctx = EvalContext(structure) if ctx is None else ctx
+    return engine(ctx.formula_graph(node, dict(assignment)), tuple(vertex), resource)
+
+
+def lrec_eq_membership(structure, assignment, node, vertex, resource, ctx=None):
+    """The same for an lreceq node: the query runs on the class of vertex."""
+    ctx = EvalContext(structure) if ctx is None else ctx
+    graph = ctx.quotient_graph(node, dict(assignment))
+    return x_membership(graph, graph.class_of(tuple(vertex)), resource)
+
+
+def build_iso_gadget(tree):
+    return tree.tables().iso_gadget()
+
+
+def build_order_gadget(tree):
+    return tree.tables().order_gadget()
+
+
+def profile(tree, v):
+    return tree.tables().profile[v]
+
+
+def tree_to_structure(tree) -> Structure:
+    edges = {(p, v) for v, p in enumerate(tree.parent) if p is not None}
+    return Structure(GRAPH_VOCAB, tree.n, {"E": edges})
+
+
+def subtree_string(tree, v) -> str:
+    """Canonical parenthesis string: equal strings iff isomorphic subtrees.
+    Built level by level from the deepest up (Aho–Hopcroft–Ullman), so
+    deep trees need no recursion."""
+    order = [v]
+    for u in order:  # breadth-first: every child comes after its parent
+        order.extend(tree.children[u])
+    code = {}
+    for u in reversed(order):
+        code[u] = "(" + "".join(sorted(code.pop(c) for c in tree.children[u])) + ")"
+    return code[v]
+
+
+def tree_canon_oracle(tree) -> str:
+    return subtree_string(tree, tree.root)
+
+
+def canon_edges_to_tree(edges, n) -> DirectedTree:
+    parents = [None] * n
+    for a, b in edges:
+        parents[b - 1] = a - 1
+    return DirectedTree(parents)
+
+
+def circuit_value_oracle(structure) -> bool:
+    """Independent bottom-up evaluation."""
+    out, _, kinds, root = _circuit_shape(structure)
+    value = {}
+    for v in _postorder(out, (root,)):
+        kind = kinds[v]
+        if kind == "P0":
+            value[v] = False
+        elif kind == "P1":
+            value[v] = True
+        elif kind == "Pand":
+            value[v] = all(value[w] for w in out[v])
+        elif kind == "Por":
+            value[v] = any(value[w] for w in out[v])
+        else:
+            value[v] = not value[out[v][0]]
+    return value[root]
+
+
+def clique_witness(G, clique) -> tuple:
+    """Lexicographically least pair (u, v) with N^c(u) & N^c(v) = clique."""
+    closed = {v: G.adj[v] | {v} for v in G.vertices}
+    for u in sorted(clique, key=_vkey):
+        for v in sorted(clique, key=_vkey):
+            if closed[u] & closed[v] == clique:
+                return (u, v)
+    raise RecognitionError(f"clique {set(clique)!r} has no witness pair")
+
+
+def possible_ends(G, cliques=None):
+    """Max cliques whose seeded order is asymmetric, in clique order."""
+    cliques = max_cliques(G) if cliques is None else cliques
+    return [cliques[pre.start] for pre in _possible_ends(G, cliques)]
+
+
+def is_interval_graph(G) -> bool:
+    try:
+        interval_model(G)
+        return True
+    except RecognitionError:
+        return False
 
 
 @lru_cache(maxsize=None)

@@ -8,26 +8,23 @@ import numpy as np
 import pytest
 
 from limrec.evaluator import (
-    EvalContext, ExplicitGraph, apply_transduction, evaluate,
-    lrec_membership, x_membership, x_membership_streaming,
+    EvalContext, apply_transduction, evaluate, x_membership, x_membership_streaming,
 )
 from limrec.intervalcanon import (
     Graph, clique_preorder, collapse_incomparables, decomposition_components,
-    interval_canon, is_interval_graph, max_cliques, span_map,
+    interval_canon, max_cliques, span_map,
 )
 from limrec.structures import (
     GRAPH_VOCAB, Structure, generate_layered_graph,
     generate_random_interval_graph,
 )
 from limrec.syntax import Lrec, nvar, parse_formula, svar
-from limrec.treelogic import (
-    canon_edges_to_tree, subtree_string, tree_canon, tree_canon_oracle,
-    tree_isomorphic, tree_order_less,
-)
+from limrec.treelogic import tree_canon, tree_isomorphic, tree_order_less
 
 from .helpers import (
-    all_trees, graph_iso, graphs_up_to_iso, mask_to_edges, permute_tree,
-    random_permutation,
+    ExplicitGraph, all_trees, canon_edges_to_tree, graph_iso, graphs_up_to_iso,
+    is_interval_graph, lrec_membership, mask_to_edges, permute_tree, random_permutation,
+    subtree_string, tree_canon_oracle,
 )
 from .test_evaluator import _det_path_oracle, layer_transduction, reach_formula
 from .test_intervalcanon import (

@@ -116,7 +116,7 @@ def test_iso_path_vs_star(capsys, tmp_path):
 def test_iso_relabelled_trees(capsys, tmp_path):
     rng = random.Random(3)
     from limrec.structures import generate_random_tree
-    from .helpers import permute_tree, random_permutation
+    from .helpers import permute_tree, random_permutation, tree_to_structure
     from limrec.treelogic import DirectedTree
 
     for seed in range(20):
@@ -124,8 +124,8 @@ def test_iso_relabelled_trees(capsys, tmp_path):
         perm = random_permutation(t.n, rng)
         left = tmp_path / f"l{seed}.struct"
         right = tmp_path / f"r{seed}.struct"
-        left.write_text(t.to_structure().serialize())
-        right.write_text(permute_tree(t, perm).to_structure().serialize())
+        left.write_text(tree_to_structure(t).serialize())
+        right.write_text(tree_to_structure(permute_tree(t, perm)).serialize())
         code, out, _ = run(capsys, "iso", "--kind", "tree", str(left), str(right))
         assert code == 0 and out.strip() == "isomorphic"
 
@@ -227,3 +227,26 @@ def test_canon_output_reingested_isomorphic(capsys, tmp_path):
     )
     code, out, _ = run(capsys, "iso", "--kind", "interval", str(src), str(canon))
     assert code == 0 and out.strip() == "isomorphic"
+
+
+def test_check_interval_reads_stdin(capsys, tmp_path, monkeypatch):
+    import io
+
+    text = "vocab E/2\nuniverse 3\nnames a b c\nE a b\nE b c\n"
+    f = tmp_path / "g.struct"
+    f.write_text(text)
+    by_path = run(capsys, "check", "--kind", "interval", str(f))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    by_stdin = run(capsys, "check", "--kind", "interval", "-")
+    assert by_stdin == by_path and by_stdin[0] == 0
+
+
+def test_eval_too_deep_formula_is_an_input_error(capsys, tmp_path):
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
+    formula = tmp_path / "f.formula"
+    for text in ("not " * 600 + "E(x, x)", "(" * 3000 + "E(x, x)" + ")" * 3000,
+                 " and ".join(["E(x, x)"] * 600)):
+        formula.write_text(text)
+        code, out, err = run(capsys, "eval", str(struct), str(formula), "--bind", "x=0")
+        assert code == 2 and out == "" and "nested too deeply" in err

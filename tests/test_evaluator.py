@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 import limrec
 from limrec import evaluator
-from limrec.errors import DomainError, LimrecError
+from limrec.errors import DomainError, FormulaError, LimrecError
 from limrec.evaluator import (
-    EvalContext, ExplicitGraph, LabelledGraph, Transduction, apply_transduction, evaluate,
-    lrec_eq_membership, lrec_membership, lrec_membership_streaming, unravel,
+    EvalContext, LabelledGraph, Transduction, apply_transduction, evaluate, unravel,
     x_membership, x_membership_streaming,
 )
 from limrec.structures import GRAPH_VOCAB, Structure, generate_layered_graph
@@ -23,9 +22,11 @@ from limrec.syntax import (
     STRUCT, And, Atom, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or, free_variables,
     nvar, parse_formula, pretty, svar,
 )
-from limrec.treelogic import CIRCUIT_FORMULA, circuit_value, circuit_value_oracle
+from limrec.treelogic import CIRCUIT_FORMULA, circuit_value
 
-from .helpers import not_chain
+from .helpers import (
+    ExplicitGraph, circuit_value_oracle, lrec_eq_membership, lrec_membership, not_chain,
+)
 from .test_syntax import _formulas
 
 DATA = Path(__file__).parent / "data"
@@ -109,8 +110,8 @@ def test_non_monotonicity_witness():
     )
     assert lrec_membership(g, {}, node, (0,), 1)
     assert not lrec_membership(g, {}, node, (0,), 2)
-    assert lrec_membership_streaming(g, {}, node, (0,), 1)
-    assert not lrec_membership_streaming(g, {}, node, (0,), 2)
+    assert lrec_membership(g, {}, node, (0,), 1, engine=x_membership_streaming)
+    assert not lrec_membership(g, {}, node, (0,), 2, engine=x_membership_streaming)
 
 
 def _random_graph(rng, n):
@@ -620,3 +621,26 @@ def test_circuit_formula_graph_memo_is_linear_on_a_not_chain():
     assert len(graphs) == 1
     assert len(graphs[0].memo) <= 2 * n
     assert circuit_value(chain) is circuit_value_oracle(chain) is False
+
+
+def _deep(shape, depth):
+    """E(x, x) under `depth` levels of not, and or exists, built without
+    the parser."""
+    atom = f = Atom("E", (svar("x"), svar("x")))
+    for _ in range(depth):
+        f = {"not": Not(f), "and": And(f, atom), "exists": Exists(svar("y"), f)}[shape]
+    return f
+
+
+@pytest.mark.parametrize("shape", ["not", "and", "exists"])
+def test_evaluate_rejects_too_deep_formulas(shape):
+    g = Structure.parse("vocab E/2\nuniverse 2\nE 0 0\n")
+    with pytest.raises(FormulaError, match="nested too deeply"):
+        evaluate(g, {svar("x"): 0}, _deep(shape, 3000))
+
+
+@pytest.mark.parametrize("shape", ["not", "and", "exists"])
+def test_evaluate_hundred_deep_formulas(shape):
+    g = Structure.parse("vocab E/2\nuniverse 2\nE 0 0\n")
+    for engine in ("memo", "stream"):
+        assert evaluate(g, {svar("x"): 0}, _deep(shape, 100), engine) is True

@@ -7,16 +7,16 @@ import pytest
 from limrec import intervalcanon
 from limrec.errors import RecognitionError
 from limrec.intervalcanon import (
-    Graph, build_modular_tree, canon_L, clique_preorder, clique_witness,
-    collapse_incomparables, coloured_tree_preorder, decomposition_components,
-    interval_canon, interval_model, is_interval_graph, max_cliques,
-    modular_partition, possible_ends, span, span_map,
+    Graph, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
+    decomposition_components, interval_canon, interval_model, max_cliques,
+    modular_partition, span_map,
 )
 from limrec.structures import generate_random_interval_graph
+from limrec.treelogic import coloured_compare
 
 from .helpers import (
-    graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, mask_to_edges,
-    reference_asymmetric, reference_decomposition_components,
+    clique_witness, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, is_interval_graph,
+    mask_to_edges, possible_ends, reference_asymmetric, reference_decomposition_components,
     reference_possible_ends,
 )
 
@@ -143,12 +143,12 @@ def test_clique_witness_roundtrip():
 
 def test_span_examples():
     path = Graph(range(3), [(0, 1), (1, 2)])
-    assert span(path, 1) == 2
-    assert span(path, 0) == 1
+    assert span_map(path)[1] == 2
+    assert span_map(path)[0] == 1
     g, _ = graph_from_intervals(SMALL_SPANS)
     # vertex a crosses three of the four max cliques
     assert len(max_cliques(g)) == 4
-    assert span(g, "a") == 3
+    assert span_map(g)["a"] == 3
 
 
 # --- clique preorder and ends ----------------------------------------------
@@ -618,12 +618,13 @@ def test_modular_tree_complete_invariant_small():
 def test_coloured_tree_preorder_on_modular_tree():
     g, _ = graph_from_intervals(MODULAR_SPANS)
     tree = build_modular_tree(g)
+    dtree = tree.as_directed_tree()
     for v, kind in enumerate(tree.kinds):
-        assert coloured_tree_preorder(tree, v, v) == 0
+        assert coloured_compare(dtree, tree.colours, v, v) == 0
     mods = [i for i, k in enumerate(tree.kinds) if k == "module"]
     low = next(i for i in mods if tree.module_record[i].colour == (1,))
     high = next(i for i in mods if tree.module_record[i].colour == (3, 3))
-    assert coloured_tree_preorder(tree, low, high) != 0
+    assert coloured_compare(dtree, tree.colours, low, high) != 0
 
 
 # --- full canonisation ---------------------------------------------------------
@@ -707,3 +708,15 @@ def test_interval_canon_random_relabelled_pairs():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert interval_canon(_relabel(g, perm)) == canon
+
+
+def test_max_cliques_and_preorder_on_a_collapsed_star():
+    # the quotient mixes int vertices with the class vertex {2, 3}
+    star = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+    quotient = collapse_incomparables(star, frozenset({0, 1})).graph
+    cliques = max_cliques(quotient)
+    assert cliques == [frozenset({0, 1}), frozenset({0, frozenset({2, 3})})]
+    pre = clique_preorder(quotient, cliques[0])
+    assert pre.asymmetric and pre.pairs == {(0, 1)}
+    # int-only cliques keep their order
+    assert max_cliques(star) == [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})]

@@ -10,11 +10,12 @@ import pytest
 from limrec.cli import main
 from limrec.intervalcanon import Graph, interval_canon
 from limrec.structures import generate_random_interval_graph, generate_random_tree
-from limrec.treelogic import (
-    DirectedTree, canon_edges_to_tree, circuit_value_oracle, tree_canon, tree_canon_oracle,
-)
+from limrec.treelogic import DirectedTree, tree_canon
 
-from .helpers import not_chain, permute_tree, random_permutation
+from .helpers import (
+    canon_edges_to_tree, circuit_value_oracle, not_chain, permute_tree, random_permutation,
+    tree_canon_oracle,
+)
 from .test_intervalcanon import _relabel
 
 pytestmark = pytest.mark.slow

@@ -192,3 +192,14 @@ def test_random_circuit_has_exactly_the_requested_gates():
                 assert (kinds[g] in ("P0", "P1")) == (not out[g])
                 if kinds[g] == "Pnot":
                     assert len(out[g]) == 1
+
+
+def test_element_names_take_precedence_and_stay_distinct():
+    s = Structure.parse("vocab E/2\nuniverse 3\nnames 1 0 c\nE 1 0\nE 0 2\n")
+    # a name is looked up before the decimal index it spells
+    assert s.rel("E") == {(0, 1), (1, 2)}
+    assert [s.element_index(t) for t in ("1", "0", "c", "2")] == [0, 1, 2, 2]
+    with pytest.raises(DomainError):
+        s.element_index("d")
+    with pytest.raises(DomainError):
+        Structure.parse("vocab E/2\nuniverse 2\nnames a a\n")

@@ -202,3 +202,21 @@ def test_binder_table_matches_reference_walkers(f, mapping):
     expanded = expand_dtc(f)
     assert expanded == reference_expand_dtc(f)
     assert _contains_dtc(f) == (expanded != f)
+
+
+DEEP_SHAPES = {
+    "not": lambda d: "not " * d + "E(x, x)",
+    "parentheses": lambda d: "(" * d + "E(x, x)" + ")" * d,
+    "and": lambda d: " and ".join(["E(x, x)"] * d),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_parse_rejects_too_deep_formulas(shape):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_formula(DEEP_SHAPES[shape]({"parentheses": 3000}.get(shape, 600)))
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_parse_accepts_hundred_deep_formulas(shape):
+    assert free_variables(parse_formula(DEEP_SHAPES[shape](100))) == {svar("x")}
