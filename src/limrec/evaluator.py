@@ -140,9 +140,16 @@ def _compile(ctx: EvalContext, f: Formula, engine: str):
 _TIER = {Exists: 1, Forall: 1, Count: 2, Lrec: 3, LrecEq: 3}
 
 
-def _cost(f: Formula) -> int:
-    """Static cost tier of f: the highest tier of any node in it."""
-    return max([_TIER.get(type(f), 0)] + [_cost(getattr(f, name)) for name, _ in _rule(f)[1]])
+def _cost(f: Formula, costs: dict) -> int:
+    """Static cost tier of f: the highest tier of any node in it.  `costs`
+    maps id(node) -> (node, tier) for one `_plan`, so every node's tier
+    is computed once, from those of its subformulas; holding the node
+    keeps its id from being reused."""
+    entry = costs.get(id(f))
+    if entry is None:
+        tiers = [_cost(getattr(f, name), costs) for name, _ in _rule(f)[1]]
+        entry = costs[id(f)] = (f, max([_TIER.get(type(f), 0)] + tiers))
+    return entry[1]
 
 
 def _parts(f: Formula, kind) -> list:
@@ -158,25 +165,27 @@ def _parts(f: Formula, kind) -> list:
     return out
 
 
-def _join(kind, parts) -> Formula:
+def _join(kind, parts, costs) -> Formula:
     """The `kind` chain of parts, cheapest first; ties keep their order."""
     if len(parts) > 1:
-        parts = sorted(parts, key=_cost)
+        parts = sorted(parts, key=lambda part: _cost(part, costs))
     out = parts[0]
     for part in parts[1:]:
         out = kind(out, part)
     return out
 
 
-def _miniscope(f: Exists | Forall) -> Formula:
+def _miniscope(f: Exists | Forall, costs) -> Formula:
     """Push the quantifier f inwards over its (planned) body: forall
     distributes over and, exists over or, and the parts of the body that
     do not mention the variable move outside it."""
     spread, keep = (And, Or) if isinstance(f, Forall) else (Or, And)
+    parts = _parts(f.sub, spread)
     out = []
-    for part in _parts(f.sub, spread):
+    for part in parts:
+        pieces = _parts(part, keep)
         kept, bound = [], []
-        for piece in _parts(part, keep):
+        for piece in pieces:
             if f.var not in free_variables(piece):
                 kept.append(piece)
                 continue
@@ -184,24 +193,31 @@ def _miniscope(f: Exists | Forall) -> Formula:
                 kept.append(None)  # the quantifier's place: that of its first piece
             bound.append(piece)
         if bound:
-            quant = type(f)(f.var, _join(keep, bound))
-            # quant == f: nothing moved, so f is miniscoped already
-            kept[kept.index(None)] = quant if quant == f else _miniscope(quant)
-        out.append(_join(keep, kept))
-    return _join(spread, out)
+            if len(parts) == 1 and len(bound) == len(pieces):
+                quant = f  # nothing moves: f's planned body is already this chain
+            else:
+                quant = _miniscope(type(f)(f.var, _join(keep, bound, costs)), costs)
+            kept[kept.index(None)] = quant
+        out.append(_join(keep, kept, costs))
+    return _join(spread, out, costs)
 
 
 def _plan(f: Formula) -> Formula:
     """The formula the evaluator compiles for f: bottom up, quantifiers
     miniscoped and and/or operands in cost order."""
-    subs = _rule(f)[1]
-    if subs:
-        f = replace(f, **{name: _plan(getattr(f, name)) for name, _ in subs})
-    if isinstance(f, (And, Or)):
-        return _join(type(f), _parts(f, type(f)))
-    if isinstance(f, (Exists, Forall)):
-        return _miniscope(f)
-    return f
+    costs: dict = {}
+
+    def plan(g):
+        subs = _rule(g)[1]
+        if subs:
+            g = replace(g, **{name: plan(getattr(g, name)) for name, _ in subs})
+        if isinstance(g, (And, Or)):
+            return _join(type(g), _parts(g, type(g)), costs)
+        if isinstance(g, (Exists, Forall)):
+            return _miniscope(g, costs)
+        return g
+
+    return plan(f)
 
 
 def _build(ctx: EvalContext, f: Formula, engine: str):
@@ -334,7 +350,15 @@ class LabelledGraph:
     vertices with per-vertex label sets of naturals.
 
     Subclasses provide out_neighbours (sorted ascending), in_degree, and
-    label membership.  `memo` caches (vertex, resource) verdicts."""
+    label membership.  `memo` caches (vertex, resource) verdicts.
+
+    label_any(vertex, top) says whether some count in [0, top] may lie
+    in the label set; the memo engine asks it with top the vertex's
+    out-degree and, on False, decides the vertex without visiting its
+    children.  The default answers True (no pruning).  A subclass may
+    override it with a cheap closed form that never answers False while
+    some such count is in the label set; the streaming engine never
+    asks it."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -347,6 +371,9 @@ class LabelledGraph:
 
     def label_contains(self, vertex, count: int) -> bool:
         raise NotImplementedError
+
+    def label_any(self, vertex, top: int) -> bool:
+        return True
 
 
 class FormulaGraph(LabelledGraph):
@@ -552,7 +579,10 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     X is not monotone in the resource, so the memo key is the exact
     pair.  Child resources floor((l-1)/in_degree) are strictly smaller,
     which grades the recursion; an explicit stack avoids Python's
-    recursion limit on long in-degree-1 chains.
+    recursion limit on long in-degree-1 chains.  A vertex whose label
+    admits no count up to its out-degree (`graph.label_any`) is decided
+    False once its children and their resources are checked, without
+    visiting them.
     """
     memo = graph.memo
     key = (vertex, resource)
@@ -582,6 +612,10 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
                 if sub >= ell:
                     raise LimrecError(f"resource {ell} does not decrease along an edge to {b!r}")
                 res.append(sub)
+            if not graph.label_any(v, len(children)):
+                memo[fkey] = False
+                stack.pop()
+                continue
             frame[2] = children
             frame[3] = res
         advanced = False

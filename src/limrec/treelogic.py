@@ -488,7 +488,9 @@ class _CanonGraph(LabelledGraph):
     copies occupy consecutive blocks after all strictly smaller classes;
     a block tuple delegates to the corresponding child tuple, with one
     parallel edge per isomorphic sibling, and the label demands that all
-    of them accept.
+    of them accept.  `label_any` decides in closed form whether any count
+    up to `top` is in the label, so the memo engine skips the children
+    of tuples that no count can accept.
     """
 
     def __init__(self, tables: _TreeTables):
@@ -549,16 +551,23 @@ class _CanonGraph(LabelledGraph):
         # sort; copies shifted past n generate no edge
         return bisect_right(self._copies[v], tree.n + 1 - max(a, b))
 
-    def label_contains(self, vx, m):
+    def _label(self, vx):
+        """The counts in the label set of vx, per class of v's children:
+        0 when a == 1 numbers v itself and b starts a copy, and the number
+        of copies when a and b lie in one copy's block (all must accept)."""
         v, a, b = vx
         for members, size, positions in self.layout(v):
-            if m == 0 and a == 1 and b in positions:
-                return True
-            # a and b lie in one copy's block and every copy must accept
+            if a == 1 and b in positions:
+                yield 0
             i = (a - positions.start) // size
-            if m == len(members) and 0 <= i == (b - positions.start) // size < len(members):
-                return True
-        return False
+            if 0 <= i == (b - positions.start) // size < len(members):
+                yield len(members)
+
+    def label_contains(self, vx, m):
+        return m in self._label(vx)
+
+    def label_any(self, vx, top):
+        return any(m <= top for m in self._label(vx))
 
 
 def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
@@ -570,8 +579,9 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
         return ()
     graph = tree.tables().canon_graph()
     edges = []
+    # a preorder numbering puts every parent before its children
     for a in range(1, n + 1):
-        for b in range(1, n + 1):
+        for b in range(a + 1, n + 1):
             if x_membership(graph, (tree.root, a, b), n):
                 edges.append((a, b))
     if len(edges) != n - 1:

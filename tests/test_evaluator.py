@@ -513,7 +513,7 @@ def test_lazy_formula_graph_matches_materialised(monkeypatch):
 def _unplanned():
     """Patch the planner to source order: no miniscoping, every operand
     of equal cost."""
-    return mock.patch.multiple(evaluator, _miniscope=lambda f: f, _cost=lambda f: 0)
+    return mock.patch.multiple(evaluator, _miniscope=lambda f, costs: f, _cost=lambda f, costs: 0)
 
 
 def test_planner_rewrites_the_circuit_formula(circuit_formula):

@@ -24,7 +24,7 @@ pytestmark = pytest.mark.slow
 def test_tree_canon_large_random_trees():
     rng = random.Random(3)
     canons, keys = [], []
-    for n in (100, 150):
+    for n in (100, 150, 500):
         for seed in range(3):
             tree = DirectedTree.from_structure(generate_random_tree(n, seed=seed))
             canon = tree_canon(tree)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from limrec.errors import DomainError, RecognitionError
+from limrec.evaluator import x_membership, x_membership_streaming
 from limrec.structures import (
     Structure, generate_random_circuit, generate_random_tree,
 )
@@ -143,29 +144,68 @@ def test_gadget_in_degrees_match_edge_scan(builder):
             assert gadget.in_degree(vx) == count, (tree.parent, vx)
 
 
-def test_canon_graph_in_degrees_match_edge_scan():
-    # every tuple of the space is a vertex whether or not a root query
-    # reaches it, so scan the edges of the entire space; the star, the
-    # 3x3 spider and the complete binary tree add classes of three or
-    # more copies, blocks wider than one vertex and copies shifted past n
+def _canon_graph_trees():
+    """All trees of at most 6 vertices plus a star, the 3x3 spider and
+    the complete binary tree, which add classes of three or more copies,
+    blocks wider than one vertex and copies shifted past n."""
     star = DirectedTree([None] + [0] * 9)
     spider = DirectedTree([None, 0, 1, 2, 0, 4, 5, 0, 7, 8])
     binary = DirectedTree([None] + [(v - 1) // 2 for v in range(1, 15)])
-    for tree in [*all_trees(6), star, spider, binary]:
+    return [*all_trees(6), star, spider, binary]
+
+
+def _canon_graph_space(tree):
+    """Every tuple (v, a, b) of the canon graph's space, a and b in [0, n]."""
+    top = tree.n
+    return [(v, a, b) for v in range(tree.n) for a in range(top + 1) for b in range(top + 1)]
+
+
+def test_canon_graph_in_degrees_match_edge_scan():
+    # every tuple of the space is a vertex whether or not a root query
+    # reaches it, so scan the edges of the entire space
+    for tree in _canon_graph_trees():
         graph = tree.tables().canon_graph()
-        top = tree.n
-        everything = [
-            (v, a, b)
-            for v in range(tree.n)
-            for a in range(top + 1)
-            for b in range(top + 1)
-        ]
+        everything = _canon_graph_space(tree)
         indeg = {}
         for vx in everything:
             for nxt in graph.out_neighbours(vx):
                 indeg[nxt] = indeg.get(nxt, 0) + 1
         for vx in everything:
             assert graph.in_degree(vx) == indeg.get(vx, 0), (tree.parent, vx)
+
+
+def test_canon_graph_label_any_is_exact():
+    # label_any(vx, top) is True iff some count in [0, top] lies in the
+    # label set, for every top up to the out-degree the memo engine asks at
+    for tree in _canon_graph_trees():
+        graph = tree.tables().canon_graph()
+        for vx in _canon_graph_space(tree):
+            expected = False
+            for top in range(len(graph.out_neighbours(vx)) + 1):
+                expected = expected or graph.label_contains(vx, top)
+                assert graph.label_any(vx, top) == expected, (tree.parent, vx, top)
+
+
+def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
+    # the memo engine skips the children of hopeless vertices, the
+    # streaming engine walks the whole unravelling: X is the same relation
+    for tree in [*all_trees(6), DirectedTree([None] + [0] * 6)]:
+        graph = tree.tables().canon_graph()
+        for a in range(1, tree.n + 1):
+            for b in range(1, tree.n + 1):
+                query = (tree.root, a, b)
+                assert x_membership(graph, query, tree.n) == x_membership_streaming(
+                    graph, query, tree.n
+                ), (tree.parent, a, b)
+
+
+def test_tree_canon_memo_skips_hopeless_vertices():
+    # without the label_any pruning and the a < b sweep this tree left
+    # 351,126 entries in the canon graph's memo
+    tree = DirectedTree.from_structure(generate_random_tree(100, seed=0))
+    canon = tree_canon(tree)
+    assert tree_canon_oracle(canon_edges_to_tree(canon, tree.n)) == tree_canon_oracle(tree)
+    assert len(tree.tables().canon_graph().memo) < 30_000
 
 
 def test_iso_matches_oracle_small_trees():
@@ -180,8 +220,6 @@ def test_iso_soundness_and_completeness_sampled_resources():
     # soundness: membership at any resource implies isomorphism;
     # completeness: size(v)^5 resources always suffice.  Every resource is
     # tried on trees of at most 4 vertices, a grid on the larger ones.
-    from limrec.evaluator import x_membership
-
     for tree in all_trees(6):
         gadget = tree.tables().iso_gadget()
         for v in range(tree.n):
