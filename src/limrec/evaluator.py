@@ -31,10 +31,10 @@ EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
 
 
 class EvalContext:
-    """Per-evaluation caches: compiled formula closures plus the
-    formula-defined recursion graphs and quotients, keyed by lrec node
-    and the assignment restricted to the node's outer free variables.
-    Never share across structures."""
+    """Per-evaluation caches: compiled formula closures plus the recursion
+    graphs of lrec and lreceq nodes (`formula_graph`), keyed by node and
+    the assignment restricted to the node's outer free variables.  Never
+    share across structures."""
 
     def __init__(self, structure: Structure):
         self.structure = structure
@@ -42,15 +42,9 @@ class EvalContext:
         self._graphs: dict = {}
         self._compiled: dict = {}
 
-    def formula_graph(self, node: Lrec, alpha):
-        return self._graph(FormulaGraph, node, alpha)
-
-    def quotient_graph(self, node: LrecEq, alpha):
-        return self._graph(QuotientGraph, node, alpha)
-
-    def _graph(self, kind, node, alpha):
-        """The graph of `node` under `alpha`, built once per value of the
-        node's outer variables."""
+    def formula_graph(self, node: Lrec | LrecEq, alpha) -> FormulaGraph:
+        """The recursion graph of `node` under `alpha`, built once per
+        value of the node's outer variables."""
         entry = self._graphs.get(id(node))
         if entry is None:
             # holding the node keeps its id from being reused
@@ -59,7 +53,7 @@ class EvalContext:
         values = tuple(alpha[v] for v in outer)
         graph = graphs.get(values)
         if graph is None:
-            graph = graphs[values] = kind(self, node, dict(zip(outer, values)))
+            graph = graphs[values] = FormulaGraph(self, node, dict(zip(outer, values)))
         return graph
 
 
@@ -98,7 +92,7 @@ def evaluate(structure: Structure, assignment, formula: Formula, engine: str = "
             ctx = EvalContext(structure)
         elif ctx.structure is not structure and ctx.structure != structure:
             raise LimrecError("context was built for a different structure")
-        return _eval(ctx, alpha, formula, engine)
+        return _compile(ctx, formula, engine)(alpha)
     except RecursionError:
         raise FormulaError("formula nested too deeply") from None
 
@@ -108,10 +102,6 @@ class _Missing:
 
 
 _MISSING = _Missing()
-
-
-def _eval(ctx: EvalContext, alpha, f: Formula, engine: str) -> bool:
-    return _compile(ctx, f, engine)(alpha)
 
 
 def _compile(ctx: EvalContext, f: Formula, engine: str):
@@ -300,28 +290,17 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
                         alpha[var] = old
 
         return count_fn
-    if isinstance(f, Lrec):
+    if isinstance(f, (Lrec, LrecEq)):
         node = f
         n = A.universe_size
 
         def lrec_fn(alpha):
             graph = ctx.formula_graph(node, alpha)
-            vertex = tuple(alpha[x] for x in node.w)
-            ell = num_encode([alpha[x] for x in node.r], n)
-            return _run_engines(graph, vertex, ell, engine)
-
-        return lrec_fn
-    if isinstance(f, LrecEq):
-        node = f
-        n = A.universe_size
-
-        def lrec_eq_fn(alpha):
-            graph = ctx.quotient_graph(node, alpha)
             vertex = graph.class_of(tuple(alpha[x] for x in node.w))
             ell = num_encode([alpha[x] for x in node.r], n)
             return _run_engines(graph, vertex, ell, engine)
 
-        return lrec_eq_fn
+        return lrec_fn
     if isinstance(f, Dtc):
         raise FormulaError("dtc must be expanded before evaluation")
     raise FormulaError(f"unknown formula node {type(f).__name__}")
@@ -377,15 +356,22 @@ class LabelledGraph:
 
 
 class FormulaGraph(LabelledGraph):
-    """Recursion graph of one lrec node under a fixed outer assignment.
+    """Recursion graph of one lrec or lreceq node under a fixed outer
+    assignment.
 
-    Vertices are tuples over Dom(u).  When the squared domain size is at
-    most the context threshold the whole edge relation is materialized
-    up front; otherwise neighbours and in-degrees are computed on demand
-    and cached per vertex.
+    Vertices are classes of tuples over Dom(u), each named by its
+    lexicographically least member: for lreceq the classes of the
+    reflexive-symmetric-transitive closure of the phi_= pairs, for lrec
+    single tuples (its quotient is the identity).  The graph is built up
+    front: phi_edge is tested once on every pair of tuples and the edges
+    are quotiented.  A vertex's label set is the union of those of its
+    members.  An lrec graph whose squared domain size exceeds the
+    context threshold is built on demand instead: each vertex is its own
+    class, and its neighbours and in-degree are computed when first
+    asked and cached.
     """
 
-    def __init__(self, ctx: EvalContext, node: Lrec, base_alpha):
+    def __init__(self, ctx: EvalContext, node: Lrec | LrecEq, base_alpha):
         super().__init__()
         self.ctx = ctx
         self.node = node
@@ -400,51 +386,65 @@ class FormulaGraph(LabelledGraph):
         self._edge_fn = _compile(ctx, node.phi_edge, "memo")
         self._label_fn = _compile(ctx, node.phi_label, "memo")
         self._alpha = dict(base_alpha)
-        self._out_cache: dict = {}
-        self._indeg_cache: dict = {}
+        self._out: dict = {}
+        self._indeg: dict = {}
         self._label_cache: dict = {}
-        self._materialized = False
-        if self.dom_size * self.dom_size <= ctx.edge_threshold:
-            self._materialize()
+        # built on demand, every tuple is its own class and only member
+        self._class_of = None
+        self._members: dict = {}
+        if isinstance(node, LrecEq) or self.dom_size * self.dom_size <= ctx.edge_threshold:
+            self._build()
 
-    def _edge_test(self, a, b) -> bool:
-        alpha = self._alpha
-        for var, val in zip(self.node.u, a):
-            alpha[var] = val
-        for var, val in zip(self.node.v, b):
-            alpha[var] = val
-        return self._edge_fn(alpha)
+    def _pairs(self, fn, sources, targets):
+        """The pairs (a, b) in sources x targets that satisfy fn over u, v;
+        targets is iterated once per source."""
+        alpha, u, v = self._alpha, self.node.u, self.node.v
+        for a in sources:
+            alpha.update(zip(u, a))
+            for b in targets:
+                alpha.update(zip(v, b))
+                if fn(alpha):
+                    yield a, b
 
-    def _materialize(self):
-        vertices = list(itertools.product(*self.doms))
-        out = {v: [] for v in vertices}
-        indeg = {v: 0 for v in vertices}
-        for a in vertices:
-            for b in vertices:
-                if self._edge_test(a, b):
-                    out[a].append(b)
-                    indeg[b] += 1
-        self._out_cache = {v: tuple(ns) for v, ns in out.items()}
-        self._indeg_cache = indeg
-        self._materialized = True
+    def _build(self):
+        node = self.node
+        domain = list(itertools.product(*self.doms))
+        if isinstance(node, LrecEq):
+            eq_fn = _compile(self.ctx, node.phi_eq, "memo")
+            classes = _closure_classes(domain, lambda a, b: any(self._pairs(eq_fn, (a,), (b,))))
+        else:
+            classes = [[t] for t in domain]
+        edges = self._pairs(self._edge_fn, domain, domain)
+        reps, qedges, self._class_of = quotient_by_equivalence(classes, edges)
+        self._members = dict(zip(reps, classes))
+        out: dict = {rep: [] for rep in reps}
+        self._indeg = dict.fromkeys(reps, 0)
+        for a, b in qedges:
+            out[a].append(b)
+            self._indeg[b] += 1
+        self._out = {rep: tuple(sorted(ns)) for rep, ns in out.items()}
+
+    def class_of(self, tup):
+        if self._class_of is None:
+            return tup
+        try:
+            return self._class_of[tup]
+        except KeyError:
+            raise DomainError(f"tuple {tup!r} outside the recursion domain") from None
 
     def out_neighbours(self, vertex):
-        cached = self._out_cache.get(vertex)
-        if cached is None:
-            cached = tuple(
-                b for b in itertools.product(*self.doms) if self._edge_test(vertex, b)
-            )
-            self._out_cache[vertex] = cached
-        return cached
+        out = self._out.get(vertex)
+        if out is None:  # built on demand
+            pairs = self._pairs(self._edge_fn, (vertex,), itertools.product(*self.doms))
+            out = self._out[vertex] = tuple(b for _, b in pairs)
+        return out
 
     def in_degree(self, vertex):
-        cached = self._indeg_cache.get(vertex)
-        if cached is None:
-            cached = sum(
-                1 for a in itertools.product(*self.doms) if self._edge_test(a, vertex)
-            )
-            self._indeg_cache[vertex] = cached
-        return cached
+        indeg = self._indeg.get(vertex)
+        if indeg is None:  # built on demand
+            pairs = self._pairs(self._edge_fn, itertools.product(*self.doms), (vertex,))
+            indeg = self._indeg[vertex] = sum(1 for _ in pairs)
+        return indeg
 
     def label_contains(self, vertex, count):
         if count < 0 or count >= self.label_bound:
@@ -454,11 +454,13 @@ class FormulaGraph(LabelledGraph):
         if cached is None:
             digits = num_decode(count, self.width_p, self.ctx.structure.universe_size)
             alpha = self._alpha
-            for var, val in zip(self.node.u, vertex):
-                alpha[var] = val
-            for var, val in zip(self.node.p, digits):
-                alpha[var] = val
-            cached = self._label_fn(alpha)
+            alpha.update(zip(self.node.p, digits))
+            cached = False
+            for member in self._members.get(vertex, (vertex,)):
+                alpha.update(zip(self.node.u, member))
+                if self._label_fn(alpha):
+                    cached = True
+                    break
             self._label_cache[key] = cached
         return cached
 
@@ -488,85 +490,6 @@ def _closure_classes(domain, related):
     for i, t in enumerate(domain):
         classes.setdefault(find(i), []).append(t)
     return list(classes.values())
-
-
-class QuotientGraph(LabelledGraph):
-    """Recursion graph of an lrec= node: the base graph quotiented by the
-    reflexive-symmetric-transitive closure of the phi_= pairs, with label
-    sets unioned over each class.
-
-    The tuple domain is materialized; the quotient needs the full closure
-    anyway, and lrec= instances stay at desk scale.
-    """
-
-    def __init__(self, ctx: EvalContext, node: LrecEq, base_alpha):
-        super().__init__()
-        self.ctx = ctx
-        self.node = node
-        self.base = base_alpha
-        A = ctx.structure
-        doms = [_domain(A, v) for v in node.u]
-        self.domain = list(itertools.product(*doms))
-        self._label_fn = _compile(ctx, node.phi_label, "memo")
-        alpha = dict(base_alpha)
-        self._alpha = alpha
-
-        def pair_test(formula):
-            fn = _compile(ctx, formula, "memo")
-
-            def test(a, b):
-                alpha.update(zip(node.u, a))
-                alpha.update(zip(node.v, b))
-                return fn(alpha)
-
-            return test
-
-        classes = _closure_classes(self.domain, pair_test(node.phi_eq))
-        edge_test = pair_test(node.phi_edge)
-        edges = ((a, b) for a in self.domain for b in self.domain if edge_test(a, b))
-        # class representative: lexicographically least member
-        reps, qedges, self._class_of = quotient_by_equivalence(classes, edges)
-        self._members = dict(zip(reps, classes))
-        out: dict = {rep: [] for rep in reps}
-        indeg: dict = {rep: 0 for rep in reps}
-        for a, b in qedges:
-            out[a].append(b)
-            indeg[b] += 1
-        self._out = {rep: tuple(sorted(ns)) for rep, ns in out.items()}
-        self._indeg = indeg
-        self.width_p = len(node.p)
-        self.label_bound = (A.universe_size + 1) ** self.width_p
-        self._label_cache: dict = {}
-
-    def class_of(self, tup):
-        try:
-            return self._class_of[tup]
-        except KeyError:
-            raise DomainError(f"tuple {tup!r} outside the recursion domain") from None
-
-    def out_neighbours(self, vertex):
-        return self._out[vertex]
-
-    def in_degree(self, vertex):
-        return self._indeg[vertex]
-
-    def label_contains(self, vertex, count):
-        if count < 0 or count >= self.label_bound:
-            return False
-        key = (vertex, count)
-        cached = self._label_cache.get(key)
-        if cached is None:
-            digits = num_decode(count, self.width_p, self.ctx.structure.universe_size)
-            alpha = self._alpha
-            alpha.update(zip(self.node.p, digits))
-            cached = False
-            for member in self._members[vertex]:
-                alpha.update(zip(self.node.u, member))
-                if self._label_fn(alpha):
-                    cached = True
-                    break
-            self._label_cache[key] = cached
-        return cached
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class Graph:
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "Graph":
-        return cls(range(structure.universe_size), structure.rel("E"))
+        return cls(range(structure.universe_size), structure.binary_rel("E"))
 
     @property
     def n(self):

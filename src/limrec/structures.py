@@ -72,6 +72,16 @@ class Structure:
         self.names = names
 
     def rel(self, name: str) -> frozenset:
+        try:
+            return self.relations[name]
+        except KeyError:
+            raise DomainError(f"unknown relation symbol {name!r}") from None
+
+    def binary_rel(self, name: str) -> frozenset:
+        """The pairs of `name`, which must be a binary relation."""
+        arity = self.vocab.arity(name)
+        if arity != 2:
+            raise DomainError(f"relation {name} must be binary, not {name}/{arity}")
         return self.relations[name]
 
     def element_index(self, token: str) -> int:
@@ -133,7 +143,10 @@ class Structure:
             elif head == "universe":
                 if len(toks) != 2:
                     raise ParseError("universe line takes one number", lineno, 1)
-                universe = int(toks[1])
+                try:
+                    universe = int(toks[1])
+                except ValueError:
+                    raise ParseError(f"bad universe size {toks[1]!r}", lineno, 1) from None
             elif head == "names":
                 names = toks[1:]
             else:

@@ -65,7 +65,7 @@ class DirectedTree:
     def from_structure(cls, structure: Structure) -> "DirectedTree":
         n = structure.universe_size
         parents = [None] * n
-        for a, b in structure.rel("E"):
+        for a, b in structure.binary_rel("E"):
             if parents[b] is not None:
                 raise RecognitionError(f"vertex {b} has two parents")
             parents[b] = a
@@ -607,7 +607,7 @@ def _circuit_shape(structure: Structure):
     n = structure.universe_size
     out = {v: [] for v in range(n)}
     indeg = {v: 0 for v in range(n)}
-    for a, b in structure.rel("E"):
+    for a, b in structure.binary_rel("E"):
         out[a].append(b)
         indeg[b] += 1
     kinds = {}

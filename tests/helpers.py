@@ -46,17 +46,12 @@ class ExplicitGraph(LabelledGraph):
 
 def lrec_membership(structure, assignment, node, vertex, resource, ctx=None,
                     engine=x_membership):
-    """Membership of (vertex, resource) in the relation of an lrec node
-    under the assignment, decided by `engine`."""
+    """Membership of (vertex, resource) in the relation of an lrec or
+    lreceq node under the assignment, decided by `engine` on the class
+    of vertex."""
     ctx = EvalContext(structure) if ctx is None else ctx
-    return engine(ctx.formula_graph(node, dict(assignment)), tuple(vertex), resource)
-
-
-def lrec_eq_membership(structure, assignment, node, vertex, resource, ctx=None):
-    """The same for an lreceq node: the query runs on the class of vertex."""
-    ctx = EvalContext(structure) if ctx is None else ctx
-    graph = ctx.quotient_graph(node, dict(assignment))
-    return x_membership(graph, graph.class_of(tuple(vertex)), resource)
+    graph = ctx.formula_graph(node, dict(assignment))
+    return engine(graph, graph.class_of(tuple(vertex)), resource)
 
 
 def build_iso_gadget(tree):

@@ -250,3 +250,16 @@ def test_eval_too_deep_formula_is_an_input_error(capsys, tmp_path):
         formula.write_text(text)
         code, out, err = run(capsys, "eval", str(struct), str(formula), "--bind", "x=0")
         assert code == 2 and out == "" and "nested too deeply" in err
+
+
+def test_graph_commands_reject_a_structure_without_a_binary_e(capsys, tmp_path):
+    commands = (
+        ("canon-tree",), ("canon-interval",), ("check",), ("check", "--kind", "tree"),
+        ("check", "--kind", "interval"), ("check", "--kind", "circuit"),
+    )
+    for vocab in ("vocab F/2\nuniverse 2\nF 0 1\n", "vocab E/3\nuniverse 2\nE 0 1 1\n"):
+        f = tmp_path / "g.struct"
+        f.write_text(vocab)
+        for command in commands:
+            code, _, err = run(capsys, *command, str(f))
+            assert code == 2 and err.startswith("error:"), (vocab, command, err)

@@ -24,9 +24,7 @@ from limrec.syntax import (
 )
 from limrec.treelogic import CIRCUIT_FORMULA, circuit_value
 
-from .helpers import (
-    ExplicitGraph, circuit_value_oracle, lrec_eq_membership, lrec_membership, not_chain,
-)
+from .helpers import ExplicitGraph, circuit_value_oracle, lrec_membership, not_chain
 from .test_syntax import _formulas
 
 DATA = Path(__file__).parent / "data"
@@ -299,11 +297,11 @@ def test_lrec_eq_membership_direct():
     g = Structure(GRAPH_VOCAB, 3, {"E": edges})
     f = reach_formula()
     alpha = {svar("t"): 1}
-    assert lrec_eq_membership(g, alpha, f, (0,), 1)
-    assert not lrec_eq_membership(g, alpha, f, (2,), 1)
+    assert lrec_membership(g, alpha, f, (0,), 1)
+    assert not lrec_membership(g, alpha, f, (2,), 1)
     # reflexivity: s = t in a singleton component
     alpha = {svar("t"): 2}
-    assert lrec_eq_membership(g, alpha, f, (2,), 1)
+    assert lrec_membership(g, alpha, f, (2,), 1)
 
 
 def test_lrec_eq_random_graphs_match_search():
@@ -324,6 +322,35 @@ def test_lrec_eq_random_graphs_match_search():
             for t in range(n):
                 alpha = {svar("s"): s, svar("t"): t, nvar("r"): 1}
                 assert evaluate(g, alpha, f, ctx=ctx) == (comp[s] == comp[t])
+
+
+@pytest.mark.parametrize("on_demand", [False, True])
+def test_lreceq_with_empty_equivalence_is_lrec(monkeypatch, on_demand):
+    # An lreceq node whose phi_= relates no pair has the identity quotient,
+    # so it decides what the lrec node with the same edges and labels does;
+    # with the threshold at 0 the lrec graph is built on demand instead.
+    if on_demand:
+        monkeypatch.setattr(evaluator, "EDGE_MATERIALIZE_THRESHOLD", 0)
+    edge_texts = ("E(x, y)", "E(y, x) and not x = y", "P(x) or E(x, y)")
+    label_texts = ("P(x) or count(y ; E(x, y)) = #p", "x = s", "not #p = 0")
+    rng = random.Random(8)
+    for n in (1, 2, 3, 1, 2, 3):
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        edges = {pair for pair in pairs if rng.random() < 0.5}
+        marked = {(v,) for v in range(n) if rng.random() < 0.5}
+        structure = Structure(Vocabulary((("E", 2), ("P", 1))), n, {"E": edges, "P": marked})
+        for edge, label in itertools.product(edge_texts, label_texts):
+            lrec = parse_formula(f"[lrec x, y, #p : {edge} ; {label}](z, #r)")
+            lreceq = parse_formula(f"[lreceq x, y, #p : not x = x ; {edge} ; {label}](z, #r)")
+            ctx = EvalContext(structure)
+            for z, r, s in itertools.product(range(n), range(n + 1), range(n)):
+                alpha = {svar("z"): z, nvar("r"): r, svar("s"): s}
+                for engine in ("memo", "stream"):
+                    assert evaluate(structure, alpha, lreceq, engine, ctx=ctx) == evaluate(
+                        structure, alpha, lrec, engine, ctx=ctx
+                    ), (structure, edge, label, alpha, engine)
+            built_up_front = ctx.formula_graph(lrec, {svar("s"): 0})._class_of is not None
+            assert built_up_front != on_demand
 
 
 # --- transductions ---------------------------------------------------------
@@ -492,7 +519,8 @@ def test_lazy_formula_graph_matches_materialised(monkeypatch):
     for s in range(n):
         eager = eager_ctx.formula_graph(formula, {svar("s"): s})
         lazy = lazy_ctx.formula_graph(formula, {svar("s"): s})
-        assert eager._materialized and not lazy._materialized
+        # a graph built up front knows the class of every tuple
+        assert eager._class_of is not None and lazy._class_of is None
         for v in [(a,) for a in range(n)]:
             assert lazy.out_neighbours(v) == eager.out_neighbours(v)
             assert lazy.in_degree(v) == eager.in_degree(v)

@@ -203,3 +203,20 @@ def test_element_names_take_precedence_and_stay_distinct():
         s.element_index("d")
     with pytest.raises(DomainError):
         Structure.parse("vocab E/2\nuniverse 2\nnames a a\n")
+
+
+def test_structure_parse_rejects_a_non_numeric_universe():
+    with pytest.raises(ParseError) as err:
+        Structure.parse("vocab E/2\nuniverse x\n")
+    assert err.value.line == 2
+
+
+def test_rel_and_binary_rel_reject_symbols_they_cannot_serve():
+    s = Structure.parse("vocab F/2 T/3\nuniverse 2\nF 0 1\n")
+    assert s.binary_rel("F") == {(0, 1)}
+    with pytest.raises(DomainError):
+        s.rel("E")
+    with pytest.raises(DomainError):
+        s.binary_rel("E")
+    with pytest.raises(DomainError):
+        s.binary_rel("T")
