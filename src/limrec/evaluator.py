@@ -215,6 +215,11 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
     if isinstance(f, Atom):
         if f.rel not in A.vocab:
             raise FormulaError(f"structure has no relation {f.rel!r}")
+        arity = A.vocab.arity(f.rel)
+        if len(f.args) != arity:
+            raise FormulaError(
+                f"relation {f.rel} has arity {arity}, but the atom gives it {len(f.args)} arguments"
+            )
         rel = A.relations[f.rel]
         if len(f.args) == 1:
             (a0,) = f.args

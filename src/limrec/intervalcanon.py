@@ -14,12 +14,11 @@ clique with no possible end or the failing model comparison).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from .errors import DomainError, RecognitionError
 from .structures import Structure
-from .treelogic import DirectedTree, coloured_compare
+from .treelogic import DirectedTree, coloured_keys
 
 
 def _vkey(v):
@@ -35,7 +34,11 @@ def _ckey(clique):
 
 
 class Graph:
-    """Simple undirected graph over hashable vertices."""
+    """Simple undirected graph over hashable vertices.
+
+    A graph keeps what is derived from it: its max cliques and its modular
+    partition, each computed on first use, and one shared Graph per vertex
+    set for itself and every subgraph taken from it."""
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(set(vertices), key=_vkey))
@@ -46,6 +49,23 @@ class Graph:
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
+        self._cliques = None
+        self._partition = None
+        self._induced = None  # vertex set -> Graph, shared with subgraphs
+
+    @property
+    def cliques(self):
+        """max_cliques(self), computed once."""
+        if self._cliques is None:
+            self._cliques = max_cliques(self)
+        return self._cliques
+
+    @property
+    def partition(self) -> "ModularPartition":
+        """modular_partition(self), computed once."""
+        if self._partition is None:
+            self._partition = modular_partition(self)
+        return self._partition
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "Graph":
@@ -64,10 +84,23 @@ class Graph:
         }
 
     def subgraph(self, keep) -> "Graph":
-        keep = set(keep)
-        return Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
+        """The subgraph induced by `keep`, a subset of the vertices.  Every
+        graph taken from one graph by `subgraph` is an induced subgraph of
+        it, so a vertex set names one Graph, whichever of them it was taken
+        from, and all of them share it."""
+        if self._induced is None:
+            self._induced = {frozenset(self.vertices): self}
+        keep = frozenset(keep)
+        graph = self._induced.get(keep)
+        if graph is None:
+            graph = Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
+            graph._induced = self._induced
+            self._induced[keep] = graph
+        return graph
 
     def components(self):
+        """Vertex sets of the connected components, in `_ckey` order: each
+        is found from its least vertex, and they are disjoint."""
         seen = set()
         out = []
         for start in self.vertices:
@@ -126,10 +159,9 @@ def max_cliques(G: Graph):
     return sorted(keep, key=_ckey)
 
 
-def span_map(G: Graph, cliques=None):
-    cliques = max_cliques(G) if cliques is None else cliques
+def span_map(G: Graph):
     spans = {v: 0 for v in G.vertices}
-    for c in cliques:
+    for c in G.cliques:
         for v in c:
             spans[v] += 1
     return spans
@@ -151,11 +183,11 @@ class CliquePreorder:
     classes: list = field(default_factory=list)  # incomparability classes, ordered
 
 
-def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
+def clique_preorder(G: Graph, M) -> CliquePreorder:
     """Least fixed point of the seeded order: start clique before all
     others, then propagate through overlap witnesses (reachability in
     the pair graph)."""
-    cliques = max_cliques(G) if cliques is None else cliques
+    cliques = G.cliques
     index = {c: i for i, c in enumerate(cliques)}
     if M not in index:
         raise DomainError("start clique is not a max clique")
@@ -219,12 +251,12 @@ def clique_preorder(G: Graph, M, cliques=None) -> CliquePreorder:
     return CliquePreorder(cliques, start, pairs, asymmetric, classes)
 
 
-def _possible_ends(G: Graph, cliques):
+def _possible_ends(G: Graph):
     """The asymmetric preorders seeded at each clique in clique order, each
     found only when asked for."""
-    for M in cliques:
+    for M in G.cliques:
         try:
-            pre = clique_preorder(G, M, cliques)
+            pre = clique_preorder(G, M)
         except RecognitionError:
             continue
         if pre.asymmetric:
@@ -250,10 +282,10 @@ class Collapse:
     clique_position: dict       # original clique -> 0-based position
 
 
-def collapse_incomparables(G: Graph, M, cliques=None) -> Collapse:
+def collapse_incomparables(G: Graph, M) -> Collapse:
     """Quotient G by the modules spanned by maximal incomparability
     classes of the order seeded at M (a possible end)."""
-    pre = clique_preorder(G, M, cliques)
+    pre = clique_preorder(G, M)
     if not pre.asymmetric:
         raise RecognitionError(
             "start clique is not a possible end", certificate=M
@@ -262,9 +294,10 @@ def collapse_incomparables(G: Graph, M, cliques=None) -> Collapse:
 
 
 def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
-    """collapse_incomparables for an asymmetric preorder already computed."""
+    """collapse_incomparables for an asymmetric preorder already computed.
+    The quotient keeps the linear clique order as its cliques."""
     cliques = pre.cliques
-    spans = span_map(G, cliques)
+    spans = span_map(G)
     vertex_class = {v: v for v in G.vertices}
     for group in pre.classes:
         if len(group) < 2:
@@ -298,6 +331,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
                 )
             clique_position[cliques[i]] = pos
         clique_order.append(image)
+    quotient._cliques = clique_order
     return Collapse(quotient, clique_order, vertex_class, clique_position)
 
 
@@ -311,7 +345,7 @@ class ModularPartition:
     clique_position: dict       # original clique -> 0-based position
 
 
-def modular_partition(G: Graph, cliques=None) -> ModularPartition:
+def modular_partition(G: Graph) -> ModularPartition:
     """The maximal clique-set partition via the double collapse: collapse
     at any possible end, then at the top clique of the quotient."""
     if not G.is_connected():
@@ -320,15 +354,14 @@ def modular_partition(G: Graph, cliques=None) -> ModularPartition:
         raise DomainError("modular partition needs an apex-free graph")
     if G.n < 2:
         raise DomainError("modular partition needs at least two vertices")
-    cliques = max_cliques(G) if cliques is None else cliques
-    end = next(_possible_ends(G, cliques), None)
+    cliques = G.cliques
+    end = next(_possible_ends(G), None)
     if end is None:
         raise RecognitionError(
             "no possible end: not an interval graph", certificate=G.vertices
         )
     first = _collapse(G, end)
-    z_top = first.clique_order[-1]
-    second = collapse_incomparables(first.graph, z_top, first.clique_order)
+    second = collapse_incomparables(first.graph, first.clique_order[-1])
     vertex_class = {}
     for v in G.vertices:
         mid = first.vertex_class[v]
@@ -366,36 +399,6 @@ def modular_partition(G: Graph, cliques=None) -> ModularPartition:
         frozenset(vertex_class[v] for v in cell[0]) for cell in cells
     ]
     return ModularPartition(cells, modules, vertex_class, quotient, order, clique_position)
-
-
-class _Induced:
-    """The subgraph induced by one vertex set, with the max cliques and
-    the modular partition derived from it, each computed on first use."""
-
-    def __init__(self, graph: Graph, cliques=None):
-        self.graph = graph
-        if cliques is not None:
-            self.cliques = cliques
-
-    @functools.cached_property
-    def cliques(self):
-        return max_cliques(self.graph)
-
-    @functools.cached_property
-    def partition(self) -> ModularPartition:
-        return modular_partition(self.graph, self.cliques)
-
-
-def _induced(G: Graph, vset, memo: dict, cliques=None) -> _Induced:
-    """The per-call memo entry of `vset`, a subset of G's vertices.  Every
-    graph of one call is an induced subgraph of the same input, so a
-    vertex set names one subgraph, whichever graph it was taken from."""
-    vset = frozenset(vset)
-    entry = memo.get(vset)
-    if entry is None:
-        graph = G if len(vset) == G.n else G.subgraph(vset)
-        entry = memo[vset] = _Induced(graph, cliques)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +440,7 @@ def _interval_of(vertex, order):
     return (min(positions), max(positions))
 
 
-def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
+def canon_L(H: Graph) -> LCanon:
     """Canonical ordered copy of the module-collapsed quotient of a
     connected graph, with per-module and per-clique position data.
 
@@ -448,8 +451,7 @@ def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
     """
     if not H.is_connected():
         raise DomainError("canon_L needs a connected graph")
-    entry = _induced(H, H.vertices, {} if _memo is None else _memo, cliques)
-    cliques = entry.cliques
+    cliques = H.cliques
     apices = H.apices()
     if H.n == 1:
         only = cliques[0]
@@ -467,7 +469,7 @@ def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
         modules = [ModuleRecord(rest, (1,), "single")]
         colour = {c: (1,) for c in cliques}
         return LCanon(size, edges, intervals, 1, True, modules, colour)
-    part = entry.partition
+    part = H.partition
     L = part.quotient
     order_fwd = part.clique_order
     order_bwd = list(reversed(order_fwd))
@@ -516,28 +518,26 @@ def canon_L(H: Graph, cliques=None, _memo=None) -> LCanon:
 # Decomposition components (the P sets)
 
 
-def _wg_big_classes(entry: _Induced):
+def _wg_big_classes(H: Graph):
     """Multi-vertex classes of the module partition of a connected graph."""
-    H = entry.graph
     if H.n <= 1:
         return []
     apices = H.apices()
     if apices:
         rest = frozenset(v for v in H.vertices if v not in apices)
         return [rest] if len(rest) > 1 else []
-    return list(entry.partition.modules)
+    return list(H.partition.modules)
 
 
-def decomposition_components(G: Graph, _memo=None):
+def decomposition_components(G: Graph):
     """The filtered (clique, bound) pairs whose span component is a
     connected component of a decomposition module.
 
     Returned entries are (clique, n, vertex set); every distinct vertex
     set is one component vertex of the decomposition tree.
     """
-    memo = {} if _memo is None else _memo
-    cliques = _induced(G, G.vertices, memo).cliques
-    spans = span_map(G, cliques)
+    cliques = G.cliques
+    spans = span_map(G)
     # The span filtration in one sweep: vertices join in increasing span
     # order, and a union-find whose member lists merge small into large
     # holds the components of the vertices with span <= bound.  A max
@@ -578,8 +578,8 @@ def decomposition_components(G: Graph, _memo=None):
         if vset not in splits:
             split = None
             if G.is_module(vset):
-                entry = _induced(G, vset, memo)
-                split = (_wg_big_classes(entry), entry.graph.apices())
+                H = G.subgraph(vset)
+                split = (_wg_big_classes(H), H.apices())
             splits[vset] = split
         return splits[vset]
 
@@ -627,13 +627,12 @@ class ColouredTree:
         return DirectedTree(self.parents)
 
 
-def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
+def build_modular_tree(G: Graph) -> ColouredTree:
     """Construct the coloured decomposition tree: component vertices per
     distinct filtered span component, at most three arrangement vertices
     per component, and one module vertex per multi-vertex module."""
-    memo = {} if _memo is None else _memo
-    pgroups = decomposition_components(G, _memo=memo)
-    comp_sets = sorted({comp for _, _, comp in pgroups}, key=_ckey)
+    pgroups = decomposition_components(G)
+    comp_sets = {comp for _, _, comp in pgroups}
     if frozenset(G.vertices) not in [
         comp for _, bound, comp in pgroups if bound == G.n
     ] and G.is_connected():
@@ -660,8 +659,8 @@ def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
             tree.comp_lcanon[node] = None
             tree.comp_apices[node] = frozenset()
             return node
-        H = _induced(G, comp, memo).graph
-        info = canon_L(H, _memo=memo)
+        H = G.subgraph(comp)
+        info = canon_L(H)
         tree.comp_lcanon[node] = info
         tree.comp_apices[node] = H.apices()
         tree.colours[node] = tuple(sorted(info.edges))
@@ -680,8 +679,7 @@ def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
                 for p in record.colour:
                     counts[p] = counts.get(p, 0) + 1
                 tree.colours[mod] = tuple(sorted(counts.items()))
-                module = _induced(G, record.vertices, memo).graph
-                for sub in sorted(module.components(), key=_ckey):
+                for sub in G.subgraph(record.vertices).components():
                     if sub not in comp_sets:
                         raise RecognitionError(
                             "module component missing from decomposition components",
@@ -690,7 +688,7 @@ def build_modular_tree(G: Graph, _memo=None) -> ColouredTree:
                     add_component(sub, mod)
         return node
 
-    for comp in sorted(G.components(), key=_ckey):
+    for comp in G.components():
         add_component(comp, 0)
     return tree
 
@@ -705,21 +703,16 @@ def interval_canon(G: Graph):
     Raises RecognitionError with a certificate when the input is not an
     interval graph.
     """
-    memo = {}  # vertex set -> _Induced, shared by every phase of this call
-    interval_model(G, _memo=memo)  # full recognition; raises otherwise
-    tree = build_modular_tree(G, _memo=memo)
-    dtree = tree.as_directed_tree()
-    compare_memo = {}
-
-    def cmp_nodes(a, b):
-        return coloured_compare(dtree, tree.colours, a, b, compare_memo)
+    interval_model(G)  # full recognition; raises otherwise
+    tree = build_modular_tree(G)
+    keys = coloured_keys(tree.as_directed_tree(), tree.colours)
 
     def canon_module(mod_node):
         kids = tree.children(mod_node)
         blocks = {c: canon_component(c) for c in kids}
         total = 0
         edges = set()
-        for c in sorted(kids, key=functools.cmp_to_key(cmp_nodes)):
+        for c in sorted(kids, key=keys.__getitem__):
             bn, bedges = blocks[c]
             edges |= {(total + u, total + v) for u, v in bedges}
             total += bn
@@ -733,10 +726,10 @@ def interval_canon(G: Graph):
         apices = tree.comp_apices[node]
         arr_nodes = tree.children(node)
         modules = [m for a in arr_nodes for m in tree.children(a)]
+        if not modules:  # module-free, or a complete apex component
+            return info.size, set(info.edges)
         if apices:
             total = len(comp)
-            if not modules:
-                return total, {(i, j) for i in range(1, total + 1) for j in range(i + 1, total + 1)}
             if len(modules) != 1:
                 raise RecognitionError(
                     "apex component has more than one module", certificate=comp
@@ -750,8 +743,6 @@ def interval_canon(G: Graph):
         # module-free pipeline component
         m = info.m
         splices = []  # (clique position, module node)
-        if not modules:
-            return info.size, set(info.edges)
         by_arr = {tree.arr_group[a]: a for a in arr_nodes}
         if not info.palindromic or m == 1:
             for mod in modules:
@@ -764,7 +755,7 @@ def interval_canon(G: Graph):
             mid = by_arr.get("mid")
             flip = False
             if low is not None and high is not None:
-                flip = cmp_nodes(high, low) < 0
+                flip = keys[high] < keys[low]
             elif low is None and high is not None:
                 flip = True
 
@@ -857,25 +848,24 @@ def interval_canon(G: Graph):
 # Interval models and recognition
 
 
-def _component_clique_order(G: Graph, comp, memo) -> list:
-    """A valid consecutive order of the component's max cliques."""
-    entry = _induced(G, comp, memo)
-    H, cliques = entry.graph, entry.cliques
+def _component_clique_order(H: Graph) -> list:
+    """A valid consecutive order of the max cliques of a connected graph."""
+    cliques = H.cliques
     if H.n == 1 or len(cliques) == 1:
         return cliques
     apices = H.apices()
     if apices:
         rest = frozenset(v for v in H.vertices if v not in apices)
         order = []
-        for sub in sorted(_induced(G, rest, memo).graph.components(), key=_ckey):
-            order.extend(_component_clique_order(G, sub, memo))
+        for sub in H.subgraph(rest).components():
+            order.extend(_component_clique_order(H.subgraph(sub)))
         expanded = [frozenset(c | apices) for c in order]
         if sorted(expanded, key=_ckey) != sorted(cliques, key=_ckey):
             raise RecognitionError(
-                "apex component cliques fail to stack", certificate=comp
+                "apex component cliques fail to stack", certificate=frozenset(H.vertices)
             )
         return expanded
-    part = entry.partition
+    part = H.partition
     order = []
     for cell in part.cells:
         if len(cell) == 1:
@@ -892,8 +882,8 @@ def _component_clique_order(G: Graph, comp, memo) -> list:
                     "cell cliques disagree outside their module", certificate=c
                 )
         sub_cliques = []
-        for sub in sorted(_induced(G, module, memo).graph.components(), key=_ckey):
-            sub_cliques.extend(_component_clique_order(G, sub, memo))
+        for sub in H.subgraph(module).components():
+            sub_cliques.extend(_component_clique_order(H.subgraph(sub)))
         expanded = [frozenset(sc | outside) for sc in sub_cliques]
         if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
             raise RecognitionError(
@@ -903,15 +893,14 @@ def _component_clique_order(G: Graph, comp, memo) -> list:
     return order
 
 
-def interval_model(G: Graph, _memo=None):
+def interval_model(G: Graph):
     """A verified minimal interval model: list of (vertex, left, right)
     with clique positions 1..m per component, components laid out on
     disjoint ranges.  Raises RecognitionError when no model exists."""
-    memo = {} if _memo is None else _memo
     model = []
     offset = 0
-    for comp in sorted(G.components(), key=_ckey):
-        order = _component_clique_order(G, comp, memo)
+    for comp in G.components():
+        order = _component_clique_order(G.subgraph(comp))
         positions = {}
         for p, clique in enumerate(order, start=1):
             for v in clique:

@@ -428,13 +428,16 @@ def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
 # The coloured subtree order
 
 
-def _coloured_ranks(tree: DirectedTree, colours) -> list:
-    """Per vertex, its rank among the vertices of equal colour and profile
-    under coloured_compare.  Equal profiles mean equal subtree sizes and
-    children are smaller, so ranks are assigned in increasing size order,
-    without recursion on depth."""
+def coloured_keys(tree: DirectedTree, colours) -> list:
+    """One sort key per vertex, (colour, profile, rank): coloured subtrees
+    order by root colour (lexicographically), then profile, then the
+    sorted keys of their children.  Equal keys mean coloured-isomorphic
+    subtrees; with empty colours this is the plain canonical subtree
+    order.  Equal profiles mean equal subtree sizes and children are
+    smaller, so keys are assigned in increasing size order, without
+    recursion on depth."""
     tb = tree.tables()
-    keys = [None] * tree.n  # vertex -> (colour, profile, rank)
+    keys = [None] * tree.n
     by_size = {}
     for v in range(tree.n):
         by_size.setdefault(tree.size[v], []).append(v)
@@ -448,32 +451,14 @@ def _coloured_ranks(tree: DirectedTree, colours) -> list:
             for rank, kids in enumerate(sorted(by_kids)):
                 for v in by_kids[kids]:
                     keys[v] = head + (rank,)
-    return [key[2] for key in keys]
+    return keys
 
 
-def coloured_compare(tree: DirectedTree, colours, a: int, b: int, _memo=None) -> int:
-    """Total preorder on coloured subtrees: root colours first
-    (lexicographically), then profiles, then recursively compared child
-    lists.  Returns -1/0/1; 0 exactly on coloured-isomorphic subtrees.
-    With empty colours this is the plain canonical subtree order.
-    A `_memo` dict shared by calls on one tree and colouring keeps the
-    per-vertex ranks, which are built once for the whole tree."""
-    if a == b:
-        return 0
-    ca = colours.get(a, ())
-    cb = colours.get(b, ())
-    if ca != cb:
-        return -1 if ca < cb else 1
-    tb = tree.tables()
-    pa, pb = tb.profile[a], tb.profile[b]
-    if pa != pb:
-        return -1 if pa < pb else 1
-    if _memo is None:
-        _memo = {}
-    if not _memo:
-        _memo.update(enumerate(_coloured_ranks(tree, colours)))
-    ra, rb = _memo[a], _memo[b]
-    return (ra > rb) - (ra < rb)
+def coloured_compare(tree: DirectedTree, colours, a: int, b: int) -> int:
+    """The order of coloured_keys as -1/0/1; 0 exactly on
+    coloured-isomorphic subtrees."""
+    keys = coloured_keys(tree, colours)
+    return (keys[a] > keys[b]) - (keys[a] < keys[b])
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +599,9 @@ def _circuit_shape(structure: Structure):
     for relname in _GATE_RELS:
         if relname not in structure.vocab:
             raise DomainError(f"circuit structure lacks relation {relname}")
+        arity = structure.vocab.arity(relname)
+        if arity != 1:
+            raise DomainError(f"gate relation {relname} must be unary, not {relname}/{arity}")
         for (v,) in structure.rel(relname):
             if v in kinds:
                 raise DomainError(f"gate {v} has two types")

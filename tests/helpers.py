@@ -7,8 +7,7 @@ from functools import lru_cache
 from limrec.errors import FormulaError, RecognitionError
 from limrec.evaluator import EvalContext, LabelledGraph, x_membership
 from limrec.intervalcanon import (
-    _possible_ends, _vkey, clique_preorder, interval_model, max_cliques, modular_partition,
-    span_map,
+    _possible_ends, _vkey, clique_preorder, interval_model, modular_partition, span_map,
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
@@ -124,10 +123,9 @@ def clique_witness(G, clique) -> tuple:
     raise RecognitionError(f"clique {set(clique)!r} has no witness pair")
 
 
-def possible_ends(G, cliques=None):
+def possible_ends(G):
     """Max cliques whose seeded order is asymmetric, in clique order."""
-    cliques = max_cliques(G) if cliques is None else cliques
-    return [cliques[pre.start] for pre in _possible_ends(G, cliques)]
+    return [G.cliques[pre.start] for pre in _possible_ends(G)]
 
 
 def is_interval_graph(G) -> bool:
@@ -388,27 +386,26 @@ def reference_asymmetric(cliques, start):
     return not any((j, i) in pairs for i, j in pairs)
 
 
-def reference_possible_ends(G, cliques):
+def reference_possible_ends(G):
     """Preorders of the possible ends in clique order, decided by the full
     fixed point.  The library's preorder still checks the classes of an
     asymmetric order: its fixed point is complete whenever the order is
     asymmetric."""
-    for start, M in enumerate(cliques):
-        if not reference_asymmetric(cliques, start):
+    for start, M in enumerate(G.cliques):
+        if not reference_asymmetric(G.cliques, start):
             continue
         try:
-            pre = clique_preorder(G, M, cliques)
+            pre = clique_preorder(G, M)
         except RecognitionError:
             continue
         yield pre
 
 
-def reference_decomposition_components(G, _memo=None):
+def reference_decomposition_components(G):
     """decomposition_components with one induced subgraph per (clique,
-    bound) pair.  `_memo` is accepted and ignored, so this can stand in
-    for the library function."""
-    cliques = max_cliques(G)
-    spans = span_map(G, cliques)
+    bound) pair."""
+    cliques = G.cliques
+    spans = span_map(G)
     candidates = []
     for M in cliques:
         by_set = {}

@@ -270,7 +270,7 @@ def test_criterion_10_interval_pipeline_properties(interval_reps):
         firsts = _oracle_first_cliques(g)
         ends = []
         for m in cliques:
-            pre = clique_preorder(g, m, cliques)
+            pre = clique_preorder(g, m)
             # asymmetry iff strict weak order iff permutation-oracle end
             if pre.asymmetric:
                 assert pre.classes, "weak order must produce classes"
@@ -278,9 +278,9 @@ def test_criterion_10_interval_pipeline_properties(interval_reps):
             if pre.asymmetric:
                 ends.append(m)
         assert ends, "interval graphs have a possible end"
-        spans = span_map(g, cliques)
+        spans = span_map(g)
         for m in ends:
-            pre = clique_preorder(g, m, cliques)
+            pre = clique_preorder(g, m)
             for group in pre.classes:
                 union = set().union(*(cliques[i] for i in group))
                 outside = (
@@ -297,9 +297,9 @@ def test_criterion_10_interval_pipeline_properties(interval_reps):
         if not g.apices() and g.n >= 2:
             quotients = []
             for m in ends:
-                first = collapse_incomparables(g, m, cliques)
+                first = collapse_incomparables(g, m)
                 z = first.clique_order[-1]
-                second = collapse_incomparables(first.graph, z, first.clique_order)
+                second = collapse_incomparables(first.graph, z)
                 quotients.append(_int_graph(second.graph))
             for q in quotients[1:]:
                 assert graph_iso(quotients[0].edges(), q.edges(), quotients[0].n, q.n)

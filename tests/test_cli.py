@@ -263,3 +263,22 @@ def test_graph_commands_reject_a_structure_without_a_binary_e(capsys, tmp_path):
         for command in commands:
             code, _, err = run(capsys, *command, str(f))
             assert code == 2 and err.startswith("error:"), (vocab, command, err)
+
+
+def test_check_circuit_rejects_a_gate_relation_that_is_not_unary(capsys, tmp_path):
+    f = tmp_path / "c.struct"
+    f.write_text("vocab E/2 P0/2 P1/1 Pand/1 Por/1 Pnot/1\nuniverse 2\nP0 0 1\n")
+    code, out, err = run(capsys, "check", "--kind", "circuit", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: gate relation P0 must be unary, not P0/2"), err
+
+
+def test_eval_rejects_an_atom_with_the_wrong_argument_count(capsys, tmp_path):
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
+    formula = tmp_path / "f.formula"
+    for text, given in (("exists x E(x)", 1), ("exists x E(x, x, x)", 3)):
+        formula.write_text(text)
+        code, out, err = run(capsys, "eval", str(struct), str(formula))
+        assert code == 2 and out == "", (text, out)
+        assert err.startswith(f"error: relation E has arity 2, but the atom gives it {given}"), err

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -442,6 +443,16 @@ def test_transduction_validates_tuples():
         )
 
 
+def test_atom_with_the_wrong_argument_count_is_rejected():
+    structure = Structure(GRAPH_VOCAB, 2, {"E": {(0, 1)}})
+    x = svar("x")
+    for text in ("exists x E(x)", "exists x E(x, x, x)", "[lrec x, y, #p : E(x) ; x = x](x, #r)"):
+        formula = parse_formula(text)
+        for engine in ("memo", "stream"):
+            with pytest.raises(FormulaError, match="relation E has arity 2"):
+                evaluate(structure, {x: 0, nvar("r"): 1}, formula, engine=engine)
+
+
 def test_transduction_undefined():
     g = Structure.parse("vocab E/2\nuniverse 2\nE 0 1\n")
     x, y = svar("x"), svar("y")
@@ -503,6 +514,19 @@ def test_engine_invariant_checks_survive_python_O():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_library_has_no_assert_statements():
+    # invariants are real checks, so they also hold under python -O
+    paths = sorted(Path(limrec.__file__).resolve().parent.glob("*.py"))
+    assert len(paths) > 1
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_lazy_formula_graph_matches_materialised(monkeypatch):

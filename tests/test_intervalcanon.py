@@ -7,7 +7,7 @@ import pytest
 from limrec import intervalcanon
 from limrec.errors import RecognitionError
 from limrec.intervalcanon import (
-    Graph, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
+    Graph, _ckey, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
     decomposition_components, interval_canon, interval_model, max_cliques,
     modular_partition, span_map,
 )
@@ -157,7 +157,7 @@ def test_span_examples():
 def test_preorder_two_clique_path():
     g = Graph(range(3), [(0, 1), (1, 2)])
     cliques = max_cliques(g)
-    pre = clique_preorder(g, frozenset({0, 1}), cliques)
+    pre = clique_preorder(g, frozenset({0, 1}))
     assert pre.asymmetric
     i = cliques.index(frozenset({0, 1}))
     j = cliques.index(frozenset({1, 2}))
@@ -168,13 +168,13 @@ def test_preorder_star_incomparable_leaf_cliques():
     g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
     cliques = max_cliques(g)
     m = frozenset({0, 1})
-    pre = clique_preorder(g, m, cliques)
+    pre = clique_preorder(g, m)
     assert pre.asymmetric
     other = [cliques.index(c) for c in cliques if c != m]
     a, b = other
     assert (a, b) not in pre.pairs and (b, a) not in pre.pairs
     # the two leaf cliques collapse into a module of two leaves
-    col = collapse_incomparables(g, m, cliques)
+    col = collapse_incomparables(g, m)
     merged = [v for v in col.graph.vertices if isinstance(v, frozenset)]
     assert merged == [frozenset({2, 3})]
 
@@ -226,7 +226,7 @@ def test_possible_ends_match_permutation_oracle_exhaustive():
             if not oracle_orders:
                 # not an interval graph (as far as these cliques go)
                 continue
-            got = {tuple(sorted(m)) for m in possible_ends(g, cliques)}
+            got = {tuple(sorted(m)) for m in possible_ends(g)}
             assert got == _oracle_first_cliques(g), g.edges()
 
 
@@ -238,7 +238,7 @@ def test_strict_weak_order_iff_possible_end_exhaustive():
                 continue
             firsts = _oracle_first_cliques(g)
             for m in cliques:
-                pre = clique_preorder(g, m, cliques)
+                pre = clique_preorder(g, m)
                 assert pre.asymmetric == (tuple(sorted(m)) in firsts)
 
 
@@ -249,7 +249,7 @@ def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
             cliques = max_cliques(g)
             for start, m in enumerate(cliques):
                 try:
-                    got = clique_preorder(g, m, cliques).asymmetric
+                    got = clique_preorder(g, m).asymmetric
                 except RecognitionError:
                     got = True  # raised only after the order proved asymmetric
                 assert got == reference_asymmetric(cliques, start), (g.edges(), m)
@@ -268,9 +268,9 @@ def test_incomparability_classes_yield_modules_exhaustive():
             cliques = max_cliques(g)
             if not _consecutive_orders(cliques):
                 continue
-            spans = span_map(g, cliques)
-            for m in possible_ends(g, cliques):
-                pre = clique_preorder(g, m, cliques)
+            spans = span_map(g)
+            for m in possible_ends(g):
+                pre = clique_preorder(g, m)
                 for group in pre.classes:
                     union = set().union(*(cliques[i] for i in group))
                     outside = set().union(
@@ -289,12 +289,12 @@ def test_quotients_of_all_ends_isomorphic_exhaustive():
             if g.apices() or not is_interval_graph(g):
                 continue
             cliques = max_cliques(g)
-            ends = possible_ends(g, cliques)
+            ends = possible_ends(g)
             quotients = []
             for m in ends:
-                first = collapse_incomparables(g, m, cliques)
+                first = collapse_incomparables(g, m)
                 z = first.clique_order[-1]
-                second = collapse_incomparables(first.graph, z, first.clique_order)
+                second = collapse_incomparables(first.graph, z)
                 quotients.append(_int_graph(second.graph))
             for q in quotients[1:]:
                 assert graph_iso(
@@ -451,6 +451,7 @@ def _partition_fields(part):
 
 def test_sweep_and_first_end_match_reference_loops(monkeypatch):
     for g in _differential_graphs():
+        assert g.components() == sorted(g.components(), key=_ckey)
         assert decomposition_components(g) == reference_decomposition_components(g)
         parts = {}
         for comp in g.components():
@@ -465,7 +466,8 @@ def test_sweep_and_first_end_match_reference_loops(monkeypatch):
             )
             for comp, fields in parts.items():
                 assert _partition_fields(modular_partition(g.subgraph(comp))) == fields
-            assert interval_canon(g) == canon
+            # a fresh graph, so no clique list or partition comes from g's caches
+            assert interval_canon(Graph(g.vertices, g.edges())) == canon
 
 
 def test_one_preorder_per_graph_and_start(monkeypatch):
@@ -473,13 +475,54 @@ def test_one_preorder_per_graph_and_start(monkeypatch):
     calls = []
     original = intervalcanon.clique_preorder
 
-    def counting(G, M, cliques=None):
+    def counting(G, M):
         calls.append((frozenset(G.vertices), frozenset(G.edges()), M))
-        return original(G, M, cliques)
+        return original(G, M)
 
     monkeypatch.setattr(intervalcanon, "clique_preorder", counting)
     interval_canon(g)
     assert len(calls) == len(set(calls)) == 10
+
+
+def test_subgraph_is_one_shared_graph_per_vertex_set():
+    g = Graph.from_structure(generate_random_interval_graph(20, seed=1))
+    s, t = g.vertices[:12], g.vertices[3:9]
+    assert g.subgraph(s) is g.subgraph(set(s))
+    assert g.subgraph(s).subgraph(t) is g.subgraph(t)
+    assert g.subgraph(t).subgraph(t) is g.subgraph(t)
+    assert g.subgraph(g.vertices) is g
+    h = g.subgraph(s)
+    assert h.edges() == {(a, b) for a, b in g.edges() if a in s and b in s}
+    assert h.cliques is h.cliques and h.cliques == max_cliques(h)
+    path = _band(5, 1)
+    assert path.partition is path.partition
+    assert path.partition.cells == modular_partition(path).cells
+
+
+def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
+    g = Graph.from_structure(generate_random_interval_graph(40, seed=3))
+    graphs = {"max_cliques": [], "modular_partition": []}
+    for name, seen in graphs.items():
+        def counting(G, original=getattr(intervalcanon, name), seen=seen):
+            seen.append(G)
+            return original(G)
+
+        monkeypatch.setattr(intervalcanon, name, counting)
+    quotients = []
+    collapse = intervalcanon._collapse
+
+    def collapsing(G, pre):
+        result = collapse(G, pre)
+        quotients.append(result.graph)
+        return result
+
+    monkeypatch.setattr(intervalcanon, "_collapse", collapsing)
+    interval_canon(g)
+    assert quotients and graphs["modular_partition"]
+    for name, seen in graphs.items():
+        vsets = [frozenset(G.vertices) for G in seen]
+        assert len(vsets) == len(set(vsets)), name
+        assert not any(G is q for G in seen for q in quotients), name
 
 
 # --- canon_L -----------------------------------------------------------------
@@ -718,5 +761,9 @@ def test_max_cliques_and_preorder_on_a_collapsed_star():
     assert cliques == [frozenset({0, 1}), frozenset({0, frozenset({2, 3})})]
     pre = clique_preorder(quotient, cliques[0])
     assert pre.asymmetric and pre.pairs == {(0, 1)}
+    # without vertex 0 the class vertex is a component of its own
+    rest = quotient.subgraph([1, frozenset({2, 3})])
+    assert rest.components() == [frozenset({1}), frozenset({frozenset({2, 3})})]
+    assert rest.components() == sorted(rest.components(), key=_ckey)
     # int-only cliques keep their order
     assert max_cliques(star) == [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})]
