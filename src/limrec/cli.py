@@ -17,7 +17,7 @@ from .structures import (
     generate_random_interval_graph, generate_random_tree,
 )
 from .syntax import NUMBER, free_variables, parse_formula
-from .treelogic import DirectedTree, check_path_property, circuit_value, tree_canon
+from .treelogic import DirectedTree, _circuit_report, tree_canon
 
 
 def _read(path: str) -> str:
@@ -105,8 +105,7 @@ def cmd_check(args) -> int:
         return 0
     if args.kind == "circuit":
         structure = _load_structure(args.graph)
-        worst = check_path_property(structure)
-        verdict = circuit_value(structure)
+        worst, verdict = _circuit_report(structure)
         print(f"circuit ok, worst path product {worst}, value {str(verdict).lower()}")
         return 0
     structure = _load_structure(args.graph)

@@ -126,8 +126,10 @@ class Graph:
         return frozenset(v for v in self.vertices if len(self.adj[v]) == self.n - 1)
 
     def is_clique_set(self, vs):
-        vs = list(vs)
-        return all(b in self.adj[a] for i, a in enumerate(vs) for b in vs[i + 1 :])
+        """Whether each vertex of vs is adjacent to all the others: no
+        vertex is its own neighbour, so vs - adj[a] is {a} exactly then."""
+        vs = frozenset(vs)
+        return all(vs - self.adj[a] == {a} for a in vs)
 
     def is_module(self, ws):
         ws = set(ws)
@@ -274,6 +276,15 @@ def _merge_class(members):
     return frozenset(out)
 
 
+def _quotient(G: Graph, vertex_class) -> Graph:
+    """G with each vertex replaced by its class; two classes are adjacent
+    when some of their members are."""
+    return Graph(
+        set(vertex_class.values()),
+        ((vertex_class[a], vertex_class[b]) for a in G.vertices for b in G.adj[a]),
+    )
+
+
 @dataclass
 class Collapse:
     graph: Graph
@@ -309,15 +320,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
         merged = _merge_class(s_set)
         for v in s_set:
             vertex_class[v] = merged
-    # normalize untouched vertices into class form only if quotients nest
-    quotient = Graph(
-        set(vertex_class.values()),
-        (
-            (vertex_class[a], vertex_class[b])
-            for a in G.vertices
-            for b in G.adj[a]
-        ),
-    )
+    quotient = _quotient(G, vertex_class)
     clique_order = []
     clique_position = {}
     for pos, group in enumerate(pre.classes):
@@ -346,15 +349,25 @@ class ModularPartition:
 
 
 def modular_partition(G: Graph) -> ModularPartition:
-    """The maximal clique-set partition via the double collapse: collapse
+    """The maximal clique-set partition of a connected graph.
+
+    An apex graph (complete and one-vertex graphs included) has one cell
+    holding every max clique; its non-apex rest, when there is one, is the
+    one module, so L is the apices plus one vertex for the rest, with one
+    clique at position 0.  Otherwise the double collapse applies: collapse
     at any possible end, then at the top clique of the quotient."""
-    if not G.is_connected():
+    if len(G.components()) != 1:
         raise DomainError("modular partition needs a connected graph")
-    if G.apices():
-        raise DomainError("modular partition needs an apex-free graph")
-    if G.n < 2:
-        raise DomainError("modular partition needs at least two vertices")
     cliques = G.cliques
+    apices = G.apices()
+    if apices:
+        rest = frozenset(G.vertices) - apices
+        vertex_class = {v: rest if v in rest else frozenset({v}) for v in G.vertices}
+        quotient = _quotient(G, vertex_class)
+        return ModularPartition(
+            [list(cliques)], [rest] if rest else [], vertex_class, quotient,
+            [frozenset(quotient.vertices)], {c: 0 for c in cliques},
+        )
     end = next(_possible_ends(G), None)
     if end is None:
         raise RecognitionError(
@@ -391,10 +404,7 @@ def modular_partition(G: Graph) -> ModularPartition:
             "connected apex-free interval graphs have at least three cells",
             certificate=G.vertices,
         )
-    quotient = Graph(
-        set(vertex_class.values()),
-        ((vertex_class[a], vertex_class[b]) for a in G.vertices for b in G.adj[a]),
-    )
+    quotient = _quotient(G, vertex_class)
     order = [
         frozenset(vertex_class[v] for v in cell[0]) for cell in cells
     ]
@@ -444,31 +454,12 @@ def canon_L(H: Graph) -> LCanon:
     """Canonical ordered copy of the module-collapsed quotient of a
     connected graph, with per-module and per-clique position data.
 
-    Apex components collapse to a clique (the non-apex remainder is the
-    single module); otherwise the double collapse applies.  The kept
-    clique order is the one with the lexicographically smaller rendering;
-    when both render identically the orders are reported palindromic.
+    Every component reads L from its partition.  The L of an apex
+    component is one clique, in which the one module (the non-apex rest,
+    if any) sits at position 1.  The kept clique order is the one with the
+    lexicographically smaller rendering; when both render identically the
+    orders are reported palindromic.
     """
-    if not H.is_connected():
-        raise DomainError("canon_L needs a connected graph")
-    cliques = H.cliques
-    apices = H.apices()
-    if H.n == 1:
-        only = cliques[0]
-        return LCanon(1, frozenset(), [(1, 1)], 1, True, [], {only: (1,)})
-    if apices:
-        rest = frozenset(v for v in H.vertices if v not in apices)
-        if not rest:
-            # complete graph: L is the graph itself
-            intervals = [(1, 1)] * H.n
-            _, edges = _render(intervals)
-            return LCanon(H.n, edges, intervals, 1, True, [], {cliques[0]: (1,)})
-        size = len(apices) + 1
-        intervals = [(1, 1)] * size
-        _, edges = _render(intervals)
-        modules = [ModuleRecord(rest, (1,), "single")]
-        colour = {c: (1,) for c in cliques}
-        return LCanon(size, edges, intervals, 1, True, modules, colour)
     part = H.partition
     L = part.quotient
     order_fwd = part.clique_order
@@ -516,17 +507,6 @@ def canon_L(H: Graph) -> LCanon:
 
 # ---------------------------------------------------------------------------
 # Decomposition components (the P sets)
-
-
-def _wg_big_classes(H: Graph):
-    """Multi-vertex classes of the module partition of a connected graph."""
-    if H.n <= 1:
-        return []
-    apices = H.apices()
-    if apices:
-        rest = frozenset(v for v in H.vertices if v not in apices)
-        return [rest] if len(rest) > 1 else []
-    return list(H.partition.modules)
 
 
 def decomposition_components(G: Graph):
@@ -579,7 +559,7 @@ def decomposition_components(G: Graph):
             split = None
             if G.is_module(vset):
                 H = G.subgraph(vset)
-                split = (_wg_big_classes(H), H.apices())
+                split = (H.partition.modules, H.apices())
             splits[vset] = split
         return splits[vset]
 
@@ -614,7 +594,7 @@ class ColouredTree:
     kinds: list                 # "root" | "component" | "arrangement" | "module"
     colours: dict               # node -> tuple of (m, n) pairs
     comp_set: dict = field(default_factory=dict)      # component node -> frozenset
-    comp_lcanon: dict = field(default_factory=dict)   # component node -> LCanon | None
+    comp_lcanon: dict = field(default_factory=dict)   # component node -> LCanon
     comp_apices: dict = field(default_factory=dict)   # component node -> frozenset
     module_set: dict = field(default_factory=dict)    # module node -> frozenset
     module_record: dict = field(default_factory=dict) # module node -> ModuleRecord
@@ -654,11 +634,6 @@ def build_modular_tree(G: Graph) -> ColouredTree:
     def add_component(comp, parent):
         node = new_node("component", parent)
         tree.comp_set[node] = comp
-        if len(comp) == 1:
-            tree.colours[node] = ()
-            tree.comp_lcanon[node] = None
-            tree.comp_apices[node] = frozenset()
-            return node
         H = G.subgraph(comp)
         info = canon_L(H)
         tree.comp_lcanon[node] = info
@@ -720,8 +695,6 @@ def interval_canon(G: Graph):
 
     def canon_component(node):
         comp = tree.comp_set[node]
-        if len(comp) == 1:
-            return 1, set()
         info = tree.comp_lcanon[node]
         apices = tree.comp_apices[node]
         arr_nodes = tree.children(node)
@@ -849,33 +822,18 @@ def interval_canon(G: Graph):
 
 
 def _component_clique_order(H: Graph) -> list:
-    """A valid consecutive order of the max cliques of a connected graph."""
-    cliques = H.cliques
-    if H.n == 1 or len(cliques) == 1:
-        return cliques
-    apices = H.apices()
-    if apices:
-        rest = frozenset(v for v in H.vertices if v not in apices)
-        order = []
-        for sub in H.subgraph(rest).components():
-            order.extend(_component_clique_order(H.subgraph(sub)))
-        expanded = [frozenset(c | apices) for c in order]
-        if sorted(expanded, key=_ckey) != sorted(cliques, key=_ckey):
-            raise RecognitionError(
-                "apex component cliques fail to stack", certificate=frozenset(H.vertices)
-            )
-        return expanded
+    """A valid consecutive order of the max cliques of a connected graph:
+    the cells in order, each module's cliques expanded in place."""
     part = H.partition
     order = []
-    for cell in part.cells:
+    for cell, image in zip(part.cells, part.clique_order):
         if len(cell) == 1:
             order.append(cell[0])
             continue
-        sample = cell[0]
-        module = next(
-            cls for cls in part.modules if cls & sample
-        )
-        outside = frozenset(sample - module)
+        # read from the image in L: an apex graph's one cell is empty when
+        # max_cliques found none, and the recursion below then rejects it
+        module = next(cls for cls in image if len(cls) > 1)
+        outside = frozenset().union(*image) - module
         for c in cell:
             if frozenset(c - module) != outside:
                 raise RecognitionError(
@@ -887,7 +845,7 @@ def _component_clique_order(H: Graph) -> list:
         expanded = [frozenset(sc | outside) for sc in sub_cliques]
         if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
             raise RecognitionError(
-                "module cliques fail to expand the cell", certificate=sample
+                "module cliques fail to expand the cell", certificate=cell[0]
             )
         order.extend(expanded)
     return order

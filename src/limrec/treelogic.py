@@ -647,6 +647,12 @@ def _postorder(out, starts):
 def check_path_property(structure: Structure):
     """Verify the in-degree product along every path is at most |C|.
     Returns the worst product; raises with a witness path otherwise."""
+    return _checked_circuit(structure)[0]
+
+
+def _checked_circuit(structure: Structure):
+    """(worst path product, output gate) from one shape of the circuit;
+    raises as check_path_property does."""
     out, indeg, _, root = _circuit_shape(structure)
     n = structure.universe_size
     best = {}  # gate -> (worst product below it, next gate on that path)
@@ -671,13 +677,18 @@ def check_path_property(structure: Structure):
             f"path property violated: product {worst} exceeds {n}",
             certificate=tuple(path),
         )
-    return worst
+    return worst, root
 
 
 def circuit_value(structure: Structure, engine: str = "memo") -> bool:
     """Evaluate the circuit's output gate through the recursion formula;
     rejects inputs without the size-bounded path property."""
-    _, _, _, root = _circuit_shape(structure)
-    check_path_property(structure)
-    return evaluate(structure, {svar("z"): root}, CIRCUIT_FORMULA, engine=engine)
+    return _circuit_report(structure, engine)[1]
+
+
+def _circuit_report(structure: Structure, engine: str = "memo"):
+    """(worst path product, value of the output gate), checking the path
+    property once on one shape of the circuit."""
+    worst, root = _checked_circuit(structure)
+    return worst, evaluate(structure, {svar("z"): root}, CIRCUIT_FORMULA, engine=engine)
 

@@ -7,7 +7,8 @@ from functools import lru_cache
 from limrec.errors import FormulaError, RecognitionError
 from limrec.evaluator import EvalContext, LabelledGraph, x_membership
 from limrec.intervalcanon import (
-    _possible_ends, _vkey, clique_preorder, interval_model, modular_partition, span_map,
+    LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
+    interval_model, modular_partition, span_map,
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
@@ -448,6 +449,66 @@ def reference_decomposition_components(G):
         if ok:
             result.append((M, bound, comp))
     return result
+
+
+def reference_canon_L(H):
+    """canon_L with the cases it once answered before reading the
+    partition: a one-vertex graph, a complete graph, and an apex graph,
+    whose non-apex rest is one module at the only clique position."""
+    cliques = H.cliques
+    apices = H.apices()
+    if H.n == 1:
+        return LCanon(1, frozenset(), [(1, 1)], 1, True, [], {cliques[0]: (1,)})
+    if not apices:
+        return canon_L(H)
+    rest = frozenset(H.vertices) - apices
+    if not rest:
+        intervals = [(1, 1)] * H.n
+        return LCanon(H.n, _render(intervals)[1], intervals, 1, True, [], {cliques[0]: (1,)})
+    intervals = [(1, 1)] * (len(apices) + 1)
+    modules = [ModuleRecord(rest, (1,), "single")]
+    return LCanon(
+        len(intervals), _render(intervals)[1], intervals, 1, True, modules,
+        {c: (1,) for c in cliques},
+    )
+
+
+def reference_clique_order(H):
+    """The consecutive clique order of a connected graph as built before
+    apex graphs had a modular partition: a single clique as it is, an apex
+    graph's rest components in turn with the apices added to each clique,
+    and otherwise the cells in order, each module's cliques expanded."""
+    cliques = H.cliques
+    if H.n == 1 or len(cliques) == 1:
+        return cliques
+    apices = H.apices()
+    if apices:
+        rest = frozenset(H.vertices) - apices
+        order = []
+        for sub in H.subgraph(rest).components():
+            order.extend(reference_clique_order(H.subgraph(sub)))
+        expanded = [frozenset(c | apices) for c in order]
+        if sorted(expanded, key=_ckey) != sorted(cliques, key=_ckey):
+            raise RecognitionError("apex component cliques fail to stack")
+        return expanded
+    part = H.partition
+    order = []
+    for cell in part.cells:
+        if len(cell) == 1:
+            order.append(cell[0])
+            continue
+        module = next(cls for cls in part.modules if cls & cell[0])
+        outside = frozenset(cell[0] - module)
+        if any(frozenset(c - module) != outside for c in cell):
+            raise RecognitionError("cell cliques disagree outside their module")
+        sub_cliques = []
+        for sub in H.subgraph(module).components():
+            sub_cliques.extend(reference_clique_order(H.subgraph(sub)))
+        expanded = [frozenset(sc | outside) for sc in sub_cliques]
+        if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
+            raise RecognitionError("module cliques fail to expand the cell")
+        order.extend(expanded)
+    return order
 
 
 # --- reference copies of the formula walkers ----------------------------------

@@ -1,7 +1,9 @@
 import random
 from pathlib import Path
 
+from limrec import treelogic
 from limrec.cli import main
+from limrec.structures import Structure
 
 DATA = Path(__file__).parent / "data"
 
@@ -185,6 +187,22 @@ def test_check_tree_rejects_cycle(capsys, tmp_path):
 def test_check_circuit(capsys):
     code, out, _ = run(capsys, "check", "--kind", "circuit", str(DATA / "circuit_small.struct"))
     assert code == 0 and "value true" in out
+
+
+def test_circuit_shape_is_built_and_path_checked_once(capsys, monkeypatch):
+    calls = {"_circuit_shape": 0, "_postorder": 0}  # the path check walks one postorder
+    for name in calls:
+        def counting(*args, original=getattr(treelogic, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(treelogic, name, counting)
+    struct = DATA / "circuit_small.struct"
+    assert treelogic.circuit_value(Structure.parse(struct.read_text())) is True
+    assert calls == {"_circuit_shape": 1, "_postorder": 1}
+    code, out, _ = run(capsys, "check", "--kind", "circuit", str(struct))
+    assert code == 0 and "value true" in out
+    assert calls == {"_circuit_shape": 2, "_postorder": 2}
 
 
 def test_gen_circuit_size(capsys):

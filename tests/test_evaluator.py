@@ -2,6 +2,7 @@ import ast
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -527,6 +528,38 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_library_name_is_called_documented_or_traced():
+    # a name in src/limrec has a reference elsewhere in src/, belongs to the
+    # README's "Library surface", or is read by bench/tracing.py
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    surface = readme.split("## Library surface\n", 1)[1].split("\n## ", 1)[0]
+    known = set(re.findall(r"\w+", surface + (root / "bench" / "tracing.py").read_text()))
+    defined, referenced = [], set()
+    for path in sorted((root / "src" / "limrec").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Assign):
+                defined += [(path.name, t.id) for t in node.targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    assert len(defined) > 100
+    unused = [
+        f"{name}:{attr}" for name, attr in defined
+        if not re.fullmatch(r"__\w+__", attr) and attr not in referenced | known
+    ]
+    assert unused == []
 
 
 def test_lazy_formula_graph_matches_materialised(monkeypatch):

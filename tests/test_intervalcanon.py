@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from limrec import intervalcanon
-from limrec.errors import RecognitionError
+from limrec.errors import DomainError, RecognitionError
 from limrec.intervalcanon import (
     Graph, _ckey, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
     decomposition_components, interval_canon, interval_model, max_cliques,
@@ -16,8 +16,8 @@ from limrec.treelogic import coloured_compare
 
 from .helpers import (
     clique_witness, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, is_interval_graph,
-    mask_to_edges, possible_ends, reference_asymmetric, reference_decomposition_components,
-    reference_possible_ends,
+    mask_to_edges, possible_ends, reference_asymmetric, reference_canon_L,
+    reference_clique_order, reference_decomposition_components, reference_possible_ends,
 )
 
 
@@ -87,6 +87,17 @@ def test_max_cliques_triangle_and_path():
     assert max_cliques(tri) == [frozenset({0, 1, 2})]
     path = Graph(range(3), [(0, 1), (1, 2)])
     assert max_cliques(path) == [frozenset({0, 1}), frozenset({1, 2})]
+
+
+def test_is_clique_set_matches_the_pairwise_check():
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        g = Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6])
+        for k in range(n + 1):
+            for vs in itertools.combinations(g.vertices, k):
+                pairwise = all(b in g.adj[a] for a, b in itertools.combinations(vs, 2))
+                assert g.is_clique_set(vs) == pairwise, (sorted(g.edges()), vs)
 
 
 def _brute_max_cliques(g: Graph):
@@ -419,6 +430,58 @@ def test_modular_partition_path_all_singletons():
     assert part.modules == []
     assert all(len(cell) == 1 for cell in part.cells)
     assert all(len(cls) == 1 for cls in part.vertex_class.values())
+
+
+def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
+    def single(*vs):
+        return [frozenset({v}) for v in vs]
+
+    # apices 0 and 1 over the rest {2, 3, 4}, in which 2-3 is an edge
+    g = Graph(range(5), [(0, 1), (2, 3)] + [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    rest = frozenset({2, 3, 4})
+    part = modular_partition(g)
+    assert part.cells == [g.cliques] and len(g.cliques) == 2
+    assert part.modules == [rest]
+    assert part.vertex_class == {0: frozenset({0}), 1: frozenset({1}), 2: rest, 3: rest, 4: rest}
+    assert set(part.quotient.vertices) == set(single(0, 1)) | {rest}
+    assert part.quotient.edges() == {
+        (a, b) for a, b in itertools.combinations(part.quotient.vertices, 2)
+    }
+    assert part.clique_order == [frozenset(part.quotient.vertices)]
+    assert part.clique_position == {c: 0 for c in g.cliques}
+    # a complete graph and a one-vertex graph: one cell, no module, L is the graph
+    for g in (Graph(range(3), itertools.combinations(range(3), 2)), Graph([7], [])):
+        part = modular_partition(g)
+        (clique,) = g.cliques
+        assert part.cells == [[clique]] and part.modules == []
+        assert part.vertex_class == {v: frozenset({v}) for v in g.vertices}
+        assert list(part.quotient.vertices) == single(*g.vertices)
+        assert len(part.quotient.edges()) == g.n * (g.n - 1) // 2
+        assert part.clique_order == [frozenset(single(*g.vertices))]
+        assert part.clique_position == {clique: 0}
+    for g in (Graph(range(3), [(0, 1)]), Graph([], [])):
+        with pytest.raises(DomainError):
+            modular_partition(g)
+        with pytest.raises(DomainError):
+            canon_L(g)
+
+
+def test_canon_L_and_interval_model_match_the_former_apex_cases_exhaustive():
+    apex_graphs = 0
+    for n in range(1, 8):
+        for mask in graphs_up_to_iso(n, np):
+            g = Graph(range(n), mask_to_edges(mask, n))
+            if not is_interval_graph(g):
+                continue
+            apex_graphs += bool(g.apices())
+            assert canon_L(g) == reference_canon_L(g), sorted(g.edges())
+            positions = {}
+            for p, clique in enumerate(reference_clique_order(g), start=1):
+                for v in clique:
+                    positions.setdefault(v, []).append(p)
+            model = [(v, min(ps), max(ps)) for v, ps in sorted(positions.items())]
+            assert interval_model(g) == model, sorted(g.edges())
+    assert apex_graphs == 1 + 1 + 2 + 4 + 10 + 27 + 92  # n = 1, ..., 7
 
 
 def test_decomposition_matches_recursive_oracle_exhaustive():
