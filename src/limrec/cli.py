@@ -16,7 +16,7 @@ from .structures import (
     Structure, generate_layered_graph, generate_random_circuit,
     generate_random_interval_graph, generate_random_tree,
 )
-from .syntax import NUMBER, free_variables, parse_formula
+from .syntax import NUMBER, free_variables, nvar, parse_formula, svar
 from .treelogic import DirectedTree, _circuit_report, tree_canon
 
 
@@ -40,18 +40,28 @@ def _load_tree(path: str) -> DirectedTree:
 
 
 def _parse_bindings(structure: Structure, formula, pairs):
-    free = {v.name: v for v in free_variables(formula)}
+    """The assignment given by `name=value` bindings: `#name` names the
+    number variable, a bare name the structure variable of that name or,
+    when there is none, the number variable."""
+    free = free_variables(formula)
     alpha = {}
     for item in pairs or ():
         if "=" not in item:
             raise LimrecError(f"binding {item!r} must look like name=value")
         name, value = item.split("=", 1)
-        name = name.lstrip("#")
-        var = free.get(name)
-        if var is None:
+        if name.startswith("#"):
+            var = nvar(name[1:])
+        else:
+            var = svar(name)
+            if var not in free:
+                var = nvar(name)
+        if var not in free:
             raise LimrecError(f"{name!r} is not a free variable of the formula")
         if var.sort == NUMBER:
-            alpha[var] = int(value)
+            try:
+                alpha[var] = int(value)
+            except ValueError:
+                raise LimrecError(f"value {value!r} for {var!r} is not a number") from None
         else:
             alpha[var] = structure.element_index(value)
     return alpha

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .errors import DomainError, FormulaError, LimrecError
 from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
-    And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
+    NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
     LrecEq, Not, Or, STRUCT, Var, _contains_dtc, _outer_variables, _rule, expand_dtc,
     free_variables,
 )
@@ -31,16 +31,17 @@ EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
 
 
 class EvalContext:
-    """Per-evaluation caches: compiled formula closures plus the recursion
-    graphs of lrec and lreceq nodes (`formula_graph`), keyed by node and
-    the assignment restricted to the node's outer free variables.  Never
-    share across structures."""
+    """Per-evaluation caches: compiled formula closures, the relation
+    indexes of `_guard`, and the recursion graphs of lrec and lreceq nodes
+    (`formula_graph`), keyed by node and the assignment restricted to the
+    node's outer free variables.  Never share across structures."""
 
     def __init__(self, structure: Structure):
         self.structure = structure
         self.edge_threshold = EDGE_MATERIALIZE_THRESHOLD
         self._graphs: dict = {}
         self._compiled: dict = {}
+        self._index: dict = {}
 
     def formula_graph(self, node: Lrec | LrecEq, alpha) -> FormulaGraph:
         """The recursion graph of `node` under `alpha`, built once per
@@ -210,6 +211,83 @@ def _plan(f: Formula) -> Formula:
     return plan(f)
 
 
+# ---------------------------------------------------------------------------
+# Guarded enumeration.  A quantifier, count or recursion-graph edge whose
+# planned body is an and-chain with an atom over all of its variables
+# needs only the values that make the atom true: it loops over the atom's
+# tuples, not over the domain (the guarded fragment's evaluation
+# strategy).  Candidates never omit a satisfying value, and the body is
+# still tested on each one, so no truth value changes.
+
+
+def _extremum(f: Formula, n: int):
+    """(t, value) when f is `forall #r #r <= #t` (value n) or
+    `forall #r #t <= #r` (value 0) with #r, #t distinct number variables:
+    f holds exactly when #t = value.  None otherwise."""
+    if not (isinstance(f, Forall) and isinstance(f.sub, LeqNum) and f.var.sort == NUMBER):
+        return None
+    left, right = f.sub.left, f.sub.right
+    if left == f.var and right != f.var and right.sort == NUMBER:
+        return right, n
+    if right == f.var and left != f.var and left.sort == NUMBER:
+        return left, 0
+    return None
+
+
+def _guard(ctx: EvalContext, parts, xs, negated: bool = False):
+    """A function alpha -> the candidate tuples of values for the distinct
+    variables xs, or None when no part of the planned and-chain `parts`
+    guards xs.  A guard is the first atom whose arguments include every
+    x in xs, or a number extremum `forall #r #r <= #t` (xs = (#t,)).  With
+    `negated` the parts form an or-chain and a guard stands under a not.
+    The candidates include every tuple under which the guard holds."""
+    if len(set(xs)) < len(xs):
+        return None
+    for part in parts:
+        if negated:
+            if not isinstance(part, Not):
+                continue
+            part = part.sub
+        if isinstance(part, Atom) and set(xs) <= set(part.args):
+            return _atom_guard(ctx, part, xs)
+        pinned = _extremum(part, ctx.structure.universe_size)
+        if pinned is not None and (pinned[0],) == tuple(xs):
+            only = ((pinned[1],),)
+            return lambda alpha: only
+    return None
+
+
+def _atom_guard(ctx: EvalContext, atom: Atom, xs):
+    """Candidates from the atom's relation index: its tuples whose repeated
+    variables agree, keyed by the values at the positions of the other
+    variables and projected onto xs, in ascending order."""
+    args = atom.args
+    bound = tuple(i for i, a in enumerate(args) if a not in xs)
+    key = (atom.rel, tuple(xs.index(a) if a in xs else -1 for a in args))
+    index = ctx._index.get(key)
+    if index is None:
+        first = [args.index(x) for x in xs]
+        rows: dict = {}
+        for t in ctx.structure.relations[atom.rel]:
+            if all(t[i] == t[first[xs.index(a)]] for i, a in enumerate(args) if a in xs):
+                rows.setdefault(tuple(t[i] for i in bound), []).append(tuple(t[i] for i in first))
+        index = ctx._index[key] = {k: tuple(sorted(v)) for k, v in rows.items()}
+    if len(bound) == 1:
+        b0 = args[bound[0]]
+        return lambda alpha: index.get((alpha[b0],), ())
+    at = [args[i] for i in bound]
+    return lambda alpha: index.get(tuple(alpha[a] for a in at), ())
+
+
+def _candidates(ctx: EvalContext, parts, xs, negated: bool = False):
+    """The guard of xs among parts, or else every tuple of their domains."""
+    guard = _guard(ctx, parts, xs, negated)
+    if guard is not None:
+        return guard
+    doms = [_domain(ctx.structure, x) for x in xs]
+    return lambda alpha: itertools.product(*doms)
+
+
 def _build(ctx: EvalContext, f: Formula, engine: str):
     A = ctx.structure
     if isinstance(f, Atom):
@@ -247,15 +325,19 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         right = _build(ctx, f.right, engine)
         return lambda alpha: left(alpha) or right(alpha)
     if isinstance(f, (Exists, Forall)):
+        pinned = _extremum(f, A.universe_size)
+        if pinned is not None:
+            t, value = pinned
+            return lambda alpha: alpha[t] == value
         want = isinstance(f, Exists)
         var = f.var
-        dom = _domain(A, var)
         sub = _build(ctx, f.sub, engine)
+        cands = _candidates(ctx, _parts(f.sub, And if want else Or), (var,), not want)
 
-        def quant(alpha, var=var, dom=dom, sub=sub, want=want):
+        def quant(alpha, var=var, cands=cands, sub=sub, want=want):
             saved = alpha.get(var, _MISSING)
             try:
-                for val in dom:
+                for (val,) in cands(alpha):
                     alpha[var] = val
                     if sub(alpha) == want:
                         return want
@@ -271,15 +353,15 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         n = A.universe_size
         uvars = f.uvars
         pvars = f.pvars
-        doms = [_domain(A, v) for v in uvars]
         sub = _build(ctx, f.sub, engine)
+        cands = _candidates(ctx, _parts(f.sub, And), uvars)
 
         def count_fn(alpha):
             target = num_encode([alpha[p] for p in pvars], n)
             count = 0
             saved = [(v, alpha.get(v, _MISSING)) for v in uvars]
             try:
-                for vals in itertools.product(*doms):
+                for vals in cands(alpha):
                     for var, val in zip(uvars, vals):
                         alpha[var] = val
                     if sub(alpha):
@@ -367,13 +449,17 @@ class FormulaGraph(LabelledGraph):
     Vertices are classes of tuples over Dom(u), each named by its
     lexicographically least member: for lreceq the classes of the
     reflexive-symmetric-transitive closure of the phi_= pairs, for lrec
-    single tuples (its quotient is the identity).  The graph is built up
-    front: phi_edge is tested once on every pair of tuples and the edges
-    are quotiented.  A vertex's label set is the union of those of its
-    members.  An lrec graph whose squared domain size exceeds the
-    context threshold is built on demand instead: each vertex is its own
-    class, and its neighbours and in-degree are computed when first
-    asked and cached.
+    single tuples (its quotient is the identity).  A formula over u, v is
+    tested on a pair (a, b) only when b is a candidate target of a: the
+    tuples of its guard (`_guard` over v, with u bound) when an and-part
+    of the planned formula is an atom covering v, else every tuple.  The graph is built up front: phi_edge is tested once on each
+    source and candidate target and the edges are quotiented.  A
+    vertex's label set is the union of those of its members.  An lrec
+    graph whose squared domain size exceeds the context threshold is
+    built on demand instead: each vertex is its own class, its
+    out-neighbours are the candidate targets that pass, its in-degree
+    counts the candidate sources (the guard over u, with v bound) that
+    pass, and both are computed when first asked and cached.
     """
 
     def __init__(self, ctx: EvalContext, node: Lrec | LrecEq, base_alpha):
@@ -390,7 +476,13 @@ class FormulaGraph(LabelledGraph):
         self.label_bound = (A.universe_size + 1) ** self.width_p
         self._edge_fn = _compile(ctx, node.phi_edge, "memo")
         self._label_fn = _compile(ctx, node.phi_label, "memo")
+        edge_parts = self._guard_parts(node.phi_edge)
+        self._targets = _candidates(ctx, edge_parts, node.v)
+        self._sources = _candidates(ctx, edge_parts, node.u)
+        # pairs bind u, v and labels bind u, p, each in its own copy of the
+        # outer assignment, so neither overwrites an outer variable of the other
         self._alpha = dict(base_alpha)
+        self._label_alpha = dict(base_alpha)
         self._out: dict = {}
         self._indeg: dict = {}
         self._label_cache: dict = {}
@@ -400,26 +492,44 @@ class FormulaGraph(LabelledGraph):
         if isinstance(node, LrecEq) or self.dom_size * self.dom_size <= ctx.edge_threshold:
             self._build()
 
+    def _guard_parts(self, formula):
+        """The and-parts of the planned formula over u, v, where a guard
+        is looked for.  Pairs bind u before v, so a guard over u read with
+        v bound would be wrong for a variable of both: then there are none."""
+        if set(self.node.u) & set(self.node.v):
+            return ()
+        return _parts(_plan(formula), And)
+
     def _pairs(self, fn, sources, targets):
-        """The pairs (a, b) in sources x targets that satisfy fn over u, v;
-        targets is iterated once per source."""
+        """The pairs (a, b) that satisfy fn over u, v, for a in sources and
+        b in targets(alpha) with u bound to a."""
         alpha, u, v = self._alpha, self.node.u, self.node.v
         for a in sources:
             alpha.update(zip(u, a))
-            for b in targets:
+            for b in targets(alpha):
                 alpha.update(zip(v, b))
                 if fn(alpha):
                     yield a, b
+
+    def _bound(self, cands, xs, values):
+        """cands(alpha) with xs bound to values."""
+        self._alpha.update(zip(xs, values))
+        return cands(self._alpha)
 
     def _build(self):
         node = self.node
         domain = list(itertools.product(*self.doms))
         if isinstance(node, LrecEq):
             eq_fn = _compile(self.ctx, node.phi_eq, "memo")
-            classes = _closure_classes(domain, lambda a, b: any(self._pairs(eq_fn, (a,), (b,))))
+            eq_targets = _candidates(self.ctx, self._guard_parts(node.phi_eq), node.v)
+            classes = _closure_classes(
+                domain,
+                lambda a: self._bound(eq_targets, node.u, a),
+                lambda a, b: any(self._pairs(eq_fn, (a,), lambda alpha: (b,))),
+            )
         else:
             classes = [[t] for t in domain]
-        edges = self._pairs(self._edge_fn, domain, domain)
+        edges = self._pairs(self._edge_fn, domain, self._targets)
         reps, qedges, self._class_of = quotient_by_equivalence(classes, edges)
         self._members = dict(zip(reps, classes))
         out: dict = {rep: [] for rep in reps}
@@ -440,14 +550,15 @@ class FormulaGraph(LabelledGraph):
     def out_neighbours(self, vertex):
         out = self._out.get(vertex)
         if out is None:  # built on demand
-            pairs = self._pairs(self._edge_fn, (vertex,), itertools.product(*self.doms))
+            pairs = self._pairs(self._edge_fn, (vertex,), self._targets)
             out = self._out[vertex] = tuple(b for _, b in pairs)
         return out
 
     def in_degree(self, vertex):
         indeg = self._indeg.get(vertex)
         if indeg is None:  # built on demand
-            pairs = self._pairs(self._edge_fn, itertools.product(*self.doms), (vertex,))
+            sources = self._bound(self._sources, self.node.v, vertex)
+            pairs = self._pairs(self._edge_fn, sources, lambda alpha: (vertex,))
             indeg = self._indeg[vertex] = sum(1 for _ in pairs)
         return indeg
 
@@ -458,7 +569,7 @@ class FormulaGraph(LabelledGraph):
         cached = self._label_cache.get(key)
         if cached is None:
             digits = num_decode(count, self.width_p, self.ctx.structure.universe_size)
-            alpha = self._alpha
+            alpha = self._label_alpha
             alpha.update(zip(self.node.p, digits))
             cached = False
             for member in self._members.get(vertex, (vertex,)):
@@ -470,10 +581,11 @@ class FormulaGraph(LabelledGraph):
         return cached
 
 
-def _closure_classes(domain, related):
-    """Classes of the equivalence generated by the pairs of `domain` that
-    satisfy `related`, each in domain order.  Pairs already joined are
-    not tested."""
+def _closure_classes(domain, candidates, related):
+    """Classes of the equivalence generated by the pairs (a, b), a in
+    `domain` and b in candidates(a), that satisfy `related`, each in
+    domain order.  Pairs already joined are not tested."""
+    position = {t: i for i, t in enumerate(domain)}
     parent = list(range(len(domain)))
 
     def find(x):
@@ -485,7 +597,8 @@ def _closure_classes(domain, related):
         return root
 
     for i, a in enumerate(domain):
-        for j, b in enumerate(domain):
+        for b in candidates(a):
+            j = position[b]
             if i == j:
                 continue
             ri, rj = find(i), find(j)
@@ -717,17 +830,19 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     domain = list(itertools.product(*doms))
     alpha: dict = {}
 
-    def holds(formula, pairs):
-        for var, val in pairs:
-            alpha[var] = val
-        return _compile(ctx, formula, "memo")(alpha)
+    def holds(fn, pairs):
+        alpha.update(pairs)
+        return fn(alpha)
 
-    v_tuples = [t for t in domain if holds(theta.theta_v, zip(theta.u, t))]
+    universe_fn = _compile(ctx, theta.theta_v, "memo")
+    v_tuples = [t for t in domain if holds(universe_fn, zip(theta.u, t))]
     if not v_tuples:
         raise DomainError("transduction undefined: empty universe formula")
+    approx_fn = _compile(ctx, theta.theta_approx, "memo")
     classes = _closure_classes(
         domain,
-        lambda a, b: holds(theta.theta_approx, list(zip(theta.u, a)) + list(zip(theta.v, b))),
+        lambda a: domain,
+        lambda a, b: holds(approx_fn, [*zip(theta.u, a), *zip(theta.v, b)]),
     )
     in_universe = set(v_tuples)
     kept = [[t for t in group if t in in_universe] for group in classes]
@@ -737,12 +852,25 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     vocab = Vocabulary(tuple((name, len(args)) for name, _, args in theta.relations))
     relations = {}
     for name, formula, arg_tuples in theta.relations:
+        # rows are values of all argument variables in order; a guard of
+        # the formula over them gives the candidate rows, unless the formula
+        # also reads other variables
+        xs = tuple(var for arg_vars in arg_tuples for var in arg_vars)
+        ends = list(itertools.accumulate(len(arg_vars) for arg_vars in arg_tuples))
+        fn = _compile(ctx, formula, "memo")
+        guard = None
+        if free_variables(formula) <= set(xs):
+            guard = _guard(ctx, _parts(_plan(formula), And), xs)
+        if guard is None:
+            rows = (sum(combo, ()) for combo in itertools.product(v_tuples, repeat=len(arg_tuples)))
+        else:
+            rows = guard(alpha)
         tuples = set()
-        for combo in itertools.product(v_tuples, repeat=len(arg_tuples)):
-            pairs = []
-            for arg_vars, value in zip(arg_tuples, combo):
-                pairs.extend(zip(arg_vars, value))
-            if holds(formula, pairs):
+        for row in rows:
+            combo = [row[end - len(arg_vars):end] for arg_vars, end in zip(arg_tuples, ends)]
+            if not all(t in in_universe for t in combo):
+                continue
+            if holds(fn, zip(xs, row)):
                 tuples.add(tuple(class_index[t] for t in combo))
         relations[name] = tuples
     return Structure(vocab, len(reps), relations)

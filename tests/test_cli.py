@@ -300,3 +300,40 @@ def test_eval_rejects_an_atom_with_the_wrong_argument_count(capsys, tmp_path):
         code, out, err = run(capsys, "eval", str(struct), str(formula))
         assert code == 2 and out == "", (text, out)
         assert err.startswith(f"error: relation E has arity 2, but the atom gives it {given}"), err
+
+
+def _two_sorts_files(tmp_path):
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
+    formula = tmp_path / "f.formula"
+    formula.write_text("exists y (E(x, y) and #x <= #y)\n")
+    return str(struct), str(formula)
+
+
+def test_bind_tells_the_sorts_of_one_name_apart(capsys, tmp_path):
+    # x and #x are two free variables: `#x` names the number one, a bare
+    # `x` the structure one
+    struct, formula = _two_sorts_files(tmp_path)
+    for x, nx, ny, want in (("0", "1", "2", 0), ("0", "2", "1", 1), ("1", "0", "0", 1)):
+        code, out, err = run(
+            capsys, "eval", struct, formula,
+            "--bind", f"x={x}", "--bind", f"#x={nx}", "--bind", f"y={ny}",
+        )
+        assert (code, out, err) == (want, ["true\n", "false\n"][want], ""), (x, nx, ny)
+
+
+def test_bind_a_bare_name_of_the_only_number_variable(capsys, tmp_path):
+    struct, formula = _two_sorts_files(tmp_path)
+    # y names only #y; #y does not name a structure variable
+    code, out, _ = run(capsys, "eval", struct, formula, "--bind", "x=0", "--bind", "#x=0",
+                       "--bind", "y=2")
+    assert (code, out) == (0, "true\n")
+    code, _, err = run(capsys, "eval", struct, formula, "--bind", "#z=0")
+    assert code == 2 and "'#z' is not a free variable" in err
+
+
+def test_bind_a_number_variable_to_a_non_number(capsys, tmp_path):
+    struct, formula = _two_sorts_files(tmp_path)
+    code, out, err = run(capsys, "eval", struct, formula, "--bind", "x=0", "--bind", "#x=abc")
+    assert (code, out) == (2, "")
+    assert err == "error: value 'abc' for #x is not a number\n"

@@ -1,4 +1,6 @@
 import ast
+import collections
+import contextlib
 import itertools
 import os
 import random
@@ -729,3 +731,193 @@ def test_evaluate_hundred_deep_formulas(shape):
     g = Structure.parse("vocab E/2\nuniverse 2\nE 0 0\n")
     for engine in ("memo", "stream"):
         assert evaluate(g, {svar("x"): 0}, _deep(shape, 100), engine) is True
+
+
+# --- guarded enumeration -------------------------------------------------------
+
+
+def _unguarded():
+    """Patch guarded enumeration away: every quantifier, count and
+    recursion-graph edge loops over the whole domain, and the number
+    extremum `forall #r #r <= #t` is decided by its loop."""
+    return mock.patch.multiple(
+        evaluator, _guard=lambda *args: None, _extremum=lambda *args: None,
+    )
+
+
+def _verdicts(structure, formula, rows, engine, planned, guarded, on_demand=False):
+    """Verdicts on each assignment of rows in one fresh context, with the
+    planner and the guards on or off; `on_demand` builds every lrec graph
+    on demand."""
+    with contextlib.ExitStack() as stack:
+        if not planned:
+            stack.enter_context(_unplanned())
+        if not guarded:
+            stack.enter_context(_unguarded())
+        ctx = EvalContext(structure)
+        if on_demand:
+            ctx.edge_threshold = 0
+        return [evaluate(structure, alpha, formula, engine, ctx=ctx) for alpha in rows]
+
+
+def _assert_modes_agree(structure, formula, rows, on_demand=(False,)):
+    for engine in ("memo", "stream"):
+        reference = _verdicts(structure, formula, rows, engine, False, False)
+        for planned, guarded, lazy in itertools.product((True, False), (True, False), on_demand):
+            got = _verdicts(structure, formula, rows, engine, planned, guarded, lazy)
+            assert got == reference, (structure, pretty(formula), engine, planned, guarded, lazy)
+
+
+@given(_formulas(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_guarded_evaluation_matches_unguarded(formula, n, seed):
+    rng = random.Random(seed)
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    edges = {pair for pair in pairs if rng.random() < 0.5}
+    marked = {(v,) for v in range(n) if rng.random() < 0.5}
+    structure = Structure(Vocabulary((("E", 2), ("P", 1))), n, {"E": edges, "P": marked})
+    free = sorted(free_variables(formula), key=repr)
+    rows = list(itertools.product(*(range(n if v.sort == STRUCT else n + 1) for v in free)))
+    rows = [dict(zip(free, row)) for row in rng.sample(rows, min(len(rows), 6))]
+    _assert_modes_agree(structure, formula, rows)
+
+
+GUARD_SHAPES = [
+    "exists z E(z, z)",
+    "exists z (E(z, z) and P(z))",
+    "exists y (E(x, y) and P(y))",
+    "exists y (E(y, x) and not y = x)",
+    "forall y (not E(x, y) or P(y))",
+    "forall y (not E(y, y) or E(x, y))",
+    "exists y (R(x, y, z) and P(y))",
+    "exists y (R(x, y, x) and not P(y))",
+    "forall y (not R(z, y, x) or E(y, x))",
+    "count(y, z ; R(x, y, z)) = #p",
+    "count(z, y ; R(x, y, z) and E(y, z)) = #p",
+    "count(y ; E(x, y)) = #p",
+    "count(y ; E(y, y)) = #p",
+    "exists #t (forall #r #r <= #t and #p <= #t)",
+    "exists #t (forall #r #t <= #r and #t <= #p)",
+    "exists #r (forall #r #r <= #q and #r <= #p)",
+    "exists #t (forall #t #t <= #p and #p <= #t)",
+    "forall #t (not forall #r #r <= #t or #p <= #t)",
+    "count(#t ; forall #q #t <= #q) = #p",
+    "exists #t forall #r (#r <= #t and exists #t #t <= #r)",
+    "[lrec x, y, #p : E(x, y) and P(y) ; count(y ; E(x, y)) = #p](z, #r)",
+    "[lrec x, y, #p : E(y, x) ; P(x) or #p = 0](z, #r)",
+    "[lrec x, y, #p : R(x, y, w) or E(x, y) ; not #p = 0](z, #r)",
+    "[lrec x, y, #p : R(x, w, y) and not x = y ; P(x) or #p = 0](z, #r)",
+    "[lrec x, x, #p : E(x, x) or P(x) ; count(y ; E(x, y)) = #p](z, #r)",
+    "[dtc x, y : E(x, y)](z, w)",
+    "[lreceq x, y, #p : E(x, y) ; not x = x ; x = w](z, #r)",
+    "[lreceq x, y, #p : R(x, y, w) ; E(x, y) ; P(x) and not #p = 0](z, #r)",
+]
+
+
+@pytest.mark.parametrize("text", GUARD_SHAPES)
+def test_guarded_shapes_match_unguarded(text):
+    formula = parse_formula(text)
+    free = sorted(free_variables(formula), key=repr)
+    vocab = Vocabulary((("E", 2), ("P", 1), ("R", 3)))
+    rng = random.Random(text)
+    for n in (1, 1, 2, 2, 3, 3):
+        triples = list(itertools.product(range(n), repeat=3))
+        density = rng.choice((0.0, 0.3, 0.6))  # 0.0: every relation empty
+        rels = {
+            "E": {(a, b) for a, b, _ in triples if rng.random() < density},
+            "P": {(a,) for a in range(n) if rng.random() < density},
+            "R": {t for t in triples if rng.random() < density},
+        }
+        structure = Structure(vocab, n, rels)
+        rows = [
+            dict(zip(free, row))
+            for row in itertools.product(*(range(n if v.sort == STRUCT else n + 1) for v in free))
+        ]
+        _assert_modes_agree(structure, formula, rows, on_demand=(False, True))
+
+
+def test_guarded_transduction_matches_unguarded():
+    x, y = svar("x"), svar("y")
+    vocab = Vocabulary((("E", 2), ("P", 1)))
+    rng = random.Random(3)
+    for n in (1, 2, 3, 4):
+        edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4}
+        marked = {(a,) for a in range(n) if rng.random() < 0.5}
+        structure = Structure(vocab, n, {"E": edges, "P": marked})
+        theta = Transduction(
+            u=(x,), v=(y,),
+            theta_v=parse_formula("P(x) or exists y E(x, y)"),
+            theta_approx=parse_formula("E(x, y) and E(y, x)"),
+            relations=(
+                ("E", parse_formula("E(x, y) and not x = y"), ((x,), (y,))),
+                ("L", parse_formula("E(x, x)"), ((x,),)),
+                ("Q", parse_formula("exists y E(x, y)"), ((x,),)),
+            ),
+        )
+        try:
+            guarded = apply_transduction(theta, structure)
+        except DomainError:
+            with _unguarded(), pytest.raises(DomainError):
+                apply_transduction(theta, structure)
+            continue
+        with _unguarded():
+            assert apply_transduction(theta, structure) == guarded
+
+
+def _counting_compile(calls):
+    """A stand-in for `evaluator._compile` whose closures count their
+    calls in `calls`, keyed by formula."""
+    real = evaluator._compile
+
+    def compile_counting(ctx, f, engine):
+        fn = real(ctx, f, engine)
+
+        def counted(alpha):
+            calls[f] += 1
+            return fn(alpha)
+
+        return counted
+
+    return mock.patch.object(evaluator, "_compile", compile_counting)
+
+
+def test_circuit_edges_are_tested_only_along_the_relation():
+    # The edge formula E(x, y) is tested on the targets its guard reads
+    # from the index, not on all n^2 pairs.
+    n = 300
+    chain = not_chain(n)
+    calls = collections.Counter()
+    with _counting_compile(calls):
+        assert circuit_value(chain) is False
+    assert 0 < calls[_lrec_node(CIRCUIT_FORMULA).phi_edge] <= 4 * n
+
+
+def test_lreceq_closure_tests_only_guarded_pairs():
+    # phi_= = E(x, y): the closure tests each edge's pair at most once,
+    # not every pair of vertices.
+    rng = random.Random(4)
+    n = 120
+    edges = set()
+    for a in range(n):
+        b = rng.randrange(n)
+        edges |= {(a, b), (b, a)}
+    structure = Structure(GRAPH_VOCAB, n, {"E": edges})
+    formula = parse_formula("[lreceq x, y, #p : E(x, y) ; not x = x ; x = t](s, #r)")
+    comp = _components(n, edges)
+    calls = collections.Counter()
+    with _counting_compile(calls):
+        ctx = EvalContext(structure)
+        for s, t in ((0, 1), (2, 3), (5, 5)):
+            alpha = {svar("s"): s, svar("t"): t, nvar("r"): 1}
+            assert evaluate(structure, alpha, formula, ctx=ctx) == (comp[s] == comp[t])
+    assert 0 < calls[formula.phi_eq] <= 2 * len(edges) + n
+
+
+def test_label_reads_its_outer_variable_named_like_v():
+    # y is bound as v in the edge formula but free in the label, where it
+    # is the outer y; testing edges must not overwrite it.
+    structure = Structure(Vocabulary((("E", 2), ("P", 1))), 3, {"E": {(0, 1)}, "P": {(0,)}})
+    formula = parse_formula("[lrec x, y, #p : E(x, y) ; P(y)](z, #r)")
+    for y, z, engine in itertools.product(range(3), range(3), ("memo", "stream")):
+        alpha = {svar("y"): y, svar("z"): z, nvar("r"): 1}
+        assert evaluate(structure, alpha, formula, engine) is (y == 0)
