@@ -17,14 +17,14 @@ per-level counters.  It checks the logarithmic counter budget
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, FormulaError, LimrecError
 from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
     NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
-    LrecEq, Not, Or, STRUCT, Var, _contains_dtc, _outer_variables, _rule, expand_dtc,
-    free_variables,
+    LrecEq, Not, Or, STRUCT, Var, _children, _contains_dtc, _outer_variables, _rebuild,
+    expand_dtc, free_variables,
 )
 
 EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
@@ -138,32 +138,25 @@ def _cost(f: Formula, costs: dict) -> int:
     keeps its id from being reused."""
     entry = costs.get(id(f))
     if entry is None:
-        tiers = [_cost(getattr(f, name), costs) for name, _ in _rule(f)[1]]
+        tiers = [_cost(g, costs) for g, _ in _children(f)]
         entry = costs[id(f)] = (f, max([_TIER.get(type(f), 0)] + tiers))
     return entry[1]
 
 
-def _parts(f: Formula, kind) -> list:
-    """The operands of the chain of `kind` (And or Or) nodes at the top
-    of f, in source order."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is kind:
-            stack += (g.right, g.left)
-        else:
-            out.append(g)
-    return out
+def _parts(f: Formula, kind) -> tuple:
+    """The operands of f read as a `kind` (And or Or) node: its parts if
+    it is one, else f alone.  Planned formulas are flat (no part of an
+    and is an and, and so for or), so one level is all there is."""
+    return f.parts if type(f) is kind else (f,)
 
 
 def _join(kind, parts, costs) -> Formula:
-    """The `kind` chain of parts, cheapest first; ties keep their order."""
-    if len(parts) > 1:
-        parts = sorted(parts, key=lambda part: _cost(part, costs))
-    out = parts[0]
-    for part in parts[1:]:
-        out = kind(out, part)
-    return out
+    """One `kind` node over the planned parts, each read through `_parts`,
+    cheapest first; ties keep their order.  A lone part is itself."""
+    parts = [p for part in parts for p in _parts(part, kind)]
+    if len(parts) == 1:
+        return parts[0]
+    return kind(tuple(sorted(parts, key=lambda part: _cost(part, costs))))
 
 
 def _miniscope(f: Exists | Forall, costs) -> Formula:
@@ -185,7 +178,7 @@ def _miniscope(f: Exists | Forall, costs) -> Formula:
             bound.append(piece)
         if bound:
             if len(parts) == 1 and len(bound) == len(pieces):
-                quant = f  # nothing moves: f's planned body is already this chain
+                quant = f  # nothing moves: f's planned body is already this node
             else:
                 quant = _miniscope(type(f)(f.var, _join(keep, bound, costs)), costs)
             kept[kept.index(None)] = quant
@@ -198,12 +191,10 @@ def _plan(f: Formula) -> Formula:
     miniscoped and and/or operands in cost order."""
     costs: dict = {}
 
-    def plan(g):
-        subs = _rule(g)[1]
-        if subs:
-            g = replace(g, **{name: plan(getattr(g, name)) for name, _ in subs})
+    def plan(g, _binders=()):
+        g = _rebuild(g, plan)
         if isinstance(g, (And, Or)):
-            return _join(type(g), _parts(g, type(g)), costs)
+            return _join(type(g), g.parts, costs)
         if isinstance(g, (Exists, Forall)):
             return _miniscope(g, costs)
         return g
@@ -213,7 +204,7 @@ def _plan(f: Formula) -> Formula:
 
 # ---------------------------------------------------------------------------
 # Guarded enumeration.  A quantifier, count or recursion-graph edge whose
-# planned body is an and-chain with an atom over all of its variables
+# planned body is an and with an atom over all of its variables
 # needs only the values that make the atom true: it loops over the atom's
 # tuples, not over the domain (the guarded fragment's evaluation
 # strategy).  Candidates never omit a satisfying value, and the body is
@@ -236,10 +227,10 @@ def _extremum(f: Formula, n: int):
 
 def _guard(ctx: EvalContext, parts, xs, negated: bool = False):
     """A function alpha -> the candidate tuples of values for the distinct
-    variables xs, or None when no part of the planned and-chain `parts`
+    variables xs, or None when no part of the planned and `parts`
     guards xs.  A guard is the first atom whose arguments include every
     x in xs, or a number extremum `forall #r #r <= #t` (xs = (#t,)).  With
-    `negated` the parts form an or-chain and a guard stands under a not.
+    `negated` the parts are those of an or and a guard stands under a not.
     The candidates include every tuple under which the guard holds."""
     if len(set(xs)) < len(xs):
         return None
@@ -317,13 +308,25 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         sub = _build(ctx, f.sub, engine)
         return lambda alpha: not sub(alpha)
     if isinstance(f, And):
-        left = _build(ctx, f.left, engine)
-        right = _build(ctx, f.right, engine)
-        return lambda alpha: left(alpha) and right(alpha)
+        subs = tuple(_build(ctx, part, engine) for part in f.parts)
+
+        def conj(alpha):
+            for sub in subs:
+                if not sub(alpha):
+                    return False
+            return True
+
+        return conj
     if isinstance(f, Or):
-        left = _build(ctx, f.left, engine)
-        right = _build(ctx, f.right, engine)
-        return lambda alpha: left(alpha) or right(alpha)
+        subs = tuple(_build(ctx, part, engine) for part in f.parts)
+
+        def disj(alpha):
+            for sub in subs:
+                if sub(alpha):
+                    return True
+            return False
+
+        return disj
     if isinstance(f, (Exists, Forall)):
         pinned = _extremum(f, A.universe_size)
         if pinned is not None:

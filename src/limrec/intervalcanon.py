@@ -475,7 +475,6 @@ def canon_L(H: Graph) -> LCanon:
         palindromic = False
         kept = order_fwd if fwd < bwd else order_bwd
         intervals, edges = _render(min(fwd, bwd))
-    kept_position = {clique: p + 1 for p, clique in enumerate(kept)}
 
     def positions_of(pos_in_fwd):
         pos_kept = pos_in_fwd if kept is order_fwd else m + 1 - pos_in_fwd

@@ -10,8 +10,10 @@ of them, and the evaluator only ever sees not/and/or.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 from .errors import FormulaError, ParseError
 
@@ -66,14 +68,12 @@ class Not(Formula):
 
 @dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    parts: tuple[Formula, ...]
 
 
 @dataclass(frozen=True)
@@ -133,15 +133,16 @@ def compatible(a: tuple[Var, ...], b: tuple[Var, ...]) -> bool:
 
 # The binding rule of every node type, stated once: the fields holding the
 # variables the node uses itself, then each subformula field with the
-# binder fields scoped over it.  A field holds a Var or a tuple of Vars.
+# binder fields scoped over it.  A variable field holds a Var or a tuple of
+# Vars; a subformula field holds a Formula or, for and/or, a tuple of them.
 # Subformulas are listed in field order, which fixes the order of every walk.
 _BINDERS = {
     Atom: (("args",), ()),
     EqVar: (("left", "right"), ()),
     LeqNum: (("left", "right"), ()),
     Not: ((), (("sub", ()),)),
-    And: ((), (("left", ()), ("right", ()))),
-    Or: ((), (("left", ()), ("right", ()))),
+    And: ((), (("parts", ()),)),
+    Or: ((), (("parts", ()),)),
     Exists: ((), (("sub", ("var",)),)),
     Forall: ((), (("sub", ("var",)),)),
     Count: (("pvars",), (("sub", ("uvars",)),)),
@@ -169,13 +170,38 @@ def _vars(f: Formula, fields) -> tuple[Var, ...]:
     return out
 
 
+def _children(f: Formula):
+    """(subformula, binder fields) for each subformula of f in walk order;
+    a tuple field gives one pair per part."""
+    for name, binders in _rule(f)[1]:
+        value = getattr(f, name)
+        if isinstance(value, tuple):
+            for g in value:
+                yield g, binders
+        else:
+            yield value, binders
+
+
+def _rebuild(f: Formula, fn, **changes) -> Formula:
+    """f with each subformula g replaced by fn(g, binder fields) and the
+    fields in `changes` replaced by their values.  (`map` keeps the walk
+    at one Python frame per level besides fn's own.)"""
+    for name, binders in _rule(f)[1]:
+        value = getattr(f, name)
+        if isinstance(value, tuple):
+            changes[name] = tuple(map(fn, value, repeat(binders)))
+        else:
+            changes[name] = fn(value, binders)
+    return replace(f, **changes) if changes else f
+
+
 def _outer_variables(f: Formula) -> tuple[Var, ...]:
     """Variables free in f's subformulas that f itself does not bind, sorted.
     For lrec and lreceq these are the outer assignment the recursion graph
     depends on."""
     out: set[Var] = set()
-    for name, binders in _rule(f)[1]:
-        out |= free_variables(getattr(f, name)) - set(_vars(f, binders))
+    for g, binders in _children(f):
+        out |= free_variables(g) - set(_vars(f, binders))
     return tuple(sorted(out, key=lambda v: (v.name, v.sort)))
 
 
@@ -185,11 +211,12 @@ def free_variables(f: Formula) -> frozenset[Var]:
 
 
 def _contains_dtc(f: Formula) -> bool:
-    return isinstance(f, Dtc) or any(_contains_dtc(getattr(f, name)) for name, _ in _rule(f)[1])
+    return isinstance(f, Dtc) or any(_contains_dtc(g) for g, _ in _children(f))
 
 
 def validate(f: Formula) -> None:
-    """Raise FormulaError on sort clashes or incompatible tuples."""
+    """Raise FormulaError on sort clashes, incompatible tuples or an
+    and/or with fewer than two parts."""
     if isinstance(f, Atom):
         for a in f.args:
             if a.sort != STRUCT:
@@ -200,17 +227,12 @@ def validate(f: Formula) -> None:
     elif isinstance(f, LeqNum):
         if f.left.sort != NUMBER or f.right.sort != NUMBER:
             raise FormulaError("<= compares number variables only")
-    elif isinstance(f, Not):
-        validate(f.sub)
     elif isinstance(f, (And, Or)):
-        validate(f.left)
-        validate(f.right)
-    elif isinstance(f, (Exists, Forall)):
-        validate(f.sub)
+        if len(f.parts) < 2:
+            raise FormulaError(f"{type(f).__name__.lower()} needs at least two parts")
     elif isinstance(f, Count):
         if not f.pvars or any(p.sort != NUMBER for p in f.pvars):
             raise FormulaError("count result tuple must be non-empty number variables")
-        validate(f.sub)
     elif isinstance(f, (Lrec, LrecEq)):
         if not (compatible(f.u, f.v) and compatible(f.u, f.w)):
             raise FormulaError("lrec vertex tuples must be pairwise compatible")
@@ -219,19 +241,14 @@ def validate(f: Formula) -> None:
         for tup, what in ((f.p, "p"), (f.r, "r")):
             if not tup or any(x.sort != NUMBER for x in tup):
                 raise FormulaError(f"lrec {what}-tuple must be non-empty number variables")
-        if isinstance(f, LrecEq):
-            validate(f.phi_eq)
-        validate(f.phi_edge)
-        validate(f.phi_label)
     elif isinstance(f, Dtc):
         for tup in (f.v, f.s, f.t):
             if not compatible(f.u, tup):
                 raise FormulaError("dtc tuples must be pairwise compatible")
         if not f.u:
             raise FormulaError("dtc tuples must be non-empty")
-        validate(f.sub)
-    else:
-        raise FormulaError(f"unknown formula node {type(f).__name__}")
+    for g, _ in _children(f):
+        validate(g)
 
 
 def _all_names(f: Formula) -> set[str]:
@@ -239,11 +256,10 @@ def _all_names(f: Formula) -> set[str]:
     stack = [f]
     while stack:
         g = stack.pop()
-        uses, subs = _rule(g)
-        names.update(v.name for v in _vars(g, uses))
-        for name, binders in subs:
+        names.update(v.name for v in _vars(g, _rule(g)[0]))
+        for sub, binders in _children(g):
             names.update(v.name for v in _vars(g, binders))
-            stack.append(getattr(g, name))
+            stack.append(sub)
     return names
 
 
@@ -273,29 +289,26 @@ def substitute(f: Formula, mapping: dict[Var, Var]) -> Formula:
     replacement targets are assumed not to be captured (use fresh names)."""
     if not mapping:
         return f
-    uses, subs = _rule(f)
     changes = {}
-    for name in uses:
+    for name in _rule(f)[0]:
         value = getattr(f, name)
         if isinstance(value, Var):
             changes[name] = mapping.get(value, value)
         else:
             changes[name] = tuple(mapping.get(v, v) for v in value)
-    for name, binders in subs:
+
+    def inner(g, binders):
         bound = set(_vars(f, binders))
-        inner = {k: v for k, v in mapping.items() if k not in bound}
-        changes[name] = substitute(getattr(f, name), inner)
-    return replace(f, **changes)
+        return substitute(g, {k: v for k, v in mapping.items() if k not in bound})
+
+    return _rebuild(f, inner, **changes)
 
 
 def and_all(parts) -> Formula:
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise FormulaError("empty conjunction")
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return parts[0] if len(parts) == 1 else And(parts)
 
 
 def eq_tuple(a: tuple[Var, ...], b: tuple[Var, ...]) -> Formula:
@@ -317,22 +330,22 @@ def expand_dtc(f: Formula) -> Formula:
     """
     fresh = _Fresh(f)
 
-    def walk(g: Formula) -> Formula:
+    def walk(g: Formula, _binders=()) -> Formula:
         if isinstance(g, Dtc):
             psi = walk(g.sub)
             vprime = fresh.tuple_like(g.v, "_w")
             p = tuple(fresh.var(NUMBER, "_p") for _ in g.u)
             r = tuple(fresh.var(NUMBER, "_r") for _ in g.u)
             psi_prime = substitute(psi, dict(zip(g.v, vprime)))
-            phi_edge = And(psi, _forall_all(vprime, Or(Not(psi_prime), eq_tuple(vprime, g.v))))
+            phi_edge = And((psi, _forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, g.v))))))
             p_zero = and_all(is_zero(pi, fresh) for pi in p)
-            phi_label = Or(eq_tuple(g.v, g.s), And(Not(eq_tuple(g.v, g.s)), Not(p_zero)))
+            phi_label = Or((eq_tuple(g.v, g.s), And((Not(eq_tuple(g.v, g.s)), Not(p_zero)))))
             node = Lrec(g.v, g.u, p, phi_edge, phi_label, g.t, r)
             out: Formula = node
             for ri in reversed(r):
                 out = Exists(ri, out)
             return out
-        return replace(g, **{name: walk(getattr(g, name)) for name, _ in _rule(g)[1]})
+        return _rebuild(g, walk)
 
     return walk(f)
 
@@ -348,8 +361,11 @@ def _forall_all(vars_, body):
 # Concrete syntax
 
 
-_SYMBOLS = ("<->", "->", "<=", "=", "(", ")", "[", "]", ",", ";", ":", "#")
 _KEYWORDS = {"not", "and", "or", "exists", "forall", "count", "lrec", "lreceq", "dtc"}
+# one alternative per lexeme class, tried in order: a newline, a run of other
+# whitespace, a symbol (longest first), a run of word characters (`\w` is
+# exactly str.isalnum() or "_", `\s` exactly str.isspace()), anything else
+_LEXEME = re.compile(r"(\n)|([^\S\n]+)|(<->|->|<=|[=()\[\],;:#])|(\w+)|(.)")
 
 
 class _Token:
@@ -364,49 +380,30 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        group, lexeme = m.lastindex, m.group()
+        col = m.start() - line_start + 1
+        if group == 1:
+            line, line_start = line + 1, m.end()
+        elif group == 3:
+            toks.append(_Token(lexeme, lexeme, line, col))
+        elif group == 4:
+            # a word is a numeral (its str.isdigit() prefix), an identifier
+            # (starting with a letter or "_"), or a numeral then an identifier
+            j = 0
+            while j < len(lexeme) and lexeme[j].isdigit():
                 j += 1
-            word = text[i:j]
-            kind = word if word in _KEYWORDS else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(_Token("numlit", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+            if j:
+                toks.append(_Token("numlit", lexeme[:j], line, col))
+            if j < len(lexeme):
+                word = lexeme[j:]
+                if not (word[0].isalpha() or word[0] == "_"):
+                    raise ParseError(f"unexpected character {word[0]!r}", line, col + j)
+                toks.append(_Token(word if word in _KEYWORDS else "ident", word, line, col + j))
+        elif group == 5:
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -451,7 +448,7 @@ class _Parser:
         while self.peek().kind == "<->":
             self.next()
             right = self.parse_imp()
-            left = And(Or(Not(left), right), Or(Not(right), left))
+            left = And((Or((Not(left), right)), Or((Not(right), left))))
         return left
 
     def parse_imp(self) -> Formula:
@@ -459,22 +456,22 @@ class _Parser:
         if self.peek().kind == "->":
             self.next()
             right = self.parse_imp()
-            return Or(Not(left), right)
+            return Or((Not(left), right))
         return left
 
     def parse_or(self) -> Formula:
-        left = self.parse_and()
+        parts = [self.parse_and()]
         while self.peek().kind == "or":
             self.next()
-            left = Or(left, self.parse_and())
-        return left
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self) -> Formula:
-        left = self.parse_prefix()
+        parts = [self.parse_prefix()]
         while self.peek().kind == "and":
             self.next()
-            left = And(left, self.parse_prefix())
-        return left
+            parts.append(self.parse_prefix())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_prefix(self) -> Formula:
         tok = self.peek()
@@ -574,7 +571,7 @@ class _Parser:
             return EqVar(lhs, rhs)
 
         number_only = op.kind == "<=" or any(
-            isinstance(t, _Lit) or t.sort == NUMBER for t in (left, right) if True
+            isinstance(t, _Lit) or t.sort == NUMBER for t in (left, right)
         )
         return self.finish_atom(build, [(left,), (right,)], tok, number_only=number_only)
 
@@ -628,14 +625,14 @@ class _Parser:
                     q = Var(f"_c{self.fresh_counter}", NUMBER)
                     self.fresh_counter += 1
                     if term.value == 0:
-                        force = Forall(q, LeqNum(z, q))
+                        force = (Forall(q, LeqNum(z, q)),)
                     else:
                         q2 = Var(f"_c{self.fresh_counter}", NUMBER)
                         self.fresh_counter += 1
                         # z is the least non-zero number, i.e. 1
-                        force = And(
+                        force = (
                             Not(Forall(q, LeqNum(z, q))),
-                            Forall(q, Or(Forall(q2, LeqNum(q, q2)), LeqNum(z, q))),
+                            Forall(q, Or((Forall(q2, LeqNum(q, q2)), LeqNum(z, q)))),
                         )
                     forcings.append((z, force))
                     row.append(z)
@@ -648,7 +645,7 @@ class _Parser:
             clean.append(tuple(row))
         out = build(clean)
         for z, force in reversed(forcings):
-            out = Exists(z, And(force, out))
+            out = Exists(z, And((*force, out)))
         return out
 
 
@@ -678,15 +675,11 @@ def _tuple_str(tup: tuple[Var, ...]) -> str:
     return "(" + ", ".join(repr(v) for v in tup) + ")"
 
 
-def pretty(f: Formula) -> str:
-    """Canonical text for an AST; parse(pretty(f)) == f."""
-    return _pretty(f, 0)
-
-
 _PREC = {Or: 1, And: 2}
 
 
-def _pretty(f: Formula, parent_prec: int, right_child: bool = False) -> str:
+def pretty(f: Formula) -> str:
+    """Canonical text for an AST; parse(pretty(f)) == f."""
     if isinstance(f, Atom):
         return f"{f.rel}(" + ", ".join(repr(a) for a in f.args) + ")"
     if isinstance(f, EqVar):
@@ -694,7 +687,7 @@ def _pretty(f: Formula, parent_prec: int, right_child: bool = False) -> str:
     if isinstance(f, LeqNum):
         return f"{f.left!r} <= {f.right!r}"
     if isinstance(f, Count):
-        body = _pretty(f.sub, 0)
+        body = pretty(f.sub)
         return (
             "count(" + ", ".join(repr(v) for v in f.uvars) + " ; " + body + ") = "
             + _tuple_str(f.pvars)
@@ -702,20 +695,20 @@ def _pretty(f: Formula, parent_prec: int, right_child: bool = False) -> str:
     if isinstance(f, Lrec):
         return (
             "[lrec " + ", ".join(_tuple_str(t) for t in (f.u, f.v, f.p))
-            + " : " + _pretty(f.phi_edge, 0) + " ; " + _pretty(f.phi_label, 0)
+            + " : " + pretty(f.phi_edge) + " ; " + pretty(f.phi_label)
             + "](" + _tuple_str(f.w) + ", " + _tuple_str(f.r) + ")"
         )
     if isinstance(f, LrecEq):
         return (
             "[lreceq " + ", ".join(_tuple_str(t) for t in (f.u, f.v, f.p))
-            + " : " + _pretty(f.phi_eq, 0) + " ; " + _pretty(f.phi_edge, 0)
-            + " ; " + _pretty(f.phi_label, 0)
+            + " : " + pretty(f.phi_eq) + " ; " + pretty(f.phi_edge)
+            + " ; " + pretty(f.phi_label)
             + "](" + _tuple_str(f.w) + ", " + _tuple_str(f.r) + ")"
         )
     if isinstance(f, Dtc):
         return (
             "[dtc " + ", ".join(_tuple_str(t) for t in (f.u, f.v))
-            + " : " + _pretty(f.sub, 0)
+            + " : " + pretty(f.sub)
             + "](" + _tuple_str(f.s) + ", " + _tuple_str(f.t) + ")"
         )
     if isinstance(f, Not):
@@ -724,16 +717,12 @@ def _pretty(f: Formula, parent_prec: int, right_child: bool = False) -> str:
         kw = "exists" if isinstance(f, Exists) else "forall"
         return f"{kw} {f.var!r} " + _pretty_tight(f.sub)
     if isinstance(f, (And, Or)):
+        # a part of the same kind or a looser one is parenthesized
         prec = _PREC[type(f)]
-        op = " and " if isinstance(f, And) else " or "
-        text = (
-            _pretty(f.left, prec, right_child=False)
-            + op
-            + _pretty(f.right, prec, right_child=True)
+        return (" and " if isinstance(f, And) else " or ").join(
+            "(" + pretty(part) + ")" if _PREC.get(type(part), 3) <= prec else pretty(part)
+            for part in f.parts
         )
-        if prec < parent_prec or (prec == parent_prec and right_child):
-            return "(" + text + ")"
-        return text
     raise FormulaError(f"unknown formula node {type(f).__name__}")
 
 
@@ -741,5 +730,5 @@ def _pretty_tight(f: Formula) -> str:
     """Print a quantifier/negation body: bare when it binds at least as
     tightly, parenthesized otherwise."""
     if isinstance(f, (And, Or)):
-        return "(" + _pretty(f, 0) + ")"
-    return _pretty(f, 0)
+        return "(" + pretty(f) + ")"
+    return pretty(f)

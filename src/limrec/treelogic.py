@@ -454,13 +454,6 @@ def coloured_keys(tree: DirectedTree, colours) -> list:
     return keys
 
 
-def coloured_compare(tree: DirectedTree, colours, a: int, b: int) -> int:
-    """The order of coloured_keys as -1/0/1; 0 exactly on
-    coloured-isomorphic subtrees."""
-    keys = coloured_keys(tree, colours)
-    return (keys[a] > keys[b]) - (keys[a] < keys[b])
-
-
 # ---------------------------------------------------------------------------
 # Canonisation
 

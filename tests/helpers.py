@@ -4,7 +4,7 @@ import itertools
 import random
 from functools import lru_cache
 
-from limrec.errors import FormulaError, RecognitionError
+from limrec.errors import FormulaError, ParseError, RecognitionError
 from limrec.evaluator import EvalContext, LabelledGraph, x_membership
 from limrec.intervalcanon import (
     LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
@@ -12,8 +12,8 @@ from limrec.intervalcanon import (
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
-    NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or,
-    Var, and_all, eq_tuple, is_zero,
+    _KEYWORDS, NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq,
+    Not, Or, Var, _Token, and_all, eq_tuple, is_zero,
 )
 from limrec.treelogic import DirectedTree, _circuit_shape, _postorder
 
@@ -526,7 +526,7 @@ def reference_free_variables(f):
     if isinstance(f, Not):
         return reference_free_variables(f.sub)
     if isinstance(f, (And, Or)):
-        return reference_free_variables(f.left) | reference_free_variables(f.right)
+        return frozenset().union(*(reference_free_variables(part) for part in f.parts))
     if isinstance(f, (Exists, Forall)):
         return reference_free_variables(f.sub) - {f.var}
     if isinstance(f, Count):
@@ -562,8 +562,8 @@ def reference_all_names(f):
         elif isinstance(g, Not):
             walk(g.sub)
         elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
+            for part in g.parts:
+                walk(part)
         elif isinstance(g, (Exists, Forall)):
             names.add(g.var.name)
             walk(g.sub)
@@ -609,9 +609,9 @@ def reference_substitute(f, mapping):
     if isinstance(f, Not):
         return Not(reference_substitute(f.sub, mapping))
     if isinstance(f, And):
-        return And(reference_substitute(f.left, mapping), reference_substitute(f.right, mapping))
+        return And(tuple(reference_substitute(part, mapping) for part in f.parts))
     if isinstance(f, Or):
-        return Or(reference_substitute(f.left, mapping), reference_substitute(f.right, mapping))
+        return Or(tuple(reference_substitute(part, mapping) for part in f.parts))
     if isinstance(f, Exists):
         return Exists(f.var, reference_substitute(f.sub, prune(mapping, {f.var})))
     if isinstance(f, Forall):
@@ -680,9 +680,9 @@ def reference_expand_dtc(f):
         if isinstance(g, Not):
             return Not(walk(g.sub))
         if isinstance(g, And):
-            return And(walk(g.left), walk(g.right))
+            return And(tuple(walk(part) for part in g.parts))
         if isinstance(g, Or):
-            return Or(walk(g.left), walk(g.right))
+            return Or(tuple(walk(part) for part in g.parts))
         if isinstance(g, Exists):
             return Exists(g.var, walk(g.sub))
         if isinstance(g, Forall):
@@ -701,9 +701,9 @@ def reference_expand_dtc(f):
             p = tuple(fresh.var(NUMBER, "_p") for _ in g.u)
             r = tuple(fresh.var(NUMBER, "_r") for _ in g.u)
             psi_prime = reference_substitute(psi, dict(zip(g.v, vprime)))
-            phi_edge = And(psi, forall_all(vprime, Or(Not(psi_prime), eq_tuple(vprime, g.v))))
+            phi_edge = And((psi, forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, g.v))))))
             p_zero = and_all(is_zero(pi, fresh) for pi in p)
-            phi_label = Or(eq_tuple(g.v, g.s), And(Not(eq_tuple(g.v, g.s)), Not(p_zero)))
+            phi_label = Or((eq_tuple(g.v, g.s), And((Not(eq_tuple(g.v, g.s)), Not(p_zero)))))
             out = Lrec(g.v, g.u, p, phi_edge, phi_label, g.t, r)
             for ri in reversed(r):
                 out = Exists(ri, out)
@@ -711,3 +711,60 @@ def reference_expand_dtc(f):
         raise FormulaError(f"unknown formula node {type(g).__name__}")
 
     return walk(f)
+
+
+# --- reference copy of the tokenizer --------------------------------------------
+#
+# The library's tokenizer is one regular expression.  This is the
+# character-by-character scanner it replaced, kept to check that both give
+# the same tokens and the same errors.
+
+_SYMBOLS = ("<->", "->", "<=", "=", "(", ")", "[", "]", ",", ";", ":", "#")
+
+
+def reference_tokenize(text):
+    toks = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        matched = False
+        for sym in _SYMBOLS:
+            if text.startswith(sym, i):
+                toks.append(_Token(sym, sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                matched = True
+                break
+        if matched:
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            kind = word if word in _KEYWORDS else "ident"
+            toks.append(_Token(kind, word, line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(_Token("numlit", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(_Token("eof", "", line, col))
+    return toks

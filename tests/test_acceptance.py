@@ -44,7 +44,7 @@ def test_criterion_01_worked_example_fidelity():
     formula = parse_formula((DATA / "circuit_eval.formula").read_text())
     node = formula
     while not isinstance(node, Lrec):
-        node = node.sub if hasattr(node, "sub") else node.left
+        node = node.sub if hasattr(node, "sub") else node.parts[0]
     ctx = EvalContext(circuit)
     alpha = {svar("z"): circuit.element_index("a")}
 

@@ -263,11 +263,22 @@ def test_eval_too_deep_formula_is_an_input_error(capsys, tmp_path):
     struct = tmp_path / "g.struct"
     struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
     formula = tmp_path / "f.formula"
-    for text in ("not " * 600 + "E(x, x)", "(" * 3000 + "E(x, x)" + ")" * 3000,
-                 " and ".join(["E(x, x)"] * 600)):
+    for text in ("not " * 600 + "E(x, x)", "(" * 3000 + "E(x, x)" + ")" * 3000):
         formula.write_text(text)
         code, out, err = run(capsys, "eval", str(struct), str(formula), "--bind", "x=0")
         assert code == 2 and out == "" and "nested too deeply" in err
+
+
+def test_eval_long_flat_chains(capsys, tmp_path):
+    # an and/or of 10,000 parts is one node, not 10,000 levels of nesting
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
+    formula = tmp_path / "f.formula"
+    for op, expected in (("and", 1), ("or", 0)):
+        formula.write_text(f" {op} ".join(["E(x, x)"] * 9_999 + ["E(x, y)"]))
+        code, out, err = run(capsys, "eval", str(struct), str(formula), "--bind", "x=0",
+                             "--bind", "y=1")
+        assert (code, err) == (expected, ""), (op, err)
 
 
 def test_graph_commands_reject_a_structure_without_a_binary_e(capsys, tmp_path):

@@ -23,8 +23,8 @@ from limrec.evaluator import (
 )
 from limrec.structures import GRAPH_VOCAB, Structure, generate_layered_graph
 from limrec.syntax import (
-    STRUCT, And, Atom, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or, free_variables,
-    nvar, parse_formula, pretty, svar,
+    STRUCT, And, Atom, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or, expand_dtc,
+    free_variables, nvar, parse_formula, pretty, substitute, svar, validate,
 )
 from limrec.treelogic import CIRCUIT_FORMULA, circuit_value
 
@@ -48,7 +48,7 @@ def _lrec_node(formula):
     """Extract the single lrec node from the parsed circuit formula."""
     f = formula
     while not isinstance(f, Lrec):
-        f = f.sub if hasattr(f, "sub") else f.left
+        f = f.sub if hasattr(f, "sub") else f.parts[0]
     return f
 
 
@@ -368,10 +368,10 @@ def layer_transduction():
     ez_y = Atom("E", (z, y))
     same_nbhd = Forall(
         z,
-        And(
-            And(Or(Not(ex_z), ey_z), Or(Not(ey_z), ex_z)),
-            And(Or(Not(ez_x), ez_y), Or(Not(ez_y), ez_x)),
-        ),
+        And((
+            Or((Not(ex_z), ey_z)), Or((Not(ey_z), ex_z)),
+            Or((Not(ez_x), ez_y)), Or((Not(ez_y), ez_x)),
+        )),
     )
     return Transduction(
         u=(x,), v=(y,),
@@ -608,10 +608,10 @@ def test_planner_rewrites_the_circuit_formula(circuit_formula):
     node = _lrec_node(circuit_formula)
     planned = evaluator._plan(circuit_formula)
     # one lrec query, reached only at the largest resource pair
-    assert planned == Exists(r1, And(
+    assert planned == Exists(r1, And((
         Forall(r, LeqNum(r, r1)),
-        Exists(r2, And(Forall(r, LeqNum(r, r2)), evaluator._plan(node))),
-    ))
+        Exists(r2, And((Forall(r, LeqNum(r, r2)), evaluator._plan(node)))),
+    )))
     # cheap disjuncts first, and the `#p = 0` sugar tests #p = #c before its forall
     assert pretty(evaluator._plan(node.phi_label)) == (
         "P1(x) or Por(x) and not exists #_c0 (#p = #_c0 and forall #_c1 #_c0 <= #_c1)"
@@ -669,10 +669,17 @@ def _first_order_formulas():
     var = st.one_of(svars, nvars)
     return st.recursive(atoms, lambda sub: st.one_of(
         st.builds(Not, sub),
-        st.builds(lambda c, a, b: c(a, b), connective, sub, sub),
+        st.builds(lambda c, parts: c(parts), connective, _part_tuples(sub)),
         st.builds(lambda q, v, s: q(v, s), quantifier, var, sub),
-        st.builds(lambda q, v, c, a, b: q(v, c(a, b)), quantifier, var, connective, sub, sub),
+        st.builds(
+            lambda q, v, c, parts: q(v, c(parts)), quantifier, var, connective, _part_tuples(sub)
+        ),
     ), max_leaves=12)
+
+
+def _part_tuples(sub):
+    """2 to 4 parts for an and/or."""
+    return st.lists(sub, min_size=2, max_size=4).map(tuple)
 
 
 @given(st.one_of(_formulas(), _first_order_formulas()), st.integers(0, 2 ** 32 - 1))
@@ -715,7 +722,7 @@ def _deep(shape, depth):
     the parser."""
     atom = f = Atom("E", (svar("x"), svar("x")))
     for _ in range(depth):
-        f = {"not": Not(f), "and": And(f, atom), "exists": Exists(svar("y"), f)}[shape]
+        f = {"not": Not(f), "and": And((f, atom)), "exists": Exists(svar("y"), f)}[shape]
     return f
 
 
@@ -731,6 +738,37 @@ def test_evaluate_hundred_deep_formulas(shape):
     g = Structure.parse("vocab E/2\nuniverse 2\nE 0 0\n")
     for engine in ("memo", "stream"):
         assert evaluate(g, {svar("x"): 0}, _deep(shape, 100), engine) is True
+
+
+@pytest.mark.parametrize("kind", [And, Or])
+def test_long_flat_chains_need_no_recursion(kind):
+    # every walk, the planner and the compiled closure take the parts of
+    # an and/or in one loop: a 10,000-part node needs a handful of frames
+    x, z = svar("x"), svar("z")
+    ys = [svar(f"y{i}") for i in range(10_000)]
+    f = kind(tuple(Atom("E", (x, y)) for y in ys))
+    # under x = 0 every part but the last holds, under x = 1 only the last
+    g = Structure.parse(
+        "vocab E/2\nuniverse 10\nE 1 0\n" + "".join(f"E 0 {i}\n" for i in range(1, 10))
+    )
+    alpha = {y: 1 + i % 9 for i, y in enumerate(ys)}
+    alpha[ys[-1]] = 0
+    text = (" and " if kind is And else " or ").join(f"E(x, {y!r})" for y in ys)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        validate(f)
+        assert free_variables(f) == {x, *ys}
+        assert substitute(f, {x: z}) == kind(tuple(Atom("E", (z, y)) for y in ys))
+        assert expand_dtc(f) == f
+        assert evaluator._plan(f) == f
+        assert pretty(f) == text
+        assert parse_formula(text) == f
+        for x_value in (0, 1):
+            for engine in ("memo", "stream"):
+                assert evaluate(g, {**alpha, x: x_value}, f, engine) is (kind is Or)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- guarded enumeration -------------------------------------------------------

@@ -12,7 +12,7 @@ from limrec.intervalcanon import (
     modular_partition, span_map,
 )
 from limrec.structures import generate_random_interval_graph
-from limrec.treelogic import coloured_compare
+from limrec.treelogic import coloured_keys
 
 from .helpers import (
     clique_witness, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, is_interval_graph,
@@ -724,13 +724,12 @@ def test_modular_tree_complete_invariant_small():
 def test_coloured_tree_preorder_on_modular_tree():
     g, _ = graph_from_intervals(MODULAR_SPANS)
     tree = build_modular_tree(g)
-    dtree = tree.as_directed_tree()
-    for v, kind in enumerate(tree.kinds):
-        assert coloured_compare(dtree, tree.colours, v, v) == 0
+    keys = coloured_keys(tree.as_directed_tree(), tree.colours)
+    assert len(keys) == len(tree.kinds)
     mods = [i for i, k in enumerate(tree.kinds) if k == "module"]
     low = next(i for i in mods if tree.module_record[i].colour == (1,))
     high = next(i for i in mods if tree.module_record[i].colour == (3, 3))
-    assert coloured_compare(dtree, tree.colours, low, high) != 0
+    assert keys[low] != keys[high]
 
 
 # --- full canonisation ---------------------------------------------------------

@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limrec.errors import ParseError
+from limrec.errors import FormulaError, ParseError
 from limrec.syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not,
-    Or, _all_names, _contains_dtc, expand_dtc, free_variables, nvar, parse_formula,
-    pretty, substitute, svar,
+    Or, _all_names, _contains_dtc, _tokenize, expand_dtc, free_variables, nvar,
+    parse_formula, pretty, substitute, svar, validate,
 )
 
 from .helpers import (
     reference_all_names, reference_expand_dtc, reference_free_variables,
-    reference_substitute,
+    reference_substitute, reference_tokenize,
 )
 
 
@@ -31,10 +31,10 @@ def test_parse_example_circuit_formula():
     assert isinstance(f, Exists)
     assert isinstance(f.sub, Exists)
     body = f.sub.sub
-    assert isinstance(body, And)
-    assert isinstance(body.left, Lrec)
-    assert body.left.w == (svar("z"),)
-    assert body.left.r == (nvar("r1"), nvar("r2"))
+    assert isinstance(body, And) and len(body.parts) == 2
+    assert isinstance(body.parts[0], Lrec)
+    assert body.parts[0].w == (svar("z"),)
+    assert body.parts[0].r == (nvar("r1"), nvar("r2"))
     assert free_variables(f) == frozenset({svar("z")})
 
 
@@ -109,7 +109,7 @@ def test_literal_desugaring():
 
 def test_implication_desugar():
     f = parse_formula("P(x) -> Q(x)")
-    assert f == Or(Not(Atom("P", (svar("x"),))), Atom("Q", (svar("x"),)))
+    assert f == Or((Not(Atom("P", (svar("x"),))), Atom("Q", (svar("x"),))))
     g = parse_formula("P(x) <-> Q(x)")
     assert isinstance(g, And)
 
@@ -124,16 +124,41 @@ def test_pretty_roundtrip_examples():
         "[lreceq x, y, #p : E(x, y) ; x = y ; #p <= #p](z, #r)",
         "[dtc (x, a), (y, b) : E(x, y) and E(a, b)]((s, s), (t, t))",
         "x = y and (x = z or not x = w)",
+        "(x = y and x = z) and (P(x) or (P(y) or P(z))) and x = w",
+        "#p = 1 and #q = 0",
     ]
     for text in texts:
         f = parse_formula(text)
         assert parse_formula(pretty(f)) == f
 
 
+def test_and_or_are_flat():
+    p, q, r = (Atom(name, (svar("x"),)) for name in "PQR")
+    assert parse_formula("P(x) and Q(x) and R(x)") == And((p, q, r))
+    assert parse_formula("P(x) or Q(x) and R(x) or P(x)") == Or((p, And((q, r)), p))
+    # a parenthesized part of the same kind stays a part, and prints as one
+    nested = parse_formula("(P(x) and Q(x)) and R(x)")
+    assert nested == And((And((p, q)), r))
+    assert pretty(nested) == "(P(x) and Q(x)) and R(x)"
+    assert pretty(Or((p, Or((q, r))))) == "P(x) or (Q(x) or R(x))"
+    for kind in (And, Or):
+        for parts in ((), (p,)):
+            with pytest.raises(FormulaError, match="at least two parts"):
+                validate(kind(parts))
+
+
 # --- property: parse . pretty is the identity on random ASTs -------------
 
 _svars = st.sampled_from([svar(n) for n in "xyzw"])
 _nvars = st.sampled_from([nvar(n) for n in "pqrs"])
+
+
+def _part_tuples(children, kind):
+    """2 to 4 parts for an and/or, sometimes one of its own kind (which
+    `pretty` must parenthesize)."""
+    own_kind = st.builds(kind, st.lists(children, min_size=2, max_size=3).map(tuple))
+    part = st.one_of(children, own_kind)
+    return st.lists(part, min_size=2, max_size=4).map(tuple)
 
 
 def _formulas():
@@ -148,8 +173,8 @@ def _formulas():
     def extend(children):
         return st.one_of(
             st.builds(Not, children),
-            st.builds(And, children, children),
-            st.builds(Or, children, children),
+            st.builds(And, _part_tuples(children, And)),
+            st.builds(Or, _part_tuples(children, Or)),
             st.builds(Exists, st.one_of(_svars, _nvars), children),
             st.builds(Forall, st.one_of(_svars, _nvars), children),
             st.builds(
@@ -211,12 +236,55 @@ DEEP_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+@pytest.mark.parametrize("shape", ["not", "parentheses"])
 def test_parse_rejects_too_deep_formulas(shape):
     with pytest.raises(ParseError, match="nested too deeply"):
         parse_formula(DEEP_SHAPES[shape]({"parentheses": 3000}.get(shape, 600)))
 
 
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_parse_accepts_long_flat_chains(op):
+    # an and/or is one node however many parts it has
+    text = f" {op} ".join(f"E(x, y{i})" for i in range(10_000))
+    f = parse_formula(text)
+    assert type(f) is {"and": And, "or": Or}[op] and len(f.parts) == 10_000
+    assert pretty(f) == text
+    assert parse_formula(pretty(f)) == f
+
+
 @pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
 def test_parse_accepts_hundred_deep_formulas(shape):
     assert free_variables(parse_formula(DEEP_SHAPES[shape](100))) == {svar("x")}
+
+
+# --- the tokenizer against the character scanner it replaced ---------------
+
+
+def _tokens(tokenize, text):
+    """The (kind, text, line, col) of each token, or the ParseError's text."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+_lexemes = st.sampled_from([
+    "<->", "->", "<=", "<", "=", "-", "(", ")", "[", "]", ",", ";", ":", "#", " ", "\n",
+    "\t", "\r", "\x0b", "\u2028", "\xa0", "and", "or", "not", "exists", "lrec", "x", "_y1",
+    "E", "0", "1", "12", "\u00b2", "\u2460", "\u00bd", "\u00e9", "\u0663", "!", "@",
+])
+
+
+@given(st.one_of(st.text(), st.lists(_lexemes).map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_tokenize_matches_reference(text):
+    assert _tokens(_tokenize, text) == _tokens(reference_tokenize, text)
+
+
+def test_tokenize_examples_match_reference():
+    texts = [
+        "", "E(x, y)", "#p <= #q\n  and\tnot x = y", "12ab", "x\u00b2 = \u00b2", "a \u00bd",
+        "1\u00bd", "p -> q <-> r", "x < y", "count(x ; E(x, x)) = 1\n\n  ?",
+    ]
+    for text in texts:
+        assert _tokens(_tokenize, text) == _tokens(reference_tokenize, text), text

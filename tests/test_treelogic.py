@@ -9,7 +9,7 @@ from limrec.structures import (
     Structure, generate_random_circuit, generate_random_tree,
 )
 from limrec.treelogic import (
-    DirectedTree, check_path_property, circuit_value, coloured_compare, tree_canon,
+    DirectedTree, check_path_property, circuit_value, coloured_keys, tree_canon,
     tree_isomorphic, tree_order_less,
 )
 
@@ -242,9 +242,10 @@ def test_iso_soundness_and_completeness_sampled_resources():
 
 def test_order_matches_direct_comparator():
     for tree in all_trees(6):
+        keys = coloured_keys(tree, {})
         for v in range(tree.n):
             for w in range(tree.n):
-                expected = coloured_compare(tree, {}, v, w) < 0
+                expected = keys[v] < keys[w]
                 assert tree_order_less(tree, v, w) == expected, (tree.parent, v, w)
 
 
@@ -360,23 +361,26 @@ def _random_coloured_tree(rng, max_n=8):
 def test_coloured_compare_identical_subtrees():
     tree = DirectedTree([None, 0, 0])
     colours = {1: ((1, 1),), 2: ((1, 1),)}
-    assert coloured_compare(tree, colours, 1, 2) == 0
+    keys = coloured_keys(tree, colours)
+    assert keys[1] == keys[2]
 
 
 def test_coloured_compare_colour_decides():
     tree = DirectedTree([None, 0, 0])
     colours = {1: ((0, 1),), 2: ((1, 1),)}
-    assert coloured_compare(tree, colours, 1, 2) == -1
-    assert coloured_compare(tree, colours, 2, 1) == 1
+    keys = coloured_keys(tree, colours)
+    assert keys[1] < keys[2]
+    assert keys[2] > keys[1]
 
 
 def test_coloured_compare_matches_brute_iso():
     rng = random.Random(21)
     for _ in range(150):
         tree, colours = _random_coloured_tree(rng)
+        keys = coloured_keys(tree, colours)
         for a in range(tree.n):
             for b in range(tree.n):
-                same = coloured_compare(tree, colours, a, b) == 0
+                same = keys[a] == keys[b]
                 expected = coloured_canonical_form(
                     tree, colours, a
                 ) == coloured_canonical_form(tree, colours, b)
@@ -387,14 +391,16 @@ def test_coloured_compare_deep_equal_chains():
     # two 1,500-vertex chains under one root: no recursion on depth
     parents = [None, 0] + list(range(1, 1500)) + [0] + list(range(1501, 3000))
     tree = DirectedTree(parents)
-    assert coloured_compare(tree, {}, 1, 1501) == 0
+    keys = coloured_keys(tree, {})
+    assert keys[1] == keys[1501]
 
 
 def test_coloured_compare_plain_matches_gadget_order():
     for tree in all_trees(5):
+        keys = coloured_keys(tree, {})
         for v in range(tree.n):
             for w in range(tree.n):
-                assert (coloured_compare(tree, {}, v, w) < 0) == tree_order_less(tree, v, w)
+                assert (keys[v] < keys[w]) == tree_order_less(tree, v, w)
 
 
 # --- circuits --------------------------------------------------------------
