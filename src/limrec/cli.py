@@ -7,6 +7,7 @@ error, 3 recognition failure (input outside the required graph class).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import LimrecError, RecognitionError
@@ -137,7 +138,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call: parsing leaves it unchanged, and each parse starts from fresh
+    defaults."""
     parser = argparse.ArgumentParser(
         prog="limrec",
         description="limited-recursion logic evaluator and graph canonisers",

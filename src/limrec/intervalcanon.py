@@ -50,6 +50,7 @@ class Graph:
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
         self._cliques = None
+        self._overlaps = None
         self._partition = None
         self._induced = None  # vertex set -> Graph, shared with subgraphs
 
@@ -59,6 +60,18 @@ class Graph:
         if self._cliques is None:
             self._cliques = max_cliques(self)
         return self._cliques
+
+    @property
+    def overlaps(self):
+        """For each max clique, the ascending indices of the max cliques
+        that meet it (itself included), computed once from `cliques`."""
+        if self._overlaps is None:
+            holders = {}
+            for i, c in enumerate(self.cliques):
+                for v in c:
+                    holders.setdefault(v, []).append(i)
+            self._overlaps = [sorted({j for v in c for j in holders[v]}) for c in self.cliques]
+        return self._overlaps
 
     @property
     def partition(self) -> "ModularPartition":
@@ -143,21 +156,23 @@ class Graph:
 
 
 def max_cliques(G: Graph):
-    """All max cliques, via closed-neighbourhood intersections of vertex
-    pairs.  Exact for interval graphs; the final model verification
+    """All max cliques, via closed-neighbourhood intersections of adjacent
+    pairs and of each vertex with itself.  Exact for interval graphs, where
+    every max clique holds such a witness pair; the final model verification
     rejects anything this might miss on other inputs."""
     closed = {v: G.adj[v] | {v} for v in G.vertices}
     candidates = set()
+    later = set(G.vertices)
     for u in G.vertices:
-        for v in G.vertices:
-            cand = closed[u] & closed[v]
-            if cand and G.is_clique_set(cand):
-                candidates.add(frozenset(cand))
-    keep = [
-        c
-        for c in candidates
-        if not any(c < other for other in candidates)
-    ]
+        later.remove(u)
+        candidates.add(closed[u])
+        candidates.update(closed[u] & closed[v] for v in G.adj[u] & later)
+    # a candidate below another candidate lies below a kept one, so the
+    # largest are kept first and each candidate is tested only against them
+    keep = []
+    for c in sorted(filter(G.is_clique_set, candidates), key=len, reverse=True):
+        if not any(c < k for k in keep):
+            keep.append(c)
     return sorted(keep, key=_ckey)
 
 
@@ -190,6 +205,7 @@ def clique_preorder(G: Graph, M) -> CliquePreorder:
     others, then propagate through overlap witnesses (reachability in
     the pair graph)."""
     cliques = G.cliques
+    overlaps = G.overlaps
     index = {c: i for i, c in enumerate(cliques)}
     if M not in index:
         raise DomainError("start clique is not a max clique")
@@ -204,17 +220,19 @@ def clique_preorder(G: Graph, M) -> CliquePreorder:
     symmetric = False
     while work and not symmetric:
         e, d = work.pop()
-        ce, cd = cliques[e], cliques[d]
-        # (E before D) and (E & C) - D nonempty  =>  C before D
-        for c in range(m):
-            if c != d and (c, d) not in pairs and (ce & cliques[c]) - cd:
+        e_only, d_only = cliques[e] - cliques[d], cliques[d] - cliques[e]
+        # (E before D) and C meets E - D  =>  C before D.  Only the cliques
+        # meeting E (or D, below) can satisfy a rule, and visiting them in
+        # index order adds pairs in the order of a full scan
+        for c in overlaps[e]:
+            if c != d and (c, d) not in pairs and not e_only.isdisjoint(cliques[c]):
                 pairs.add((c, d))
                 work.append((c, d))
                 symmetric |= (d, c) in pairs
-        # (C before E) and (E & D') - C nonempty  =>  C before D'
+        # (C before E) and D' meets E - C  =>  C before D'
         # here the popped pair plays the role (C, E) = (e, d)
-        for d2 in range(m):
-            if d2 != e and (e, d2) not in pairs and (cd & cliques[d2]) - ce:
+        for d2 in overlaps[d]:
+            if d2 != e and (e, d2) not in pairs and not d_only.isdisjoint(cliques[d2]):
                 pairs.add((e, d2))
                 work.append((e, d2))
                 symmetric |= (d2, e) in pairs

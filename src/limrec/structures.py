@@ -55,12 +55,19 @@ class Structure:
         rels = {name: frozenset() for name, _ in vocab.symbols}
         for name, tuples in (relations or {}).items():
             ar = vocab.arity(name)
-            frozen = frozenset(tuple(t) for t in tuples)
-            for t in frozen:
-                if len(t) != ar:
-                    raise DomainError(f"tuple {t} has wrong arity for {name}/{ar}")
-                if any(not (0 <= e < universe_size) for e in t):
-                    raise DomainError(f"tuple {t} of {name} outside universe")
+            frozen = frozenset(map(tuple, tuples))
+            # one pass over the lengths and the extreme elements decides the
+            # relation; the tuple loop runs only to name the offending tuple
+            if frozen and not (
+                set(map(len, frozen)) == {ar}
+                and 0 <= min(map(min, frozen))
+                and max(map(max, frozen)) < universe_size
+            ):
+                for t in frozen:
+                    if len(t) != ar:
+                        raise DomainError(f"tuple {t} has wrong arity for {name}/{ar}")
+                    if any(not (0 <= e < universe_size) for e in t):
+                        raise DomainError(f"tuple {t} of {name} outside universe")
             rels[name] = frozen
         self.relations = rels
         self._index = {}
@@ -155,17 +162,18 @@ class Structure:
             raise ParseError("missing vocab line")
         if universe is None:
             raise ParseError("missing universe line")
-        structure = cls(vocab, universe, names=names)
-        relations: dict[str, set] = {name: set() for name, _ in vocab.symbols}
+        element_index = cls(vocab, universe, names=names).element_index
+        arities = dict(vocab.symbols)
+        relations: dict[str, set] = {name: set() for name in arities}
         for lineno, toks in tuple_lines:
             rel = toks[0]
-            if rel not in vocab:
+            ar = arities.get(rel)
+            if ar is None:
                 raise ParseError(f"unknown relation {rel!r}", lineno, 1)
-            ar = vocab.arity(rel)
             if len(toks) - 1 != ar:
                 raise ParseError(f"{rel} takes {ar} arguments, got {len(toks) - 1}", lineno, 1)
             try:
-                relations[rel].add(tuple(structure.element_index(t) for t in toks[1:]))
+                relations[rel].add(tuple(map(element_index, toks[1:])))
             except DomainError as exc:
                 raise ParseError(str(exc), lineno, 1) from None
         return cls(vocab, universe, relations, names=names)

@@ -356,11 +356,26 @@ def _degrees(edges, n):
 
 # --- reference copies of the interval pipeline's full-work loops -------------
 #
-# The library stops the clique preorder at the first symmetric pair, takes
-# only the first possible end and builds the span filtration in one
-# union-find sweep.  These are the plain loops it replaced: the full least
-# fixed point, every possible end, and one induced subgraph per
-# (clique, bound) pair.
+# The library intersects closed neighbourhoods only over adjacent pairs,
+# visits only overlapping cliques in the clique preorder and stops it at the
+# first symmetric pair, takes only the first possible end and builds the
+# span filtration in one union-find sweep.  These are the plain loops it
+# replaced: every vertex pair, every clique, the full least fixed point,
+# every possible end, and one induced subgraph per (clique, bound) pair.
+
+
+def reference_max_cliques(G):
+    """Closed-neighbourhood intersections of every vertex pair, adjacent or
+    not, that are cliques; those below no other candidate, in clique order."""
+    closed = {v: G.adj[v] | {v} for v in G.vertices}
+    candidates = set()
+    for u in G.vertices:
+        for v in G.vertices:
+            cand = closed[u] & closed[v]
+            if cand and G.is_clique_set(cand):
+                candidates.add(frozenset(cand))
+    keep = [c for c in candidates if not any(c < other for other in candidates)]
+    return sorted(keep, key=_ckey)
 
 
 def reference_clique_pairs(cliques, start):

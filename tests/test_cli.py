@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 from limrec import treelogic
@@ -348,3 +351,23 @@ def test_bind_a_number_variable_to_a_non_number(capsys, tmp_path):
     code, out, err = run(capsys, "eval", struct, formula, "--bind", "x=0", "--bind", "#x=abc")
     assert (code, out) == (2, "")
     assert err == "error: value 'abc' for #x is not a number\n"
+
+
+def test_main_calls_in_one_process_match_separate_processes(capsys, tmp_path):
+    # the parser is built once per process; a `--bind` list of one call
+    # must not reach the next, which here would turn its error into true
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 2\nE 0 1\n")
+    formula = tmp_path / "f.formula"
+    formula.write_text("exists y E(x, y)\n")
+    calls = (["eval", str(struct), str(formula), "--bind", "x=0"],
+             ["eval", str(struct), str(formula)])
+    in_process = [run(capsys, *argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    separate = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "limrec.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        separate.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == separate
+    assert in_process == [(0, "true\n", ""), (2, "", "error: unbound free variable x\n")]

@@ -11,13 +11,15 @@ from limrec.intervalcanon import (
     decomposition_components, interval_canon, interval_model, max_cliques,
     modular_partition, span_map,
 )
-from limrec.structures import generate_random_interval_graph
+from limrec.cli import main
+from limrec.structures import GRAPH_VOCAB, Structure, generate_random_interval_graph
 from limrec.treelogic import coloured_keys
 
 from .helpers import (
     clique_witness, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, is_interval_graph,
     mask_to_edges, possible_ends, reference_asymmetric, reference_canon_L,
-    reference_clique_order, reference_decomposition_components, reference_possible_ends,
+    reference_clique_order, reference_clique_pairs, reference_decomposition_components,
+    reference_max_cliques, reference_possible_ends,
 )
 
 
@@ -136,6 +138,28 @@ def test_max_cliques_match_subset_enumerator_on_interval_graphs():
 
 def _ckey_str(c):
     return tuple(sorted(c, key=str))
+
+
+def test_adjacent_pairs_find_the_all_pairs_cliques_on_every_small_graph(tmp_path, capsys):
+    # every graph on at most 7 vertices: interval graphs get the cliques of
+    # every vertex pair, and `limrec check` rejects all the others
+    path = tmp_path / "g.struct"
+    interval_counts = []
+    for n in range(1, 8):
+        interval_counts.append(0)
+        for mask in graphs_up_to_iso_all(n, np):
+            edges = mask_to_edges(mask, n)
+            g = Graph(range(n), edges)
+            if is_interval_graph(g):
+                interval_counts[-1] += 1
+                assert max_cliques(g) == reference_max_cliques(g), (n, mask)
+            else:
+                path.write_text(Structure(GRAPH_VOCAB, n, {"E": edges}).serialize())
+                assert main(["check", str(path)]) == 3, (n, mask)
+                assert capsys.readouterr().out == ""
+    # the numbers of interval graphs on 1..7 vertices, so no interval graph
+    # was taken for another
+    assert interval_counts == [1, 2, 4, 10, 27, 92, 369]
 
 
 def test_max_cliques_modular_example_has_eleven():
@@ -260,10 +284,18 @@ def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
             cliques = max_cliques(g)
             for start, m in enumerate(cliques):
                 try:
-                    got = clique_preorder(g, m).asymmetric
+                    pre = clique_preorder(g, m)
                 except RecognitionError:
-                    got = True  # raised only after the order proved asymmetric
-                assert got == reference_asymmetric(cliques, start), (g.edges(), m)
+                    # raised only after the order proved asymmetric
+                    assert reference_asymmetric(cliques, start), (g.edges(), m)
+                    continue
+                assert pre.asymmetric == reference_asymmetric(cliques, start), (g.edges(), m)
+                # complete when asymmetric, a part of the fixed point when cut short
+                full = reference_clique_pairs(cliques, start)
+                if pre.asymmetric:
+                    assert pre.pairs == full, (g.edges(), m)
+                else:
+                    assert pre.pairs <= full, (g.edges(), m)
 
 
 # --- incomparability classes span modules ------------------------------------
@@ -813,6 +845,20 @@ def test_interval_canon_random_relabelled_pairs():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert interval_canon(_relabel(g, perm)) == canon
+
+
+def test_overlaps_follow_the_cliques_a_collapse_keeps():
+    # a quotient's cliques are the linear order of its collapse, and its
+    # overlap lists index that order, not the order max_cliques gives
+    g, _ = graph_from_intervals(MODULAR_SPANS)
+    graphs = [g]
+    for M in possible_ends(g):
+        collapse = collapse_incomparables(g, M)
+        assert collapse.graph.cliques is collapse.clique_order
+        graphs.append(collapse.graph)
+    assert any(h.cliques != max_cliques(h) for h in graphs)
+    for h in graphs:
+        assert h.overlaps == [[j for j, d in enumerate(h.cliques) if c & d] for c in h.cliques]
 
 
 def test_max_cliques_and_preorder_on_a_collapsed_star():

@@ -9,7 +9,9 @@ import pytest
 
 from limrec.cli import main
 from limrec.intervalcanon import Graph, interval_canon
-from limrec.structures import generate_random_interval_graph, generate_random_tree
+from limrec.structures import (
+    GRAPH_VOCAB, Structure, generate_random_interval_graph, generate_random_tree,
+)
 from limrec.treelogic import DirectedTree, tree_canon
 
 from .helpers import (
@@ -54,6 +56,22 @@ def test_interval_canon_large_random_graphs():
         for j in range(len(canons)):
             if degrees[i] != degrees[j]:
                 assert canons[i] != canons[j], (i, j)
+
+
+def test_interval_canon_relabelled_twins_at_scale(tmp_path, capsys):
+    rng = random.Random(4)
+    for n in (320, 640):
+        for g in (
+            Graph.from_structure(generate_random_interval_graph(n, seed=0)),
+            Graph(range(n), [(v, v + 1) for v in range(n - 1)]),
+        ):
+            outputs = []
+            for h in (g, _relabel(g, random_permutation(n, rng))):
+                path = tmp_path / "g.struct"
+                path.write_text(Structure(GRAPH_VOCAB, n, {"E": h.edges()}).serialize())
+                assert main(["canon-interval", str(path)]) == 0
+                outputs.append(capsys.readouterr().out.encode())
+            assert outputs[0] == outputs[1], n
 
 
 def test_check_circuit_on_a_long_not_chain(tmp_path, capsys):

@@ -220,3 +220,38 @@ def test_rel_and_binary_rel_reject_symbols_they_cannot_serve():
         s.binary_rel("E")
     with pytest.raises(DomainError):
         s.binary_rel("T")
+
+
+def test_structure_parse_tuple_errors_keep_message_and_line():
+    head = "vocab E/2 P/1\n# comment\n\nuniverse 3\nnames a b c\nE a b\n"
+    for line, message in (
+        ("F a b", "7:1: unknown relation 'F'"),
+        ("E a", "7:1: E takes 2 arguments, got 1"),
+        ("P a b", "7:1: P takes 1 arguments, got 2"),
+        ("E a 3", "7:1: element index 3 outside universe"),
+        ("E -1 a", "7:1: element index -1 outside universe"),
+        ("P d", "7:1: unknown element 'd'"),
+    ):
+        with pytest.raises(ParseError) as err:
+            Structure.parse(head + line + "\nE b c\n")
+        assert (str(err.value), err.value.line) == (message, 7), line
+
+
+def test_structure_rejects_a_bad_tuple_in_any_position():
+    vocab = Vocabulary((("E", 2),))
+    good = [(a, b) for a in range(4) for b in range(4)]
+    for bad, message in (
+        ((0,), "tuple (0,) has wrong arity for E/2"),
+        ((0, 1, 2), "tuple (0, 1, 2) has wrong arity for E/2"),
+        ((4, 0), "tuple (4, 0) of E outside universe"),
+        ((0, 4), "tuple (0, 4) of E outside universe"),
+        ((-1, 3), "tuple (-1, 3) of E outside universe"),
+        ((3, -1), "tuple (3, -1) of E outside universe"),
+    ):
+        for pos in range(len(good) + 1):
+            tuples = good[:pos] + [bad] + good[pos:]
+            with pytest.raises(DomainError) as err:
+                Structure(vocab, 4, {"E": tuples})
+            assert str(err.value) == message, (bad, pos)
+    assert Structure(vocab, 4, {"E": good}).rel("E") == frozenset(good)
+    assert Structure(vocab, 4, {"E": []}).rel("E") == frozenset()
