@@ -154,43 +154,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("formula")
     p_eval.add_argument("--bind", action="append", metavar="NAME=VALUE")
     p_eval.add_argument("--engine", choices=("memo", "stream", "both"), default="memo")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_ct = sub.add_parser("canon-tree", help="canonical copy of a directed tree")
     p_ct.add_argument("graph")
-    p_ct.set_defaults(func=cmd_canon_tree)
 
     p_ci = sub.add_parser("canon-interval", help="canonical copy of an interval graph")
     p_ci.add_argument("graph")
-    p_ci.set_defaults(func=cmd_canon_interval)
 
     p_iso = sub.add_parser("iso", help="isomorphism test via canon comparison")
     p_iso.add_argument("--kind", choices=("tree", "interval"), required=True)
     p_iso.add_argument("left")
     p_iso.add_argument("right")
-    p_iso.set_defaults(func=cmd_iso)
 
     p_check = sub.add_parser("check", help="recognise the input class; for "
                              "interval graphs print a verified model")
     p_check.add_argument("--kind", choices=("tree", "interval", "circuit"),
                          default="interval")
     p_check.add_argument("graph")
-    p_check.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen", help="deterministic test-data generators")
     p_gen.add_argument("family", choices=("layered", "tree", "interval", "circuit"))
     p_gen.add_argument("size", type=int)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # read from the module's names at each call, not stored in the shared
+    # parser, so a cmd_* function rebound after the parser was built is used
+    handler = {
+        "eval": cmd_eval, "canon-tree": cmd_canon_tree, "canon-interval": cmd_canon_interval,
+        "iso": cmd_iso, "check": cmd_check, "gen": cmd_gen,
+    }[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except RecognitionError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         if exc.certificate is not None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DomainError, FormulaError, LimrecError
 from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
-    NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
+    NUMBER, And, Atom, Count, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
     LrecEq, Not, Or, STRUCT, Var, _children, _contains_dtc, _outer_variables, _rebuild,
     expand_dtc, free_variables,
 )
@@ -85,8 +85,6 @@ def evaluate(structure: Structure, assignment, formula: Formula, engine: str = "
     if engine not in ("memo", "stream", "both"):
         raise LimrecError(f"unknown engine {engine!r}")
     try:
-        if _contains_dtc(formula):
-            formula = expand_dtc(formula)
         alpha = dict(assignment)
         _check_bound(structure, alpha, formula)
         if ctx is None:
@@ -109,11 +107,12 @@ def _compile(ctx: EvalContext, f: Formula, engine: str):
     """Build (once per context) a closure deciding f over a mutating
     assignment dict.  Quantifier closures save and restore the binding
     they touch, so sharing one dict across calls is safe.  The closure
-    evaluates the planned formula `_plan(f)`, not f in source order."""
+    evaluates the planned formula `_plan(f)`, not f in source order, with
+    every dtc node expanded into its lrec formula."""
     key = (f, engine)
     fn = ctx._compiled.get(key)
     if fn is None:
-        fn = _build(ctx, _plan(f), engine)
+        fn = _build(ctx, _plan(expand_dtc(f) if _contains_dtc(f) else f), engine)
         ctx._compiled[key] = fn
     return fn
 
@@ -391,8 +390,6 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
             return _run_engines(graph, vertex, ell, engine)
 
         return lrec_fn
-    if isinstance(f, Dtc):
-        raise FormulaError("dtc must be expanded before evaluation")
     raise FormulaError(f"unknown formula node {type(f).__name__}")
 
 
@@ -451,25 +448,24 @@ class FormulaGraph(LabelledGraph):
 
     Vertices are classes of tuples over Dom(u), each named by its
     lexicographically least member: for lreceq the classes of the
-    reflexive-symmetric-transitive closure of the phi_= pairs, for lrec
-    single tuples (its quotient is the identity).  A formula over u, v is
-    tested on a pair (a, b) only when b is a candidate target of a: the
-    tuples of its guard (`_guard` over v, with u bound) when an and-part
-    of the planned formula is an atom covering v, else every tuple.  The graph is built up front: phi_edge is tested once on each
-    source and candidate target and the edges are quotiented.  A
-    vertex's label set is the union of those of its members.  An lrec
-    graph whose squared domain size exceeds the context threshold is
-    built on demand instead: each vertex is its own class, its
-    out-neighbours are the candidate targets that pass, its in-degree
-    counts the candidate sources (the guard over u, with v bound) that
-    pass, and both are computed when first asked and cached.
+    reflexive-symmetric-transitive closure of the phi_= pairs, formed
+    when the graph is made; for lrec single tuples.  A formula over u, v
+    is tested on a pair (a, b) only when b is a candidate target of a:
+    the tuples of its guard (`_guard` over v, with u bound) when an
+    and-part of the planned formula is an atom covering v, else every
+    tuple.  A vertex's out-neighbours (the classes of the candidate
+    targets of its members that pass phi_edge, self-loops kept) and its
+    label set (the union of its members') are computed when first asked.
+    In-degrees are counted in one sweep over all out-neighbours at the
+    first in_degree call, except in an lrec graph whose squared domain
+    size exceeds the context threshold: there each vertex counts its
+    candidate sources (the guard over u, with v bound) that pass.
     """
 
     def __init__(self, ctx: EvalContext, node: Lrec | LrecEq, base_alpha):
         super().__init__()
         self.ctx = ctx
         self.node = node
-        self.base = base_alpha
         A = ctx.structure
         self.doms = [_domain(A, v) for v in node.u]
         self.dom_size = 1
@@ -489,11 +485,19 @@ class FormulaGraph(LabelledGraph):
         self._out: dict = {}
         self._indeg: dict = {}
         self._label_cache: dict = {}
-        # built on demand, every tuple is its own class and only member
-        self._class_of = None
-        self._members: dict = {}
-        if isinstance(node, LrecEq) or self.dom_size * self.dom_size <= ctx.edge_threshold:
-            self._build()
+        self._sweep = isinstance(node, LrecEq) or self.dom_size ** 2 <= ctx.edge_threshold
+        classes = []
+        if isinstance(node, LrecEq):
+            eq_fn = _compile(ctx, node.phi_eq, "memo")
+            eq_targets = _candidates(ctx, self._guard_parts(node.phi_eq), node.v)
+            classes = _closure_classes(
+                list(itertools.product(*self.doms)),
+                lambda a: self._bound(eq_targets, node.u, a),
+                lambda a, b: any(self._pairs(eq_fn, (a,), lambda alpha: (b,))),
+            )
+        # lreceq classes: representative -> members, member -> representative
+        self._members = {members[0]: members for members in classes}
+        self._rep_of = {t: members[0] for members in classes for t in members}
 
     def _guard_parts(self, formula):
         """The and-parts of the planned formula over u, v, where a guard
@@ -519,47 +523,37 @@ class FormulaGraph(LabelledGraph):
         self._alpha.update(zip(xs, values))
         return cands(self._alpha)
 
-    def _build(self):
-        node = self.node
-        domain = list(itertools.product(*self.doms))
-        if isinstance(node, LrecEq):
-            eq_fn = _compile(self.ctx, node.phi_eq, "memo")
-            eq_targets = _candidates(self.ctx, self._guard_parts(node.phi_eq), node.v)
-            classes = _closure_classes(
-                domain,
-                lambda a: self._bound(eq_targets, node.u, a),
-                lambda a, b: any(self._pairs(eq_fn, (a,), lambda alpha: (b,))),
-            )
-        else:
-            classes = [[t] for t in domain]
-        edges = self._pairs(self._edge_fn, domain, self._targets)
-        reps, qedges, self._class_of = quotient_by_equivalence(classes, edges)
-        self._members = dict(zip(reps, classes))
-        out: dict = {rep: [] for rep in reps}
-        self._indeg = dict.fromkeys(reps, 0)
-        for a, b in qedges:
-            out[a].append(b)
-            self._indeg[b] += 1
-        self._out = {rep: tuple(sorted(ns)) for rep, ns in out.items()}
-
     def class_of(self, tup):
-        if self._class_of is None:
+        if isinstance(self.node, LrecEq):
+            if tup in self._rep_of:
+                return self._rep_of[tup]
+        elif len(tup) == len(self.doms) and all(x in d for x, d in zip(tup, self.doms)):
             return tup
-        try:
-            return self._class_of[tup]
-        except KeyError:
-            raise DomainError(f"tuple {tup!r} outside the recursion domain") from None
+        raise DomainError(f"tuple {tup!r} outside the recursion domain")
 
-    def out_neighbours(self, vertex):
+    def _out_of(self, vertex):
+        # the in-degree sweep calls this, so out_neighbours calls are the engines'
         out = self._out.get(vertex)
-        if out is None:  # built on demand
-            pairs = self._pairs(self._edge_fn, (vertex,), self._targets)
-            out = self._out[vertex] = tuple(b for _, b in pairs)
+        if out is None:
+            members = self._members.get(vertex, (vertex,))
+            pairs = self._pairs(self._edge_fn, members, self._targets)
+            out = self._out[vertex] = tuple(sorted({self.class_of(b) for _, b in pairs}))
         return out
 
+    def out_neighbours(self, vertex):
+        return self._out_of(vertex)
+
     def in_degree(self, vertex):
+        if self._sweep:
+            if not self._indeg:
+                vertices = list(self._members or itertools.product(*self.doms))
+                self._indeg = dict.fromkeys(vertices, 0)
+                for a in vertices:
+                    for b in self._out_of(a):
+                        self._indeg[b] += 1
+            return self._indeg[vertex]
         indeg = self._indeg.get(vertex)
-        if indeg is None:  # built on demand
+        if indeg is None:
             sources = self._bound(self._sources, self.node.v, vertex)
             pairs = self._pairs(self._edge_fn, sources, lambda alpha: (vertex,))
             indeg = self._indeg[vertex] = sum(1 for _ in pairs)
@@ -617,6 +611,22 @@ def _closure_classes(domain, candidates, related):
 # Engines
 
 
+def _child_resources(graph: LabelledGraph, children, ell: int) -> list:
+    """The resource floor((ell-1)/in_degree(b)) of each child b of a vertex
+    at resource ell >= 1; an in-degree below 1, or a resource that does not
+    strictly decrease, is an error of the graph."""
+    res = []
+    for b in children:
+        d = graph.in_degree(b)
+        if d < 1:
+            raise LimrecError(f"edge target {b!r} reports in-degree {d}")
+        sub = (ell - 1) // d
+        if sub >= ell:
+            raise LimrecError(f"resource {ell} does not decrease along an edge to {b!r}")
+        res.append(sub)
+    return res
+
+
 def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     """Memoized top-down decision of (vertex, resource) in X.
 
@@ -647,15 +657,7 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
             continue
         if frame[2] is None:
             children = graph.out_neighbours(v)
-            res = []
-            for b in children:
-                d = graph.in_degree(b)
-                if d < 1:
-                    raise LimrecError(f"edge target {b!r} reports in-degree {d}")
-                sub = (ell - 1) // d
-                if sub >= ell:
-                    raise LimrecError(f"resource {ell} does not decrease along an edge to {b!r}")
-                res.append(sub)
+            res = _child_resources(graph, children, ell)
             if not graph.label_any(v, len(children)):
                 memo[fkey] = False
                 stack.pop()
@@ -715,11 +717,8 @@ def unravel(graph: LabelledGraph, vertex, resource: int) -> Unravelling:
         ell = resources[i]
         if ell <= 0:
             continue
-        for b in graph.out_neighbours(vertices[i]):
-            d = graph.in_degree(b)
-            if d < 1:
-                raise LimrecError(f"edge target {b!r} reports in-degree {d}")
-            sub = (ell - 1) // d
+        kids = graph.out_neighbours(vertices[i])
+        for b, sub in zip(kids, _child_resources(graph, kids, ell)):
             j = len(vertices)
             vertices.append(b)
             resources.append(sub)

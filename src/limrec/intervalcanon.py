@@ -448,7 +448,6 @@ class LCanon:
     m: int                      # number of max cliques of L
     palindromic: bool           # the two orders render identically
     modules: list               # ModuleRecord per multi-vertex module
-    clique_colour: dict         # original clique -> position multiset
 
 
 def _render(order_of_intervals):
@@ -470,7 +469,7 @@ def _interval_of(vertex, order):
 
 def canon_L(H: Graph) -> LCanon:
     """Canonical ordered copy of the module-collapsed quotient of a
-    connected graph, with per-module and per-clique position data.
+    connected graph, with per-module position data.
 
     Every component reads L from its partition.  The L of an apex
     component is one clique, in which the one module (the non-apex rest,
@@ -494,12 +493,6 @@ def canon_L(H: Graph) -> LCanon:
         kept = order_fwd if fwd < bwd else order_bwd
         intervals, edges = _render(min(fwd, bwd))
 
-    def positions_of(pos_in_fwd):
-        pos_kept = pos_in_fwd if kept is order_fwd else m + 1 - pos_in_fwd
-        if palindromic and m > 1:
-            return tuple(sorted((pos_kept, m + 1 - pos_kept)))
-        return (pos_kept,)
-
     modules = []
     for cls in part.modules:
         if cls not in L.adj:
@@ -516,10 +509,7 @@ def canon_L(H: Graph) -> LCanon:
             colour = (pos,)
             group = "single"
         modules.append(ModuleRecord(cls, colour, group))
-    clique_colour = {}
-    for c, pos0 in part.clique_position.items():
-        clique_colour[c] = positions_of(pos0 + 1)
-    return LCanon(L.n, edges, intervals, m, palindromic, modules, clique_colour)
+    return LCanon(L.n, edges, intervals, m, palindromic, modules)
 
 
 # ---------------------------------------------------------------------------

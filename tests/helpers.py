@@ -470,22 +470,18 @@ def reference_canon_L(H):
     """canon_L with the cases it once answered before reading the
     partition: a one-vertex graph, a complete graph, and an apex graph,
     whose non-apex rest is one module at the only clique position."""
-    cliques = H.cliques
     apices = H.apices()
     if H.n == 1:
-        return LCanon(1, frozenset(), [(1, 1)], 1, True, [], {cliques[0]: (1,)})
+        return LCanon(1, frozenset(), [(1, 1)], 1, True, [])
     if not apices:
         return canon_L(H)
     rest = frozenset(H.vertices) - apices
     if not rest:
         intervals = [(1, 1)] * H.n
-        return LCanon(H.n, _render(intervals)[1], intervals, 1, True, [], {cliques[0]: (1,)})
+        return LCanon(H.n, _render(intervals)[1], intervals, 1, True, [])
     intervals = [(1, 1)] * (len(apices) + 1)
     modules = [ModuleRecord(rest, (1,), "single")]
-    return LCanon(
-        len(intervals), _render(intervals)[1], intervals, 1, True, modules,
-        {c: (1,) for c in cliques},
-    )
+    return LCanon(len(intervals), _render(intervals)[1], intervals, 1, True, modules)
 
 
 def reference_clique_order(H):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from limrec import treelogic
+from limrec import cli, treelogic
 from limrec.cli import main
 from limrec.structures import Structure
 
@@ -371,3 +371,11 @@ def test_main_calls_in_one_process_match_separate_processes(capsys, tmp_path):
         separate.append((done.returncode, done.stdout, done.stderr))
     assert in_process == separate
     assert in_process == [(0, "true\n", ""), (2, "", "error: unbound free variable x\n")]
+
+
+def test_main_calls_a_handler_rebound_after_the_parser_was_built(monkeypatch, capsys):
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_gen", lambda args: seen.append(args.size) or 7)
+    assert run(capsys, "gen", "tree", "3") == (7, "", "")
+    assert seen == [3]

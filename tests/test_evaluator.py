@@ -353,8 +353,8 @@ def test_lreceq_with_empty_equivalence_is_lrec(monkeypatch, on_demand):
                     assert evaluate(structure, alpha, lreceq, engine, ctx=ctx) == evaluate(
                         structure, alpha, lrec, engine, ctx=ctx
                     ), (structure, edge, label, alpha, engine)
-            built_up_front = ctx.formula_graph(lrec, {svar("s"): 0})._class_of is not None
-            assert built_up_front != on_demand
+            sweeps_in_degrees = ctx.formula_graph(lrec, {svar("s"): 0})._sweep
+            assert sweeps_in_degrees != on_demand
 
 
 # --- transductions ---------------------------------------------------------
@@ -426,6 +426,24 @@ def test_layer_transduction_on_g4():
     assert out.universe_size == 8
     assert len(out.rel("E")) == 6
     assert _is_two_disjoint_paths(out, 4)
+
+
+def test_transduction_relation_may_use_dtc():
+    rng = random.Random(3)
+    n = 6
+    edges = {(a, rng.randrange(n)) for a in range(n)} | {(0, 3)}
+    g = Structure(GRAPH_VOCAB, n, {"E": edges})
+    x, y = svar("x"), svar("y")
+    reach = parse_formula("[dtc a, b : E(a, b)](x, y)")
+    theta = Transduction(
+        u=(x,), v=(y,),
+        theta_v=EqVar(x, x),
+        theta_approx=EqVar(x, y),
+        relations=(("R", reach, ((x,), (y,))),),
+    )
+    expected = {(s, t) for s in range(n) for t in range(n) if evaluate(g, {x: s, y: t}, reach)}
+    assert 0 < len(expected) < n * n
+    assert apply_transduction(theta, g).rel("R") == expected
 
 
 def test_transduction_validates_tuples():
@@ -534,17 +552,29 @@ def test_library_has_no_assert_statements():
 
 def test_every_library_name_is_called_documented_or_traced():
     # a name in src/limrec has a reference elsewhere in src/, belongs to the
-    # README's "Library surface", or is read by bench/tracing.py
+    # README's "Library surface", or is read by bench/tracing.py; a dataclass
+    # field or self attribute needs an attribute read or a string constant
+    # (the binder table reads fields by name) in src/
     root = Path(__file__).resolve().parents[1]
     readme = (root / "README.md").read_text()
     surface = readme.split("## Library surface\n", 1)[1].split("\n## ", 1)[0]
     known = set(re.findall(r"\w+", surface + (root / "bench" / "tracing.py").read_text()))
-    defined, referenced = [], set()
+    defined, referenced, fields, read = [], set(), [], set()
     for path in sorted((root / "src" / "limrec").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 defined += [(path.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef)]
+                if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+                    fields += [
+                        (path.name, node.name, f.target.id) for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                    ]
+                fields += [
+                    (path.name, node.name, a.attr) for a in ast.walk(node)
+                    if isinstance(a, ast.Attribute) and isinstance(a.ctx, ast.Store)
+                    and isinstance(a.value, ast.Name) and a.value.id == "self"
+                ]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.name, node.name))
             elif isinstance(node, ast.Assign):
@@ -554,12 +584,19 @@ def test_every_library_name_is_called_documented_or_traced():
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.attr)
+                read.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    assert len(defined) > 100
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(defined) > 100 and len(fields) > 50
     unused = [
         f"{name}:{attr}" for name, attr in defined
         if not re.fullmatch(r"__\w+__", attr) and attr not in referenced | known
+    ]
+    unused += [
+        f"{name}:{cls}.{attr}" for name, cls, attr in dict.fromkeys(fields)
+        if attr not in read | known
     ]
     assert unused == []
 
@@ -578,8 +615,8 @@ def test_lazy_formula_graph_matches_materialised(monkeypatch):
     for s in range(n):
         eager = eager_ctx.formula_graph(formula, {svar("s"): s})
         lazy = lazy_ctx.formula_graph(formula, {svar("s"): s})
-        # a graph built up front knows the class of every tuple
-        assert eager._class_of is not None and lazy._class_of is None
+        # below the threshold in-degrees are counted in one sweep
+        assert eager._sweep and not lazy._sweep
         for v in [(a,) for a in range(n)]:
             assert lazy.out_neighbours(v) == eager.out_neighbours(v)
             assert lazy.in_degree(v) == eager.in_degree(v)
@@ -949,6 +986,39 @@ def test_lreceq_closure_tests_only_guarded_pairs():
             alpha = {svar("s"): s, svar("t"): t, nvar("r"): 1}
             assert evaluate(structure, alpha, formula, ctx=ctx) == (comp[s] == comp[t])
     assert 0 < calls[formula.phi_eq] <= 2 * len(edges) + n
+
+
+def test_lreceq_edges_are_tested_only_from_the_queried_class():
+    # the edge formula finds no edge, so the root asks no in-degree and
+    # phi_edge is tested only on the members of the root's class
+    n = 30
+    edges = {(a, a + 1) for a in range(0, n - 1, 3)}
+    edges |= {(b, a) for a, b in edges}
+    structure = Structure(GRAPH_VOCAB, n, {"E": edges})
+    formula = parse_formula("[lreceq x, y, #p : E(x, y) ; not x = x ; x = t](s, #r)")
+    comp = _components(n, edges)
+    calls = collections.Counter()
+    with _counting_compile(calls):
+        alpha = {svar("s"): 0, svar("t"): 1, nvar("r"): 1}
+        assert evaluate(structure, alpha, formula) is True
+    assert calls[formula.phi_edge] == comp.count(comp[0]) * n == 2 * n
+
+
+@pytest.mark.parametrize("text", [
+    "[lrec x, y, #p : E(x, y) ; x = x](z, #r)",
+    "[lreceq x, y, #p : E(x, y) ; not x = x ; x = x](z, #r)",
+])
+@pytest.mark.parametrize("threshold", [0, evaluator.EDGE_MATERIALIZE_THRESHOLD])
+def test_class_of_rejects_a_tuple_outside_the_domain(text, threshold):
+    structure = Structure(GRAPH_VOCAB, 3, {"E": {(0, 1), (1, 0)}})
+    ctx = EvalContext(structure)
+    ctx.edge_threshold = threshold
+    graph = ctx.formula_graph(parse_formula(text), {})
+    assert graph._sweep == (threshold > 0 or isinstance(graph.node, LrecEq))
+    assert graph.class_of((2,)) == (2,)
+    for tup in ((3,), (-1,), (0, 1), ()):
+        with pytest.raises(DomainError, match="outside the recursion domain"):
+            graph.class_of(tup)
 
 
 def test_label_reads_its_outer_variable_named_like_v():

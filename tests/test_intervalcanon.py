@@ -688,7 +688,11 @@ def test_modular_example_clique_positions():
     info = canon_L(g)
     assert info.m == 5
     assert info.palindromic
-    by_clique = {frozenset(c): pos for c, pos in info.clique_colour.items()}
+    # a palindromic order places each clique at its position and the mirror
+    by_clique = {
+        frozenset(c): tuple(sorted((pos + 1, info.m - pos)))
+        for c, pos in g.partition.clique_position.items()
+    }
     # the outermost cliques sit at mirrored extremes, the twin-pendant cell
     # in the exact middle
     assert by_clique[frozenset("ab")] == (1, 5)
