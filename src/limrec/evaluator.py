@@ -418,13 +418,15 @@ class LabelledGraph:
     Subclasses provide out_neighbours (sorted ascending), in_degree, and
     label membership.  `memo` caches (vertex, resource) verdicts.
 
-    label_any(vertex, top) says whether some count in [0, top] may lie
-    in the label set; the memo engine asks it with top the vertex's
-    out-degree and, on False, decides the vertex without visiting its
-    children.  The default answers True (no pruning).  A subclass may
-    override it with a cheap closed form that never answers False while
-    some such count is in the label set; the streaming engine never
-    asks it."""
+    label_min(vertex) is a lower bound on the least count in the label
+    set, or None when the set is empty.  The memo engine asks it before
+    anything else about a vertex: on None it decides the vertex without
+    building its out-neighbours, and when the bound exceeds the
+    out-degree it decides the vertex without visiting its children.
+    The default answers 0 (no pruning).  A subclass may override it
+    with a cheap closed form that never exceeds the least count in the
+    set and answers None only for an empty set; the streaming engine
+    never asks it."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -438,8 +440,8 @@ class LabelledGraph:
     def label_contains(self, vertex, count: int) -> bool:
         raise NotImplementedError
 
-    def label_any(self, vertex, top: int) -> bool:
-        return True
+    def label_min(self, vertex) -> int | None:
+        return 0
 
 
 class FormulaGraph(LabelledGraph):
@@ -634,9 +636,11 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     pair.  Child resources floor((l-1)/in_degree) are strictly smaller,
     which grades the recursion; an explicit stack avoids Python's
     recursion limit on long in-degree-1 chains.  A vertex whose label
-    admits no count up to its out-degree (`graph.label_any`) is decided
-    False once its children and their resources are checked, without
-    visiting them.
+    set is empty (`graph.label_min` is None) is decided False before its
+    out-neighbours are built; one whose least count exceeds its
+    out-degree is decided False without visiting its children.  The
+    in-degrees and resources of the children are checked only for the
+    frames whose children are walked.
     """
     memo = graph.memo
     key = (vertex, resource)
@@ -656,14 +660,14 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
             stack.pop()
             continue
         if frame[2] is None:
-            children = graph.out_neighbours(v)
-            res = _child_resources(graph, children, ell)
-            if not graph.label_any(v, len(children)):
+            lo = graph.label_min(v)
+            children = () if lo is None else graph.out_neighbours(v)
+            if lo is None or lo > len(children):
                 memo[fkey] = False
                 stack.pop()
                 continue
             frame[2] = children
-            frame[3] = res
+            frame[3] = _child_resources(graph, children, ell)
         advanced = False
         while frame[4] < len(frame[2]):
             ckey = (frame[2][frame[4]], frame[3][frame[4]])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import DomainError, LimrecError, RecognitionError
+from .errors import DomainError, LimrecError, ParseError, RecognitionError
 from .evaluator import LabelledGraph, evaluate, x_membership
 from .structures import Structure
 from .syntax import parse_formula, svar
@@ -79,7 +79,12 @@ class DirectedTree:
         toks = text.split()
         if toks and toks[0] == "parents":
             toks = toks[1:]
-        vals = [int(t) for t in toks]
+        vals = []
+        for i, t in enumerate(toks, 1):
+            try:
+                vals.append(int(t))
+            except ValueError:
+                raise ParseError(f"parent entry {i} is {t!r}, not an integer") from None
         try:
             return cls([None if p < 0 else p for p in vals])
         except DomainError as exc:
@@ -466,9 +471,10 @@ class _CanonGraph(LabelledGraph):
     copies occupy consecutive blocks after all strictly smaller classes;
     a block tuple delegates to the corresponding child tuple, with one
     parallel edge per isomorphic sibling, and the label demands that all
-    of them accept.  `label_any` decides in closed form whether any count
-    up to `top` is in the label, so the memo engine skips the children
-    of tuples that no count can accept.
+    of them accept.  `label_min` gives the least count of the label in
+    closed form, so the memo engine decides tuples with an empty label
+    without building their out-neighbours, and skips the children of
+    tuples whose least count exceeds their out-degree.
     """
 
     def __init__(self, tables: _TreeTables):
@@ -544,8 +550,8 @@ class _CanonGraph(LabelledGraph):
     def label_contains(self, vx, m):
         return m in self._label(vx)
 
-    def label_any(self, vx, top):
-        return any(m <= top for m in self._label(vx))
+    def label_min(self, vx):
+        return min(self._label(vx), default=None)
 
 
 def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:

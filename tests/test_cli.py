@@ -79,6 +79,14 @@ def test_canon_tree_path(capsys, tmp_path):
     assert out.splitlines() == ["n 3", "1 2", "2 3"]
 
 
+def test_canon_tree_names_a_non_integer_parent_entry(capsys, tmp_path):
+    f = tmp_path / "tree.txt"
+    f.write_text("parents -1 0 x\n")
+    code, out, err = run(capsys, "canon-tree", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: parent entry 3 is 'x', not an integer\n"
+
+
 def test_canon_tree_structure_format(capsys, tmp_path):
     f = tmp_path / "tree.struct"
     f.write_text("vocab E/2\nuniverse 3\nE 0 1\nE 0 2\n")

@@ -510,6 +510,37 @@ def test_engines_reject_an_edge_target_without_incoming_edges():
         x_membership_streaming(_ZeroInDegreeGraph(), 0, 5)
 
 
+class _PrunedGraph(LabelledGraph):
+    """Vertex 0 has an empty label, vertex 1 least count 5 and children 2
+    and 3; nothing else about them may be asked."""
+
+    def out_neighbours(self, vertex):
+        if vertex == 1:
+            return (2, 3)
+        raise AssertionError(f"out_neighbours({vertex!r}) asked")
+
+    def in_degree(self, vertex):
+        raise AssertionError(f"in_degree({vertex!r}) asked")
+
+    def label_contains(self, vertex, count):
+        raise AssertionError(f"label_contains({vertex!r}, {count}) asked")
+
+    def label_min(self, vertex):
+        return {0: None, 1: 5}[vertex]
+
+
+def test_memo_engine_decides_an_empty_label_without_building_edges():
+    graph = _PrunedGraph()
+    assert x_membership(graph, 0, 5) is False
+    assert graph.memo == {(0, 5): False}
+
+
+def test_memo_engine_skips_children_when_the_least_count_exceeds_the_out_degree():
+    graph = _PrunedGraph()
+    assert x_membership(graph, 1, 5) is False
+    assert graph.memo == {(1, 5): False}
+
+
 def test_engine_invariant_checks_survive_python_O():
     script = (
         "import sys\n"

@@ -174,22 +174,22 @@ def test_canon_graph_in_degrees_match_edge_scan():
             assert graph.in_degree(vx) == indeg.get(vx, 0), (tree.parent, vx)
 
 
-def test_canon_graph_label_any_is_exact():
-    # label_any(vx, top) is True iff some count in [0, top] lies in the
-    # label set, for every top up to the out-degree the memo engine asks at
+def test_canon_graph_label_min_is_exact():
+    # label_min(vx) is the least count in the label set, or None when it
+    # is empty; a label count never exceeds n, so counts up to n + 1 cover
+    # every count the engines can ask about
     for tree in _canon_graph_trees():
         graph = tree.tables().canon_graph()
         for vx in _canon_graph_space(tree):
-            expected = False
-            for top in range(len(graph.out_neighbours(vx)) + 1):
-                expected = expected or graph.label_contains(vx, top)
-                assert graph.label_any(vx, top) == expected, (tree.parent, vx, top)
+            least = next((m for m in range(tree.n + 2) if graph.label_contains(vx, m)), None)
+            assert graph.label_min(vx) == least, (tree.parent, vx)
 
 
 def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
-    # the memo engine skips the children of hopeless vertices, the
-    # streaming engine walks the whole unravelling: X is the same relation
-    for tree in [*all_trees(6), DirectedTree([None] + [0] * 6)]:
+    # the memo engine decides empty labels without building edges and
+    # skips the children of hopeless vertices, the streaming engine walks
+    # the whole unravelling: X is the same relation
+    for tree in _canon_graph_trees():
         graph = tree.tables().canon_graph()
         for a in range(1, tree.n + 1):
             for b in range(1, tree.n + 1):
@@ -200,7 +200,7 @@ def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
 
 
 def test_tree_canon_memo_skips_hopeless_vertices():
-    # without the label_any pruning and the a < b sweep this tree left
+    # without the label_min pruning and the a < b sweep this tree left
     # 351,126 entries in the canon graph's memo
     tree = DirectedTree.from_structure(generate_random_tree(100, seed=0))
     canon = tree_canon(tree)
