@@ -6,6 +6,11 @@ the module-free quotient L with its two clique orders, the coloured
 modular decomposition tree, and finally a canonical copy assembled
 bottom-up over that tree.
 
+The tree's component vertices come from the module recursion alone: the
+connected components of the graph and of each module's subgraph.
+`decomposition_components` gives the paper's characterisation of the same
+sets by the span filtration; canonisation does not call it.
+
 Recognition is exact: the pipeline orders each component's cliques and
 the resulting interval model is verified against the input graph, so
 non-interval inputs are always rejected with a certificate (either a
@@ -130,9 +135,6 @@ class Graph:
             seen |= comp
             out.append(frozenset(comp))
         return out
-
-    def is_connected(self):
-        return len(self.components()) <= 1
 
     def apices(self):
         """Vertices adjacent to every other vertex."""
@@ -462,9 +464,14 @@ def _render(order_of_intervals):
     return intervals, frozenset(edges)
 
 
-def _interval_of(vertex, order):
-    positions = [p + 1 for p, clique in enumerate(order) if vertex in clique]
-    return (min(positions), max(positions))
+def _intervals(order):
+    """Each vertex of a clique order -> the (first, last) 1-based
+    positions of the cliques that hold it."""
+    out = {}
+    for p, clique in enumerate(order, start=1):
+        for v in clique:
+            out[v] = (out.get(v, (p,))[0], p)
+    return out
 
 
 def canon_L(H: Graph) -> LCanon:
@@ -479,28 +486,22 @@ def canon_L(H: Graph) -> LCanon:
     """
     part = H.partition
     L = part.quotient
-    order_fwd = part.clique_order
-    order_bwd = list(reversed(order_fwd))
-    m = len(order_fwd)
-    fwd = sorted(_interval_of(v, order_fwd) for v in L.vertices)
-    bwd = sorted(_interval_of(v, order_bwd) for v in L.vertices)
-    if fwd == bwd:
-        palindromic = True
-        kept = order_fwd
-        intervals, edges = _render(fwd)
-    else:
-        palindromic = False
-        kept = order_fwd if fwd < bwd else order_bwd
-        intervals, edges = _render(min(fwd, bwd))
+    m = len(part.clique_order)
+    interval = _intervals(part.clique_order)
+    fwd = sorted(interval[v] for v in L.vertices)
+    bwd = sorted((m + 1 - r, m + 1 - l) for l, r in fwd)  # the reversed order
+    palindromic = fwd == bwd
+    reverse = bwd < fwd
+    intervals, edges = _render(min(fwd, bwd))
 
     modules = []
     for cls in part.modules:
         if cls not in L.adj:
             raise RecognitionError("module is not a vertex of the quotient", certificate=cls)
-        holders = [p + 1 for p, clique in enumerate(kept) if cls in clique]
-        if len(holders) != 1:
+        first, last = interval[cls]
+        if first != last:
             raise RecognitionError("module vertex must have span one", certificate=cls)
-        pos = holders[0]
+        pos = m + 1 - first if reverse else first
         if palindromic and m > 1:
             mirror = m + 1 - pos
             colour = tuple(sorted((pos, mirror)))
@@ -520,8 +521,11 @@ def decomposition_components(G: Graph):
     """The filtered (clique, bound) pairs whose span component is a
     connected component of a decomposition module.
 
-    Returned entries are (clique, n, vertex set); every distinct vertex
-    set is one component vertex of the decomposition tree.
+    Returned entries are (clique, n, vertex set).  The distinct vertex
+    sets are the paper's characterisation of the component vertices of
+    the decomposition tree: they equal the `comp_set` values of
+    `build_modular_tree(G)`, which finds them by the module recursion
+    and does not call this function.
     """
     cliques = G.cliques
     spans = span_map(G)
@@ -603,7 +607,6 @@ class ColouredTree:
     comp_set: dict = field(default_factory=dict)      # component node -> frozenset
     comp_lcanon: dict = field(default_factory=dict)   # component node -> LCanon
     comp_apices: dict = field(default_factory=dict)   # component node -> frozenset
-    module_set: dict = field(default_factory=dict)    # module node -> frozenset
     module_record: dict = field(default_factory=dict) # module node -> ModuleRecord
     arr_group: dict = field(default_factory=dict)     # arrangement node -> group tag
 
@@ -615,15 +618,10 @@ class ColouredTree:
 
 
 def build_modular_tree(G: Graph) -> ColouredTree:
-    """Construct the coloured decomposition tree: component vertices per
-    distinct filtered span component, at most three arrangement vertices
-    per component, and one module vertex per multi-vertex module."""
-    pgroups = decomposition_components(G)
-    comp_sets = {comp for _, _, comp in pgroups}
-    if frozenset(G.vertices) not in [
-        comp for _, bound, comp in pgroups if bound == G.n
-    ] and G.is_connected():
-        raise RecognitionError("whole graph missing from decomposition components")
+    """Construct the coloured decomposition tree: one component vertex per
+    connected component of G and of each module's subgraph, at most three
+    arrangement vertices per component, and one module vertex per
+    multi-vertex module.  The empty graph gets the root alone."""
     parents = [None]
     child_lists = [[]]
     kinds = ["root"]
@@ -655,18 +653,12 @@ def build_modular_tree(G: Graph) -> ColouredTree:
             tree.arr_group[arr] = tag
             for record in sorted(groups[tag], key=lambda r: r.colour):
                 mod = new_node("module", arr)
-                tree.module_set[mod] = record.vertices
                 tree.module_record[mod] = record
                 counts = {}
                 for p in record.colour:
                     counts[p] = counts.get(p, 0) + 1
                 tree.colours[mod] = tuple(sorted(counts.items()))
                 for sub in G.subgraph(record.vertices).components():
-                    if sub not in comp_sets:
-                        raise RecognitionError(
-                            "module component missing from decomposition components",
-                            certificate=sub,
-                        )
                     add_component(sub, mod)
         return node
 
@@ -866,15 +858,12 @@ def interval_model(G: Graph):
     offset = 0
     for comp in G.components():
         order = _component_clique_order(G.subgraph(comp))
-        positions = {}
-        for p, clique in enumerate(order, start=1):
-            for v in clique:
-                positions.setdefault(v, []).append(p)
+        interval = _intervals(order)
         for v in sorted(comp, key=_vkey):
-            ps = positions.get(v)
-            if not ps:
+            if v not in interval:
                 raise RecognitionError("vertex missing from every clique", certificate=v)
-            model.append((v, offset + min(ps), offset + max(ps)))
+            first, last = interval[v]
+            model.append((v, offset + first, offset + last))
         offset += len(order)
     spans = {v: (l, r) for v, l, r in model}
     for a in G.vertices:

@@ -249,7 +249,7 @@ def _connected_graphs(n):
     for bits in range(1 << len(pairs)):
         edges = {pairs[i] for i in range(len(pairs)) if bits >> i & 1}
         g = Graph(range(n), edges)
-        if g.is_connected():
+        if len(g.components()) == 1:
             yield g
 
 
@@ -427,7 +427,7 @@ def _oracle_decomposition_sets(g):
                 result.add(comp)
         if len(wset) == 1:
             return
-        if not h.is_connected():
+        if len(h.components()) != 1:
             for comp in h.components():
                 walk(comp, parent_connected=False)
             return
@@ -438,7 +438,7 @@ def _oracle_decomposition_sets(g):
     whole = frozenset(g.vertices)
     result.update(g.components())
     sub = g
-    if g.is_connected():
+    if len(g.components()) == 1:
         walk(whole, parent_connected=True)
     else:
         for comp in g.components():
@@ -523,6 +523,7 @@ def test_decomposition_matches_recursive_oracle_exhaustive():
                 continue
             got = {comp for _, _, comp in decomposition_components(g)}
             assert got == _oracle_decomposition_sets(g), sorted(g.edges())
+            assert set(build_modular_tree(g).comp_set.values()) == got, sorted(g.edges())
 
 
 def _band(n, width):
@@ -547,7 +548,9 @@ def _partition_fields(part):
 def test_sweep_and_first_end_match_reference_loops(monkeypatch):
     for g in _differential_graphs():
         assert g.components() == sorted(g.components(), key=_ckey)
-        assert decomposition_components(g) == reference_decomposition_components(g)
+        p_sets = reference_decomposition_components(g)
+        assert decomposition_components(g) == p_sets
+        assert set(build_modular_tree(g).comp_set.values()) == {comp for _, _, comp in p_sets}
         parts = {}
         for comp in g.components():
             h = g.subgraph(comp)
@@ -556,13 +559,22 @@ def test_sweep_and_first_end_match_reference_loops(monkeypatch):
         canon = interval_canon(g)
         with monkeypatch.context() as patch:
             patch.setattr(intervalcanon, "_possible_ends", reference_possible_ends)
-            patch.setattr(
-                intervalcanon, "decomposition_components", reference_decomposition_components
-            )
             for comp, fields in parts.items():
                 assert _partition_fields(modular_partition(g.subgraph(comp))) == fields
             # a fresh graph, so no clique list or partition comes from g's caches
             assert interval_canon(Graph(g.vertices, g.edges())) == canon
+
+
+def test_interval_canon_does_not_run_the_span_filtration(monkeypatch):
+    graphs = list(_differential_graphs())
+    canons = [interval_canon(g) for g in graphs]
+
+    def unused(G):
+        raise AssertionError("decomposition_components called")
+
+    monkeypatch.setattr(intervalcanon, "decomposition_components", unused)
+    # fresh graphs, so nothing comes from the caches filled above
+    assert [interval_canon(Graph(g.vertices, g.edges())) for g in graphs] == canons
 
 
 def test_one_preorder_per_graph_and_start(monkeypatch):
@@ -664,7 +676,7 @@ def test_modular_example_module_colours():
     arrangements = tree.children(top[0])
     assert len(arrangements) == 3
     module_sets = {
-        frozenset(tree.module_set[m]): tree.module_record[m].colour
+        tree.module_record[m].vertices: tree.module_record[m].colour
         for a in arrangements
         for m in tree.children(a)
     }
@@ -707,7 +719,7 @@ def test_modular_example_deep_modules():
     g, _ = graph_from_intervals(MODULAR_SPANS)
     tree = build_modular_tree(g)
     module_sets = {
-        frozenset(tree.module_set[m])
+        tree.module_record[m].vertices
         for m, k in enumerate(tree.kinds)
         if k == "module"
     }
@@ -772,6 +784,10 @@ def test_coloured_tree_preorder_on_modular_tree():
 
 
 def test_interval_canon_trivial():
+    empty = Graph([], [])
+    assert interval_canon(empty) == (0, ())
+    tree = build_modular_tree(empty)
+    assert (tree.parents, tree.kinds, tree.comp_set) == ([None], ["root"], {})
     assert interval_canon(Graph([0], [])) == (1, ())
     n, edges = interval_canon(Graph(range(3), [(0, 1), (1, 2), (0, 2)]))
     assert n == 3 and len(edges) == 3
