@@ -58,6 +58,8 @@ def _parse_bindings(structure: Structure, formula, pairs):
                 var = nvar(name)
         if var not in free:
             raise LimrecError(f"{name!r} is not a free variable of the formula")
+        if var in alpha:
+            raise LimrecError(f"{var!r} is bound twice")
         if var.sort == NUMBER:
             try:
                 alpha[var] = int(value)

@@ -65,9 +65,12 @@ def _domain(structure: Structure, var: Var) -> range:
 
 
 def _check_bound(structure, alpha, f):
-    for var in free_variables(f):
-        if var not in alpha:
-            raise DomainError(f"unbound free variable {var!r}")
+    free = sorted(free_variables(f), key=lambda v: (v.name, v.sort))
+    unbound = [var for var in free if var not in alpha]
+    if unbound:
+        names = ", ".join(map(repr, unbound))
+        raise DomainError(f"unbound free variable{'s' if len(unbound) > 1 else ''} {names}")
+    for var in free:
         val = alpha[var]
         if val not in _domain(structure, var):
             raise DomainError(f"value {val} for {var!r} outside its domain")

@@ -275,8 +275,12 @@ def clique_preorder(G: Graph, M) -> CliquePreorder:
 
 def _possible_ends(G: Graph):
     """The asymmetric preorders seeded at each clique in clique order, each
-    found only when asked for."""
+    found only when asked for.  An end of a consecutive clique order holds
+    a vertex in no other max clique, so only such cliques are tried."""
+    spans = span_map(G)
     for M in G.cliques:
+        if 1 not in map(spans.__getitem__, M):
+            continue
         try:
             pre = clique_preorder(G, M)
         except RecognitionError:

@@ -11,6 +11,8 @@ of them, and the evaluator only ever sees not/and/or.
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
@@ -21,10 +23,33 @@ STRUCT = "structure"
 NUMBER = "number"
 
 
-@dataclass(frozen=True)
+# (name, sort) -> the live Var; read only when a Var is constructed, under
+# the lock, so two threads cannot make two Vars for one pair
+_INTERNED = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
+    """A variable, interned: `Var(name, sort)` returns the one live
+    instance for that pair, so equality and hashing are object identity
+    and run in C.  Copies and pickles come back as that instance too."""
+
     name: str
     sort: str
+
+    def __new__(cls, name: str, sort: str):
+        with _INTERN_LOCK:
+            var = _INTERNED.get((name, sort))
+            if var is None:
+                var = super().__new__(cls)
+                object.__setattr__(var, "name", name)
+                object.__setattr__(var, "sort", sort)
+                _INTERNED[name, sort] = var
+        return var
+
+    def __reduce__(self):
+        return Var, (self.name, self.sort)
 
     def __repr__(self):
         return ("#" if self.sort == NUMBER else "") + self.name

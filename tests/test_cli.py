@@ -361,6 +361,63 @@ def test_bind_a_number_variable_to_a_non_number(capsys, tmp_path):
     assert err == "error: value 'abc' for #x is not a number\n"
 
 
+def test_bind_the_same_variable_twice(capsys, tmp_path):
+    struct, formula = _two_sorts_files(tmp_path)
+    code, out, err = run(capsys, "eval", struct, formula, "--bind", "x=0", "--bind", "x=1",
+                         "--bind", "#x=0", "--bind", "#y=1")
+    assert (code, out, err) == (2, "", "error: x is bound twice\n")
+    # a bare y names #y, so binding both is binding #y twice
+    code, out, err = run(capsys, "eval", struct, formula, "--bind", "x=0", "--bind", "#x=0",
+                         "--bind", "y=1", "--bind", "#y=1")
+    assert (code, out, err) == (2, "", "error: #y is bound twice\n")
+
+
+def test_eval_names_every_unbound_variable_in_order(capsys, tmp_path):
+    struct, formula = _two_sorts_files(tmp_path)
+    code, out, err = run(capsys, "eval", struct, formula)
+    assert (code, out, err) == (2, "", "error: unbound free variables #x, x, #y\n")
+    code, out, err = run(capsys, "eval", struct, formula, "--bind", "#x=0")
+    assert (code, out, err) == (2, "", "error: unbound free variables x, #y\n")
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # sets of variables iterate in an order that varies between processes;
+    # no output may depend on it
+    struct = tmp_path / "g.struct"
+    struct.write_text("vocab E/2\nuniverse 4\nE 0 1\nE 1 2\nE 2 3\nE 3 1\n")
+    dtc = tmp_path / "dtc.formula"
+    dtc.write_text("[dtc (x, #a), (y, #b) : E(x, y) and #a = #b]((s, #c), (t, #c))\n")
+    lreceq = tmp_path / "lreceq.formula"
+    lreceq.write_text("exists #r [lreceq x, y, #p : E(x, y) and E(y, x) ; E(x, y) ; "
+                      "x = t or #p <= #r](s, #r)\n")
+    unbound = tmp_path / "unbound.formula"
+    unbound.write_text("exists z (E(x, z) and E(z, y) and #q <= #p)\n")
+    expand = ("from limrec.syntax import expand_dtc, parse_formula, pretty; "
+              "print(pretty(expand_dtc(parse_formula("
+              "'[dtc (x, y), (u, v) : E(x, u) and E(y, v)]((s, t), (a, b)) and "
+              "[dtc x, y : exists z (E(x, z) and E(z, y))](s, w)'))))")
+    calls = (
+        ["-m", "limrec.cli", "eval", str(struct), str(dtc), "--engine", "both",
+         "--bind", "s=0", "--bind", "t=3", "--bind", "#c=2"],
+        ["-m", "limrec.cli", "eval", str(struct), str(lreceq), "--engine", "both",
+         "--bind", "s=0", "--bind", "t=2"],
+        ["-m", "limrec.cli", "eval", str(struct), str(unbound)],
+        ["-c", expand],
+    )
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+                   PYTHONHASHSEED=seed)
+        outputs.append([
+            subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+            for argv in calls
+        ])
+    runs = [[(done.returncode, done.stdout, done.stderr) for done in seen] for seen in outputs]
+    assert runs[0] == runs[1]
+    assert [code for code, _, _ in runs[0]] == [0, 0, 2, 0], runs[0]
+    assert runs[0][2][2] == "error: unbound free variables #p, #q, x, y\n"
+
+
 def test_main_calls_in_one_process_match_separate_processes(capsys, tmp_path):
     # the parser is built once per process; a `--bind` list of one call
     # must not reach the next, which here would turn its error into true

@@ -101,6 +101,15 @@ def test_unbound_variable_rejected(circuit, circuit_formula):
         evaluate(circuit, {svar("z"): 99}, circuit_formula)
 
 
+def test_unbound_variables_are_all_named_in_order():
+    g = Structure.parse("vocab E/2\nuniverse 2\nE 0 1\n")
+    f = parse_formula("E(y, x) and #x <= #b and exists z E(z, a)")
+    with pytest.raises(DomainError, match=r"^unbound free variables a, #b, #x, x, y$"):
+        evaluate(g, {}, f)
+    with pytest.raises(DomainError, match=r"^unbound free variable #x$"):
+        evaluate(g, {svar("a"): 0, nvar("b"): 0, svar("x"): 0, svar("y"): 1}, f)
+
+
 def test_non_monotonicity_witness():
     # single-edge graph, label formula "p = 0": (a,1) in X but (a,2) not
     g = Structure.parse("vocab E/2\nuniverse 2\nE 0 1\n")

@@ -277,6 +277,17 @@ def test_strict_weak_order_iff_possible_end_exhaustive():
                 assert pre.asymmetric == (tuple(sorted(m)) in firsts)
 
 
+def test_only_cliques_with_a_span_one_vertex_can_be_ends_exhaustive():
+    # _possible_ends skips the other cliques; non-interval graphs included,
+    # since a skipped clique that raised would change a rejection message
+    for n in range(1, 7):
+        for g in _connected_graphs(n):
+            spans = span_map(g)
+            for m in g.cliques:
+                if all(spans[v] > 1 for v in m):
+                    assert not clique_preorder(g, m).asymmetric, (g.edges(), m)
+
+
 def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
     # non-interval graphs included: their starts are the ones cut short
     for n in range(1, 7):
@@ -588,7 +599,7 @@ def test_one_preorder_per_graph_and_start(monkeypatch):
 
     monkeypatch.setattr(intervalcanon, "clique_preorder", counting)
     interval_canon(g)
-    assert len(calls) == len(set(calls)) == 10
+    assert len(calls) == len(set(calls)) == 2
 
 
 def test_subgraph_is_one_shared_graph_per_vertex_set():

@@ -1,3 +1,11 @@
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +13,8 @@ from hypothesis import strategies as st
 from limrec.errors import FormulaError, ParseError
 from limrec.syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not,
-    Or, _all_names, _contains_dtc, _tokenize, expand_dtc, free_variables, nvar,
-    parse_formula, pretty, substitute, svar, validate,
+    NUMBER, STRUCT, Or, Var, _all_names, _contains_dtc, _tokenize, expand_dtc,
+    free_variables, nvar, parse_formula, pretty, substitute, svar, validate,
 )
 
 from .helpers import (
@@ -18,6 +26,73 @@ from .helpers import (
 def test_parse_atom():
     f = parse_formula("E(x, y)")
     assert f == Atom("E", (svar("x"), svar("y")))
+
+
+def _vars_of(f):
+    """Every Var object in f's fields, in field order."""
+    out = []
+    for value in vars(f).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, Var):
+                out.append(item)
+            elif not isinstance(item, str):
+                out.extend(_vars_of(item))
+    return out
+
+
+def test_variables_are_interned():
+    x = svar("x")
+    assert Var("x", STRUCT) is x and Var(name="x", sort=STRUCT) is x
+    assert replace(x, name="y") is svar("y")
+    assert nvar("x") is Var("x", NUMBER)
+    assert svar("x") is not nvar("x") and svar("x") != nvar("x")
+    f = parse_formula("exists #p [lrec x, y, #q : E(x, y) ; #q <= #q](z, #p) and P(x)")
+    assert set(_vars_of(f)) == {svar("x"), svar("y"), svar("z"), nvar("p"), nvar("q")}
+    assert all(v is Var(v.name, v.sort) for v in _vars_of(f))
+
+
+def test_copies_and_pickles_of_variables_are_the_interned_ones():
+    f = parse_formula("[dtc x, y : E(x, y)](s, t) and forall #p #p <= #q")
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f)
+        assert all(a is b for a, b in zip(_vars_of(g), _vars_of(f), strict=True))
+    x = svar("x")
+    assert copy.copy(x) is x and copy.deepcopy(x) is x
+    assert pickle.loads(pickle.dumps(x)) is x
+
+
+def test_threads_interning_one_pair_get_one_variable():
+    names = [f"race{i}" for i in range(10000)]
+    seen = [None] * 8
+
+    def intern(slot):
+        seen[slot] = [Var(name, STRUCT) for name in names]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(slot,)) for slot in range(len(seen))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got in seen[1:]:
+        assert all(a is b for a, b in zip(got, seen[0], strict=True))
+
+
+def test_variables_hash_and_compare_in_c():
+    assert Var.__hash__ is object.__hash__
+    assert Var.__eq__ is object.__eq__
+
+
+def test_unreferenced_variables_are_collected():
+    ref = weakref.ref(Var("only_here", STRUCT))
+    gc.collect()
+    assert ref() is None
+    assert Var("only_here", STRUCT).name == "only_here"
 
 
 def test_parse_example_circuit_formula():
