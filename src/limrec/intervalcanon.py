@@ -399,21 +399,18 @@ def modular_partition(G: Graph) -> ModularPartition:
         )
     first = _collapse(G, end)
     second = collapse_incomparables(first.graph, first.clique_order[-1])
-    vertex_class = {}
-    for v in G.vertices:
-        mid = first.vertex_class[v]
-        final = second.vertex_class[mid]
-        vertex_class[v] = _merge_class([final])
-    cells_by_pos = {}
+    # L is the second quotient with each vertex named by its flat class
+    flat = {x: _merge_class([x]) for x in second.graph.vertices}
+    vertex_class = {v: flat[second.vertex_class[first.vertex_class[v]]] for v in G.vertices}
+    cells = [[] for _ in second.clique_order]
     clique_position = {}
     for c in cliques:
         pos = second.clique_position[
             frozenset(first.vertex_class[v] for v in c)
         ]
-        cells_by_pos.setdefault(pos, []).append(c)
+        cells[pos].append(c)
         clique_position[c] = pos
-    cells = [cells_by_pos[p] for p in sorted(cells_by_pos)]
-    if len(cells) != len(second.clique_order):
+    if not all(cells):
         raise RecognitionError("cell map is not onto the quotient cliques")
     modules = []
     for cell in cells:
@@ -428,10 +425,11 @@ def modular_partition(G: Graph) -> ModularPartition:
             "connected apex-free interval graphs have at least three cells",
             certificate=G.vertices,
         )
-    quotient = _quotient(G, vertex_class)
-    order = [
-        frozenset(vertex_class[v] for v in cell[0]) for cell in cells
-    ]
+    quotient = Graph(
+        flat.values(),
+        ((flat[a], flat[b]) for a in second.graph.vertices for b in second.graph.adj[a]),
+    )
+    order = [frozenset(flat[x] for x in image) for image in second.clique_order]
     return ModularPartition(cells, modules, vertex_class, quotient, order, clique_position)
 
 

@@ -14,7 +14,6 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import repeat
 
 from .errors import FormulaError, ParseError
@@ -230,9 +229,21 @@ def _outer_variables(f: Formula) -> tuple[Var, ...]:
     return tuple(sorted(out, key=lambda v: (v.name, v.sort)))
 
 
-@lru_cache(maxsize=None)
+# id(formula) -> (a weak reference to the formula, its free variables).
+# Keyed by identity, so a lookup hashes no formula; an entry leaves when
+# its formula dies, so the cache keeps no formula, and through it no
+# variable, alive.
+_FREE = {}
+
+
 def free_variables(f: Formula) -> frozenset[Var]:
-    return frozenset(_outer_variables(f) + _vars(f, _rule(f)[0]))
+    key = id(f)
+    entry = _FREE.get(key)
+    if entry is not None and entry[0]() is f:
+        return entry[1]
+    free = frozenset(_outer_variables(f) + _vars(f, _rule(f)[0]))
+    _FREE[key] = (weakref.ref(f, lambda _: _FREE.pop(key, None)), free)
+    return free
 
 
 def _contains_dtc(f: Formula) -> bool:

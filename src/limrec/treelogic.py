@@ -9,6 +9,11 @@ in-degree and label functions, never materialized.  Trees of every size
 go through the gadgets: a vertex's type is a plain int that the engines
 never check against the number sort, so the paper's n >= 4 (type 4 must
 be a number of N(T)) does not apply.
+
+A `DirectedTree` holds everything derived from it: the subtree sizes,
+the children by size, the profiles, the child counts `theta`/`good`, and
+one of each gadget, built on first use.  A gadget's memo is the only
+cache of its verdicts.
 """
 
 from __future__ import annotations
@@ -59,7 +64,23 @@ class DirectedTree:
             raise DomainError("parent array is not connected to the root")
         for v in reversed(order):
             self.size[v] = 1 + sum(self.size[c] for c in self.children[v])
-        self._tables = None
+        # (v, s) -> the children of v of subtree size s, ascending
+        self.kids_by_size = {}
+        for c, p in enumerate(parents):
+            if p is not None:
+                self.kids_by_size.setdefault((p, self.size[c]), []).append(c)
+        # profile[v] = (size(v), (-s, count), ...) over the child sizes s of
+        # v, ascending; it orders like the dense (size(v), count of size 1,
+        # ..., count of size size(v) - 1) at a length linear in the degree
+        counts = [[] for _ in range(n)]
+        for (v, s), kids in sorted(self.kids_by_size.items()):
+            counts[v].append((-s, len(kids)))
+        self.profile = [(self.size[v],) + tuple(counts[v]) for v in range(n)]
+        self._theta = {}
+        self._good = {}
+        self._iso_gadget = None
+        self._order_gadget = None
+        self._canon_graph = None
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "DirectedTree":
@@ -67,7 +88,7 @@ class DirectedTree:
         parents = [None] * n
         for a, b in structure.binary_rel("E"):
             if parents[b] is not None:
-                raise RecognitionError(f"vertex {b} has two parents")
+                raise RecognitionError(f"vertex {structure.element_name(b)} has two parents")
             parents[b] = a
         try:
             return cls(parents)
@@ -90,37 +111,6 @@ class DirectedTree:
         except DomainError as exc:
             raise RecognitionError(f"not a directed tree: {exc}") from None
 
-    def tables(self):
-        if self._tables is None:
-            self._tables = _TreeTables(self)
-        return self._tables
-
-
-class _TreeTables:
-    """Per-tree derived data shared by the gadgets."""
-
-    def __init__(self, tree: DirectedTree):
-        self.tree = tree
-        # (v, s) -> the children of v of subtree size s, ascending
-        self.kids_by_size = {}
-        for c, p in enumerate(tree.parent):
-            if p is not None:
-                self.kids_by_size.setdefault((p, tree.size[c]), []).append(c)
-        # profile[v] = (size(v), (-s, count), ...) over the child sizes s of
-        # v, ascending; it orders like the dense (size(v), count of size 1,
-        # ..., count of size size(v) - 1) at a length linear in the degree
-        counts = [[] for _ in range(tree.n)]
-        for (v, s), kids in sorted(self.kids_by_size.items()):
-            counts[v].append((-s, len(kids)))
-        self.profile = [(tree.size[v],) + tuple(counts[v]) for v in range(tree.n)]
-        self.iso_cache = {}
-        self.order_cache = {}
-        self._theta = {}
-        self._good = {}
-        self._iso_gadget = None
-        self._order_gadget = None
-        self._canon_graph = None
-
     def kids_of_size(self, v, s):
         return self.kids_by_size.get((v, s), ())
 
@@ -136,8 +126,8 @@ class _TreeTables:
         if cached is None:
             cached = sum(
                 1
-                for c in self.kids_of_size(u, self.tree.size[t])
-                if tree_isomorphic(self.tree, c, t)
+                for c in self.kids_of_size(u, self.size[t])
+                if tree_isomorphic(self, c, t)
             )
             self._theta[key] = cached
         return cached
@@ -150,8 +140,8 @@ class _TreeTables:
         if cached is None:
             cached = self.theta(v, vh) > self.theta(w, vh) and all(
                 self.theta(v, c) == self.theta(w, c)
-                for c in self.tree.children[v]
-                if self.tree.size[c] < self.tree.size[vh]
+                for c in self.children[v]
+                if self.size[c] < self.size[vh]
             )
             self._good[key] = cached
         return cached
@@ -183,28 +173,27 @@ class _IsoGadget(LabelledGraph):
       type 4  (4,v,w,vh,wh,k)    counts partners of wh among v's children
     """
 
-    def __init__(self, tables: _TreeTables):
+    def __init__(self, tree: DirectedTree):
         super().__init__()
-        self.tb = tables
-        self.tree = tables.tree
+        self.tree = tree
 
     def out_neighbours(self, vx):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t == 0:
-            if (vh, wh, k) != (v, w, 0) or tb.easy(v, w):
+            if (vh, wh, k) != (v, w, 0) or tree.easy(v, w):
                 return ()
             return tuple((1, v, w, c, w, 0) for c in tree.children[v])
-        if tb.easy(v, w):
+        if tree.easy(v, w):
             return ()
         if t == 1:
             if wh != w or k != 0 or tree.parent[vh] != v:
                 return ()
             s = tree.size[vh]
-            cap = len(tb.kids_of_size(v, s))
+            cap = len(tree.kids_of_size(v, s))
             return tuple(
                 (2, v, w, vh, c, kk)
-                for c in tb.kids_of_size(w, s)
+                for c in tree.kids_of_size(w, s)
                 for kk in range(1, cap + 1)
             )
         # shared validity for types 2-4
@@ -213,7 +202,7 @@ class _IsoGadget(LabelledGraph):
         s = tree.size[vh]
         if tree.size[wh] != s:
             return ()
-        cap = len(tb.kids_of_size(v, s))
+        cap = len(tree.kids_of_size(v, s))
         if not (1 <= k <= cap):
             return ()
         if t == 2:
@@ -224,24 +213,24 @@ class _IsoGadget(LabelledGraph):
         if cap < 2:
             return ()
         if t == 3:
-            return tuple((0, vh, c, vh, c, 0) for c in tb.kids_of_size(w, s))
-        return tuple((0, c, wh, c, wh, 0) for c in tb.kids_of_size(v, s))
+            return tuple((0, vh, c, vh, c, 0) for c in tree.kids_of_size(w, s))
+        return tuple((0, c, wh, c, wh, 0) for c in tree.kids_of_size(v, s))
 
     def in_degree(self, vx):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t != 0:
             return 1
         x, y = v, w
         if tree.parent[x] is None or tree.parent[y] is None:
             return 0
         pv, pw = tree.parent[x], tree.parent[y]
-        if tb.easy(pv, pw):
+        if tree.easy(pv, pw):
             return 0
         s = tree.size[x]
         if tree.size[y] != s:
             return 0
-        cap = len(tb.kids_of_size(pv, s))
+        cap = len(tree.kids_of_size(pv, s))
         deg = cap
         if cap >= 2:
             deg += 2 * cap * cap
@@ -249,17 +238,17 @@ class _IsoGadget(LabelledGraph):
 
     def label_contains(self, vx, m):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t == 0:
-            if (vh, wh, k) != (v, w, 0) or tb.easy(v, w):
+            if (vh, wh, k) != (v, w, 0) or tree.easy(v, w):
                 return False
             return m == len(tree.children[v])
-        if tb.easy(v, w):
+        if tree.easy(v, w):
             return False
         if t == 1:
             return 1 <= m <= tree.n
         s = tree.size[vh]
-        cap = len(tb.kids_of_size(v, s))
+        cap = len(tree.kids_of_size(v, s))
         if t == 2:
             return m == (1 if cap == 1 else 3)
         return m == k
@@ -274,46 +263,45 @@ class _OrderGadget(LabelledGraph):
     verifies the three counting conditions through types 2-4.
     """
 
-    def __init__(self, tables: _TreeTables):
+    def __init__(self, tree: DirectedTree):
         super().__init__()
-        self.tb = tables
-        self.tree = tables.tree
+        self.tree = tree
 
     def _valid_inner(self, v, w, vh, wh, k):
-        tb, tree = self.tb, self.tree
-        if tb.profile[v] != tb.profile[w]:
+        tree = self.tree
+        if tree.profile[v] != tree.profile[w]:
             return False
         if tree.parent[vh] != v or tree.parent[wh] != w:
             return False
-        if not tb.good(v, w, vh):
+        if not tree.good(v, w, vh):
             return False
         s = tree.size[vh]
         if tree.size[wh] != s:
             return False
-        return 1 <= k <= len(tb.kids_of_size(v, s))
+        return 1 <= k <= len(tree.kids_of_size(v, s))
 
     def out_neighbours(self, vx):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t == 0:
             if (vh, wh, k) != (v, w, 0):
                 return ()
-            if tb.profile[v] != tb.profile[w]:
+            if tree.profile[v] != tree.profile[w]:
                 return ()
             out = []
             for c in tree.children[v]:
-                if not tb.good(v, w, c):
+                if not tree.good(v, w, c):
                     continue
                 s = tree.size[c]
-                cap = len(tb.kids_of_size(v, s))
-                for d in tb.kids_of_size(w, s):
+                cap = len(tree.kids_of_size(v, s))
+                for d in tree.kids_of_size(w, s):
                     for kk in range(1, cap + 1):
                         out.append((1, v, w, c, d, kk))
             return tuple(sorted(out))
         if not self._valid_inner(v, w, vh, wh, k):
             return ()
         s = tree.size[vh]
-        cap = len(tb.kids_of_size(v, s))
+        cap = len(tree.kids_of_size(v, s))
         if t == 1:
             first = (0, vh, wh, vh, wh, 0)
             if cap == 1:
@@ -327,22 +315,22 @@ class _OrderGadget(LabelledGraph):
         if cap < 2:
             return ()
         if t == 2:
-            return tuple((0, d, vh, d, vh, 0) for d in tb.kids_of_size(w, s))
+            return tuple((0, d, vh, d, vh, 0) for d in tree.kids_of_size(w, s))
         if t == 3:
             return tuple(
                 (0, c, wh, c, wh, 0)
-                for c in tb.kids_of_size(v, s)
+                for c in tree.kids_of_size(v, s)
                 if not tree_isomorphic(tree, c, vh)
             )
         return tuple(
             (0, d, vh, d, vh, 0)
-            for d in tb.kids_of_size(w, s)
-            if tb.theta(v, d) == tb.theta(w, d)
+            for d in tree.kids_of_size(w, s)
+            if tree.theta(v, d) == tree.theta(w, d)
         )
 
     def in_degree(self, vx):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t != 0:
             return 1
         x, y = v, w
@@ -353,36 +341,36 @@ class _OrderGadget(LabelledGraph):
         if tree.size[y] == s:
             # target of a type-1 edge: (x, y) = (vhat, what)
             pv, pw = tree.parent[x], tree.parent[y]
-            if tb.profile[pv] == tb.profile[pw] and tb.good(pv, pw, x):
-                deg += len(tb.kids_of_size(pv, s))
+            if tree.profile[pv] == tree.profile[pw] and tree.good(pv, pw, x):
+                deg += len(tree.kids_of_size(pv, s))
             # targets of types 2 and 4: (x, y) = (wring/wprime, vhat)
             pv, pw = tree.parent[y], tree.parent[x]
-            if tb.profile[pv] == tb.profile[pw] and tb.good(pv, pw, y):
-                cap = len(tb.kids_of_size(pv, s))
+            if tree.profile[pv] == tree.profile[pw] and tree.good(pv, pw, y):
+                cap = len(tree.kids_of_size(pv, s))
                 if cap >= 2:
                     deg += cap * cap
-                    if tb.theta(pv, x) == tb.theta(pw, x):
+                    if tree.theta(pv, x) == tree.theta(pw, x):
                         deg += cap * cap
             # target of type 3: (x, y) = (vring, what)
             pv, pw = tree.parent[x], tree.parent[y]
-            if tb.profile[pv] == tb.profile[pw]:
-                cap = len(tb.kids_of_size(pv, s))
+            if tree.profile[pv] == tree.profile[pw]:
+                cap = len(tree.kids_of_size(pv, s))
                 if cap >= 2:
                     goods = sum(
                         1
-                        for c in tb.kids_of_size(pv, s)
-                        if tb.good(pv, pw, c) and not tree_isomorphic(tree, c, x)
+                        for c in tree.kids_of_size(pv, s)
+                        if tree.good(pv, pw, c) and not tree_isomorphic(tree, c, x)
                     )
                     deg += cap * goods
         return deg
 
     def label_contains(self, vx, m):
         t, v, w, vh, wh, k = vx
-        tb, tree = self.tb, self.tree
+        tree = self.tree
         if t == 0:
             if (vh, wh, k) != (v, w, 0):
                 return False
-            pv, pw = tb.profile[v], tb.profile[w]
+            pv, pw = tree.profile[v], tree.profile[w]
             if pv < pw:
                 return m == 0
             if pv > pw:
@@ -391,7 +379,7 @@ class _OrderGadget(LabelledGraph):
         if not self._valid_inner(v, w, vh, wh, k):
             return False
         if t == 1:
-            cap = len(tb.kids_of_size(v, tree.size[vh]))
+            cap = len(tree.kids_of_size(v, tree.size[vh]))
             return m == (1 if cap == 1 else 4)
         return m == k
 
@@ -402,31 +390,20 @@ def _gadget_resource(tree: DirectedTree) -> int:
 
 def tree_isomorphic(tree: DirectedTree, v: int, w: int) -> bool:
     """Whether the subtrees rooted at v and w are isomorphic, decided by
-    the query (0, v, w, v, w, 0) on the isomorphism gadget."""
-    tb = tree.tables()
-    key = (v, w)
-    cached = tb.iso_cache.get(key)
-    if cached is None:
-        cached = v == w or x_membership(
-            tb.iso_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
-        )
-        tb.iso_cache[key] = cached
-        tb.iso_cache[(w, v)] = cached
-    return cached
+    the query (0, a, b, a, b, 0) on the isomorphism gadget, with a <= b
+    so that both orders of a pair share one memo entry."""
+    a, b = min(v, w), max(v, w)
+    return v == w or x_membership(
+        tree.iso_gadget(), (0, a, b, a, b, 0), _gadget_resource(tree)
+    )
 
 
 def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
     """Strict canonical order on subtrees (profile first, then the
     recursive child comparison), decided through the order gadget."""
-    tb = tree.tables()
-    key = (v, w)
-    cached = tb.order_cache.get(key)
-    if cached is None:
-        cached = v != w and x_membership(
-            tb.order_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
-        )
-        tb.order_cache[key] = cached
-    return cached
+    return v != w and x_membership(
+        tree.order_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +418,6 @@ def coloured_keys(tree: DirectedTree, colours) -> list:
     order.  Equal profiles mean equal subtree sizes and children are
     smaller, so keys are assigned in increasing size order, without
     recursion on depth."""
-    tb = tree.tables()
     keys = [None] * tree.n
     by_size = {}
     for v in range(tree.n):
@@ -450,7 +426,7 @@ def coloured_keys(tree: DirectedTree, colours) -> list:
         groups = {}
         for v in by_size[size]:
             kids = tuple(sorted(keys[c] for c in tree.children[v]))
-            head = (colours.get(v, ()), tb.profile[v])
+            head = (colours.get(v, ()), tree.profile[v])
             groups.setdefault(head, {}).setdefault(kids, []).append(v)
         for head, by_kids in groups.items():
             for rank, kids in enumerate(sorted(by_kids)):
@@ -477,10 +453,9 @@ class _CanonGraph(LabelledGraph):
     tuples whose least count exceeds their out-degree.
     """
 
-    def __init__(self, tables: _TreeTables):
+    def __init__(self, tree: DirectedTree):
         super().__init__()
-        self.tb = tables
-        self.tree = tables.tree
+        self.tree = tree
         self._layout = {}
         self._copies = {}  # child -> block starts of its class, set by layout(parent)
 
@@ -561,7 +536,7 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
     n = tree.n
     if n == 1:
         return ()
-    graph = tree.tables().canon_graph()
+    graph = tree.canon_graph()
     edges = []
     # a preorder numbering puts every parent before its children
     for a in range(1, n + 1):

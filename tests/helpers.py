@@ -55,15 +55,15 @@ def lrec_membership(structure, assignment, node, vertex, resource, ctx=None,
 
 
 def build_iso_gadget(tree):
-    return tree.tables().iso_gadget()
+    return tree.iso_gadget()
 
 
 def build_order_gadget(tree):
-    return tree.tables().order_gadget()
+    return tree.order_gadget()
 
 
 def profile(tree, v):
-    return tree.tables().profile[v]
+    return tree.profile[v]
 
 
 def tree_to_structure(tree) -> Structure:

@@ -128,7 +128,7 @@ def test_criterion_05_tree_isomorphism():
     for tree in all_trees(6):
         if tree.n < 4:
             continue
-        gadget = tree.tables().iso_gadget()
+        gadget = tree.iso_gadget()
         for v in range(tree.n):
             for w in range(tree.n):
                 if subtree_string(tree, v) == subtree_string(tree, w):

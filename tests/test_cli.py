@@ -195,6 +195,14 @@ def test_check_tree_rejects_cycle(capsys, tmp_path):
     assert code == 3 and "rejected" in err
 
 
+def test_check_tree_rejection_names_the_element_by_its_file_name(capsys, tmp_path):
+    f = tmp_path / "t.struct"
+    f.write_text("vocab E/2\nuniverse 3\nnames r s t\nE r s\nE t s\n")
+    code, out, err = run(capsys, "check", "--kind", "tree", str(f))
+    assert (code, out) == (3, "")
+    assert err == "rejected: vertex s has two parents\n"
+
+
 def test_check_circuit(capsys):
     code, out, _ = run(capsys, "check", "--kind", "circuit", str(DATA / "circuit_small.struct"))
     assert code == 0 and "value true" in out

@@ -475,6 +475,26 @@ def test_modular_partition_path_all_singletons():
     assert all(len(cls) == 1 for cls in part.vertex_class.values())
 
 
+def test_partition_quotient_matches_the_quotient_of_every_edge():
+    # L comes from the second collapse; it must equal G quotiented by the
+    # final classes, and its clique order the images of the cells
+    graphs = [Graph(range(n), mask_to_edges(mask, n))
+              for n in range(1, 8) for mask in graphs_up_to_iso(n, np)]
+    graphs += [g.subgraph(comp) for g in _differential_graphs() for comp in g.components()]
+    checked = 0
+    for g in graphs:
+        if not is_interval_graph(g):
+            continue
+        part = g.partition
+        old = intervalcanon._quotient(g, part.vertex_class)
+        assert (part.quotient.vertices, part.quotient.adj) == (old.vertices, old.adj), g.edges()
+        assert part.clique_order == [
+            frozenset(part.vertex_class[v] for v in cell[0]) for cell in part.cells
+        ], g.edges()
+        checked += not g.apices()
+    assert checked > 100
+
+
 def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
     def single(*vs):
         return [frozenset({v}) for v in vs]

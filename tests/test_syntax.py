@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limrec import syntax
 from limrec.errors import FormulaError, ParseError
 from limrec.syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not,
@@ -137,6 +138,15 @@ def test_free_variables_simple():
     assert free_variables(parse_formula("#p <= #q")) == {nvar("p"), nvar("q")}
     closed = parse_formula("forall x exists y (E(x, y) or x = y)")
     assert free_variables(closed) == frozenset()
+
+
+def test_free_variables_keeps_no_formula_alive():
+    gc.collect()
+    baseline = len(syntax._FREE), len(syntax._INTERNED)
+    for i in range(2000):
+        free_variables(parse_formula(f"exists y E(x{i}, y)"))
+    gc.collect()
+    assert (len(syntax._FREE), len(syntax._INTERNED)) == baseline
 
 
 def test_free_variables_lrec_rule():

@@ -69,7 +69,7 @@ def test_profiles_linear_size_on_deep_chains():
     # the dense profiles of two 1,500-vertex chains hold 2,254,501 entries
     parents = [None, 0] + list(range(1, 1500)) + [0] + list(range(1501, 3000))
     tree = DirectedTree(parents)
-    assert sum(len(p) for p in tree.tables().profile) <= 3 * tree.n
+    assert sum(len(p) for p in tree.profile) <= 3 * tree.n
 
 
 def test_iso_trivial_cases():
@@ -101,7 +101,7 @@ def test_path_root_pair_label():
 def test_iso_gadget_in_degree_shape():
     # every reachable non-type-0 vertex has in-degree exactly one
     for tree in all_trees(6):
-        gadget = tree.tables().iso_gadget()
+        gadget = tree.iso_gadget()
         seen = set()
         stack = [(0, v, w, v, w, 0) for v in range(tree.n) for w in range(tree.n)]
         while stack:
@@ -164,7 +164,7 @@ def test_canon_graph_in_degrees_match_edge_scan():
     # every tuple of the space is a vertex whether or not a root query
     # reaches it, so scan the edges of the entire space
     for tree in _canon_graph_trees():
-        graph = tree.tables().canon_graph()
+        graph = tree.canon_graph()
         everything = _canon_graph_space(tree)
         indeg = {}
         for vx in everything:
@@ -179,7 +179,7 @@ def test_canon_graph_label_min_is_exact():
     # is empty; a label count never exceeds n, so counts up to n + 1 cover
     # every count the engines can ask about
     for tree in _canon_graph_trees():
-        graph = tree.tables().canon_graph()
+        graph = tree.canon_graph()
         for vx in _canon_graph_space(tree):
             least = next((m for m in range(tree.n + 2) if graph.label_contains(vx, m)), None)
             assert graph.label_min(vx) == least, (tree.parent, vx)
@@ -190,7 +190,7 @@ def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
     # skips the children of hopeless vertices, the streaming engine walks
     # the whole unravelling: X is the same relation
     for tree in _canon_graph_trees():
-        graph = tree.tables().canon_graph()
+        graph = tree.canon_graph()
         for a in range(1, tree.n + 1):
             for b in range(1, tree.n + 1):
                 query = (tree.root, a, b)
@@ -205,7 +205,7 @@ def test_tree_canon_memo_skips_hopeless_vertices():
     tree = DirectedTree.from_structure(generate_random_tree(100, seed=0))
     canon = tree_canon(tree)
     assert tree_canon_oracle(canon_edges_to_tree(canon, tree.n)) == tree_canon_oracle(tree)
-    assert len(tree.tables().canon_graph().memo) < 30_000
+    assert len(tree.canon_graph().memo) < 30_000
 
 
 def test_iso_matches_oracle_small_trees():
@@ -221,7 +221,7 @@ def test_iso_soundness_and_completeness_sampled_resources():
     # completeness: size(v)^5 resources always suffice.  Every resource is
     # tried on trees of at most 4 vertices, a grid on the larger ones.
     for tree in all_trees(6):
-        gadget = tree.tables().iso_gadget()
+        gadget = tree.iso_gadget()
         for v in range(tree.n):
             for w in range(tree.n):
                 iso = subtree_string(tree, v) == subtree_string(tree, w)
@@ -263,6 +263,23 @@ def test_order_is_strict_weak_order():
                 for x in range(n):
                     if less[(v, w)] and less[(w, x)]:
                         assert less[(v, x)]
+
+
+def test_repeated_queries_add_no_memo_entry():
+    # the gadget memos are the only cache of a verdict: the mirrored
+    # isomorphism query and a repeated order query are answered from them
+    for tree in all_trees(6):
+        iso, order = tree.iso_gadget(), tree.order_gadget()
+        for v in range(tree.n):
+            for w in range(tree.n):
+                tree_isomorphic(tree, v, w)
+                entries = len(iso.memo), len(order.memo)
+                tree_isomorphic(tree, w, v)
+                assert (len(iso.memo), len(order.memo)) == entries, (tree.parent, v, w)
+                tree_order_less(tree, v, w)
+                entries = len(iso.memo), len(order.memo)
+                tree_order_less(tree, v, w)
+                assert (len(iso.memo), len(order.memo)) == entries, (tree.parent, v, w)
 
 
 def test_order_leaf_before_bigger():
