@@ -425,11 +425,12 @@ class LabelledGraph:
     set, or None when the set is empty.  The memo engine asks it before
     anything else about a vertex: on None it decides the vertex without
     building its out-neighbours, and when the bound exceeds the
-    out-degree it decides the vertex without visiting its children.
-    The default answers 0 (no pruning).  A subclass may override it
-    with a cheap closed form that never exceeds the least count in the
-    set and answers None only for an empty set; the streaming engine
-    never asks it."""
+    out-degree it decides the vertex without visiting its children;
+    either way the vertex is decided where it is reached, without a
+    stack frame.  The default answers 0 (no pruning).  A subclass may
+    override it with a cheap closed form that never exceeds the least
+    count in the set and answers None only for an empty set; the
+    streaming engine never asks it."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -638,55 +639,44 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     X is not monotone in the resource, so the memo key is the exact
     pair.  Child resources floor((l-1)/in_degree) are strictly smaller,
     which grades the recursion; an explicit stack avoids Python's
-    recursion limit on long in-degree-1 chains.  A vertex whose label
-    set is empty (`graph.label_min` is None) is decided False before its
-    out-neighbours are built; one whose least count exceeds its
-    out-degree is decided False without visiting its children.  The
-    in-degrees and resources of the children are checked only for the
-    frames whose children are walked.
+    recursion limit on long in-degree-1 chains.  A vertex is decided
+    False as soon as it is reached, without a stack frame, when its
+    resource is 0, when its label set is empty (`graph.label_min` is
+    None, asked before its out-neighbours are built), or when its least
+    count exceeds its out-degree.  Only a vertex whose children must be
+    walked gets a frame, and the in-degrees and resources of its
+    children are checked before any of them is visited.
     """
     memo = graph.memo
     key = (vertex, resource)
     if key in memo:
         return memo[key]
-    # frame: [vertex, resource, children, child_resources, index, count]
-    stack = [[vertex, resource, None, None, 0, 0]]
-    while stack:
+    # frame: [vertex, resource, children, child_resources, index, count];
+    # the bottom frame holds the query as its one child and records nothing
+    stack = [[None, None, (vertex,), (resource,), 0, 0]]
+    while True:
         frame = stack[-1]
-        v, ell = frame[0], frame[1]
-        fkey = (v, ell)
-        if fkey in memo:
-            stack.pop()
-            continue
-        if ell <= 0:
-            memo[fkey] = False
-            stack.pop()
-            continue
-        if frame[2] is None:
-            lo = graph.label_min(v)
-            children = () if lo is None else graph.out_neighbours(v)
-            if lo is None or lo > len(children):
-                memo[fkey] = False
-                stack.pop()
-                continue
-            frame[2] = children
-            frame[3] = _child_resources(graph, children, ell)
-        advanced = False
-        while frame[4] < len(frame[2]):
-            ckey = (frame[2][frame[4]], frame[3][frame[4]])
+        children, resources, i, count = frame[2], frame[3], frame[4], frame[5]
+        while i < len(children):
+            ckey = (children[i], resources[i])
             verdict = memo.get(ckey)
             if verdict is None:
-                stack.append([ckey[0], ckey[1], None, None, 0, 0])
-                advanced = True
-                break
-            frame[4] += 1
+                v, ell = ckey
+                lo = None if ell <= 0 else graph.label_min(v)
+                grand = () if lo is None else graph.out_neighbours(v)
+                if lo is not None and lo <= len(grand):
+                    frame[4], frame[5] = i, count
+                    stack.append([v, ell, grand, _child_resources(graph, grand, ell), 0, 0])
+                    break
+                memo[ckey] = verdict = False
+            i += 1
             if verdict:
-                frame[5] += 1
-        if advanced:
-            continue
-        memo[fkey] = graph.label_contains(v, frame[5])
-        stack.pop()
-    return memo[key]
+                count += 1
+        else:
+            if len(stack) == 1:
+                return memo[key]
+            memo[(frame[0], frame[1])] = graph.label_contains(frame[0], count)
+            stack.pop()
 
 
 @dataclass

@@ -868,11 +868,10 @@ def interval_model(G: Graph):
             model.append((v, offset + first, offset + last))
         offset += len(order)
     spans = {v: (l, r) for v, l, r in model}
-    for a in G.vertices:
-        for b in G.vertices:
-            if _vkey(a) >= _vkey(b):
-                continue
-            la, ra = spans[a]
+    # G.vertices ascend by _vkey: each pair once, the smaller first
+    for i, a in enumerate(G.vertices):
+        la, ra = spans[a]
+        for b in G.vertices[i + 1:]:
             lb, rb = spans[b]
             meets = lb <= ra and la <= rb
             if meets != (b in G.adj[a]):

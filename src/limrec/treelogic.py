@@ -13,7 +13,9 @@ be a number of N(T)) does not apply.
 A `DirectedTree` holds everything derived from it: the subtree sizes,
 the children by size, the profiles, the child counts `theta`/`good`, and
 one of each gadget, built on first use.  A gadget's memo is the only
-cache of its verdicts.
+cache of its verdicts.  The canonisation graph lays out the copy blocks
+of every vertex when it is built, in tables linear in the tree, so each
+of its callbacks is a lookup.
 """
 
 from __future__ import annotations
@@ -447,24 +449,23 @@ class _CanonGraph(LabelledGraph):
     copies occupy consecutive blocks after all strictly smaller classes;
     a block tuple delegates to the corresponding child tuple, with one
     parallel edge per isomorphic sibling, and the label demands that all
-    of them accept.  `label_min` gives the least count of the label in
-    closed form, so the memo engine decides tuples with an empty label
-    without building their out-neighbours, and skips the children of
-    tuples whose least count exceeds their out-degree.
+    of them accept.  The blocks of every vertex are laid out once, when
+    the graph is built, so each callback is a lookup: a label set holds
+    one count or none, found by one bisect on the block starts.
     """
 
     def __init__(self, tree: DirectedTree):
         super().__init__()
         self.tree = tree
-        self._layout = {}
-        self._copies = {}  # child -> block starts of its class, set by layout(parent)
-
-    def layout(self, v):
-        """Per class of isomorphic children of v: (members, size, positions),
-        positions being the range of the block starts of its copies."""
-        cached = self._layout.get(v)
-        if cached is None:
-            tree = self.tree
+        n = tree.n
+        # v -> (block starts ascending, (block end, copies) per block)
+        self._blocks = [None] * n
+        # v -> ((child, (1 - start per copy of its class, ascending)), ...)
+        # ascending by child; a child tuple (child, a + q, b + q) per q
+        self._fan = [None] * n
+        # child -> block starts of its class; the root has none
+        self._starts = [()] * n
+        for v in range(n):
             classes = []
             for c in tree.children[v]:  # ascending by construction
                 for members in classes:
@@ -475,58 +476,51 @@ class _CanonGraph(LabelledGraph):
                         break
                 else:
                     classes.append([c])
-            cached = []
+            blocks, fan = [], []
             for members in classes:
                 rep = members[0]
                 below = (c for c in tree.children[v] if tree_order_less(tree, c, rep))
                 base = 2 + sum(tree.size[c] for c in below)
                 size = tree.size[rep]
-                positions = range(base, base + len(members) * size, size)
-                cached.append((members, size, positions))
+                starts = range(base, base + len(members) * size, size)
+                blocks += ((p, p + size, len(members)) for p in starts)
+                shifts = tuple(1 - p for p in reversed(starts))
                 for c in members:
-                    self._copies[c] = positions
-            self._layout[v] = cached
-        return cached
+                    self._starts[c] = starts
+                    fan.append((c, shifts))
+            blocks.sort()
+            self._blocks[v] = ([p for p, _, _ in blocks], [(e, k) for _, e, k in blocks])
+            self._fan[v] = tuple(sorted(fan))
 
     def out_neighbours(self, vx):
         v, a, b = vx
-        out = []
-        top = self.tree.n
-        for members, size, positions in self.layout(v):
-            for p in positions:
-                m, nn = a - p + 1, b - p + 1
-                if 0 <= m <= top and 0 <= nn <= top:
-                    out.extend((child, m, nn) for child in members)
-        return tuple(sorted(out))
+        lo, hi = -min(a, b), self.tree.n - max(a, b)
+        return tuple(
+            (c, a + q, b + q) for c, shifts in self._fan[v] for q in shifts if lo <= q <= hi
+        )
 
     def in_degree(self, vx):
         v, a, b = vx
-        tree = self.tree
-        parent = tree.parent[v]
-        if parent is None:
-            return 0
-        self.layout(parent)
         # one edge per copy whose source tuple stays inside the number
         # sort; copies shifted past n generate no edge
-        return bisect_right(self._copies[v], tree.n + 1 - max(a, b))
-
-    def _label(self, vx):
-        """The counts in the label set of vx, per class of v's children:
-        0 when a == 1 numbers v itself and b starts a copy, and the number
-        of copies when a and b lie in one copy's block (all must accept)."""
-        v, a, b = vx
-        for members, size, positions in self.layout(v):
-            if a == 1 and b in positions:
-                yield 0
-            i = (a - positions.start) // size
-            if 0 <= i == (b - positions.start) // size < len(members):
-                yield len(members)
-
-    def label_contains(self, vx, m):
-        return m in self._label(vx)
+        return bisect_right(self._starts[v], self.tree.n + 1 - max(a, b))
 
     def label_min(self, vx):
-        return min(self._label(vx), default=None)
+        """The one count of the label set, or None when it is empty: 0
+        when a == 1 numbers v itself and b starts a copy, and the number
+        of copies when a and b lie in one copy's block (all must accept)."""
+        v, a, b = vx
+        starts, blocks = self._blocks[v]
+        i = bisect_right(starts, b if a == 1 else a) - 1
+        if i < 0:
+            return None
+        if a == 1:
+            return 0 if starts[i] == b else None
+        end, copies = blocks[i]
+        return copies if starts[i] <= b < end and a < end else None
+
+    def label_contains(self, vx, m):
+        return self.label_min(vx) == m
 
 
 def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+from bisect import bisect_right
 from functools import lru_cache
 
 from limrec.errors import FormulaError, ParseError, RecognitionError
-from limrec.evaluator import EvalContext, LabelledGraph, x_membership
+from limrec.evaluator import EvalContext, LabelledGraph, _child_resources, x_membership
 from limrec.intervalcanon import (
     LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
     interval_model, modular_partition, span_map,
@@ -15,7 +16,9 @@ from limrec.syntax import (
     _KEYWORDS, NUMBER, And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq,
     Not, Or, Var, _Token, and_all, eq_tuple, is_zero,
 )
-from limrec.treelogic import DirectedTree, _circuit_shape, _postorder
+from limrec.treelogic import (
+    DirectedTree, _circuit_shape, _postorder, tree_isomorphic, tree_order_less,
+)
 
 
 # --- fixtures and oracles that the library itself does not call ---------------
@@ -779,3 +782,155 @@ def reference_tokenize(text):
         raise ParseError(f"unexpected character {ch!r}", line, col)
     toks.append(_Token("eof", "", line, col))
     return toks
+
+
+# --- reference copies of the tree canon graph and the memo engine -------------
+
+
+class ReferenceCanonGraph(LabelledGraph):
+    """The canon graph as it was before its tables were built up front:
+    a lazy per-vertex layout, a label generator shared by label_min and
+    label_contains, sorted out-neighbours and a bisect in-degree."""
+
+    def __init__(self, tree: DirectedTree):
+        super().__init__()
+        self.tree = tree
+        self._layout = {}
+        self._copies = {}  # child -> block starts of its class, set by layout(parent)
+
+    def layout(self, v):
+        """Per class of isomorphic children of v: (members, size, positions),
+        positions being the range of the block starts of its copies."""
+        cached = self._layout.get(v)
+        if cached is None:
+            tree = self.tree
+            classes = []
+            for c in tree.children[v]:
+                for members in classes:
+                    if tree.size[members[0]] == tree.size[c] and tree_isomorphic(
+                        tree, members[0], c
+                    ):
+                        members.append(c)
+                        break
+                else:
+                    classes.append([c])
+            cached = []
+            for members in classes:
+                rep = members[0]
+                below = (c for c in tree.children[v] if tree_order_less(tree, c, rep))
+                base = 2 + sum(tree.size[c] for c in below)
+                size = tree.size[rep]
+                positions = range(base, base + len(members) * size, size)
+                cached.append((members, size, positions))
+                for c in members:
+                    self._copies[c] = positions
+            self._layout[v] = cached
+        return cached
+
+    def out_neighbours(self, vx):
+        v, a, b = vx
+        out = []
+        top = self.tree.n
+        for members, size, positions in self.layout(v):
+            for p in positions:
+                m, nn = a - p + 1, b - p + 1
+                if 0 <= m <= top and 0 <= nn <= top:
+                    out.extend((child, m, nn) for child in members)
+        return tuple(sorted(out))
+
+    def in_degree(self, vx):
+        v, a, b = vx
+        tree = self.tree
+        parent = tree.parent[v]
+        if parent is None:
+            return 0
+        self.layout(parent)
+        return bisect_right(self._copies[v], tree.n + 1 - max(a, b))
+
+    def label_counts(self, vx):
+        """The counts in the label set of vx, per class of v's children."""
+        v, a, b = vx
+        for members, size, positions in self.layout(v):
+            if a == 1 and b in positions:
+                yield 0
+            i = (a - positions.start) // size
+            if 0 <= i == (b - positions.start) // size < len(members):
+                yield len(members)
+
+    def label_contains(self, vx, m):
+        return m in self.label_counts(vx)
+
+    def label_min(self, vx):
+        return min(self.label_counts(vx), default=None)
+
+
+def reference_x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
+    """The memo engine with one stack frame for every vertex it reaches,
+    as it was before vertices needing no children were decided at once."""
+    memo = graph.memo
+    key = (vertex, resource)
+    if key in memo:
+        return memo[key]
+    # frame: [vertex, resource, children, child_resources, index, count]
+    stack = [[vertex, resource, None, None, 0, 0]]
+    while stack:
+        frame = stack[-1]
+        v, ell = frame[0], frame[1]
+        fkey = (v, ell)
+        if fkey in memo:
+            stack.pop()
+            continue
+        if ell <= 0:
+            memo[fkey] = False
+            stack.pop()
+            continue
+        if frame[2] is None:
+            lo = graph.label_min(v)
+            children = () if lo is None else graph.out_neighbours(v)
+            if lo is None or lo > len(children):
+                memo[fkey] = False
+                stack.pop()
+                continue
+            frame[2] = children
+            frame[3] = _child_resources(graph, children, ell)
+        advanced = False
+        while frame[4] < len(frame[2]):
+            ckey = (frame[2][frame[4]], frame[3][frame[4]])
+            verdict = memo.get(ckey)
+            if verdict is None:
+                stack.append([ckey[0], ckey[1], None, None, 0, 0])
+                advanced = True
+                break
+            frame[4] += 1
+            if verdict:
+                frame[5] += 1
+        if advanced:
+            continue
+        memo[fkey] = graph.label_contains(v, frame[5])
+        stack.pop()
+    return memo[key]
+
+
+class RecordingGraph(LabelledGraph):
+    """Delegates every callback to `inner` and logs it; has its own memo."""
+
+    def __init__(self, inner: LabelledGraph):
+        super().__init__()
+        self.inner = inner
+        self.calls = []
+
+    def out_neighbours(self, vertex):
+        self.calls.append(("out_neighbours", vertex))
+        return self.inner.out_neighbours(vertex)
+
+    def in_degree(self, vertex):
+        self.calls.append(("in_degree", vertex))
+        return self.inner.in_degree(vertex)
+
+    def label_contains(self, vertex, count):
+        self.calls.append(("label_contains", vertex, count))
+        return self.inner.label_contains(vertex, count)
+
+    def label_min(self, vertex):
+        self.calls.append(("label_min", vertex))
+        return self.inner.label_min(vertex)

@@ -23,15 +23,21 @@ from limrec.evaluator import (
     EvalContext, LabelledGraph, Transduction, apply_transduction, evaluate, unravel,
     x_membership, x_membership_streaming,
 )
-from limrec.structures import GRAPH_VOCAB, Structure, generate_layered_graph
+from limrec.structures import (
+    GRAPH_VOCAB, Structure, generate_layered_graph, generate_random_circuit,
+)
 from limrec.syntax import (
     STRUCT, And, Atom, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not, Or, expand_dtc,
     free_variables, nvar, parse_formula, pretty, substitute, svar, validate,
 )
 from limrec.treelogic import CIRCUIT_FORMULA, circuit_value
 
-from .helpers import ExplicitGraph, circuit_value_oracle, lrec_membership, not_chain
+from .helpers import (
+    ExplicitGraph, RecordingGraph, circuit_value_oracle, lrec_membership, not_chain,
+    reference_x_membership,
+)
 from .test_syntax import _formulas
+from .test_treelogic import _canon_graph_trees
 
 DATA = Path(__file__).parent / "data"
 
@@ -550,6 +556,37 @@ def test_memo_engine_skips_children_when_the_least_count_exceeds_the_out_degree(
     graph = _PrunedGraph()
     assert x_membership(graph, 1, 5) is False
     assert graph.memo == {(1, 5): False}
+
+
+def _assert_engines_ask_alike(graph, queries):
+    # one stack frame per reached vertex or none for a vertex that needs
+    # no children: the same callbacks in the same order, the same memo
+    runs = []
+    for engine in (reference_x_membership, x_membership):
+        recorder = RecordingGraph(graph)
+        verdicts = [engine(recorder, vertex, ell) for vertex, ell in queries]
+        runs.append((verdicts, recorder.memo, recorder.calls))
+    (want_verdicts, want_memo, want_calls), (verdicts, memo, calls) = runs
+    assert verdicts == want_verdicts
+    assert memo == want_memo
+    assert calls == want_calls
+
+
+def test_memo_engine_asks_the_reference_callbacks_on_canon_graphs():
+    for tree in _canon_graph_trees():
+        top = range(1, tree.n + 1)
+        queries = [((tree.root, a, b), tree.n) for a in top for b in top]
+        _assert_engines_ask_alike(tree.canon_graph(), queries)
+
+
+@pytest.mark.parametrize("circuit", [not_chain(30), generate_random_circuit(30, seed=2)])
+def test_memo_engine_asks_the_reference_callbacks_on_the_circuit_graph(circuit):
+    n = circuit.universe_size
+    graph = EvalContext(circuit).formula_graph(_lrec_node(CIRCUIT_FORMULA), {})
+    queries = [
+        (graph.class_of((gate,)), ell) for gate in range(n) for ell in range((n + 1) ** 2)
+    ]
+    _assert_engines_ask_alike(graph, queries)
 
 
 def test_engine_invariant_checks_survive_python_O():

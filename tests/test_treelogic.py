@@ -14,7 +14,7 @@ from limrec.treelogic import (
 )
 
 from .helpers import (
-    all_trees, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
+    ReferenceCanonGraph, all_trees, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
     circuit_value_oracle, coloured_canonical_form, not_chain, permute_tree, profile,
     random_permutation, reference_dense_profile, subtree_string, tree_canon_oracle,
     tree_shapes, tree_to_structure,
@@ -206,6 +206,50 @@ def test_tree_canon_memo_skips_hopeless_vertices():
     canon = tree_canon(tree)
     assert tree_canon_oracle(canon_edges_to_tree(canon, tree.n)) == tree_canon_oracle(tree)
     assert len(tree.canon_graph().memo) < 30_000
+
+
+def test_canon_graph_tables_match_the_lazy_reference():
+    # the tables built with the graph answer every callback as the lazy
+    # per-vertex layout did, and a label set never holds two counts
+    for tree in _canon_graph_trees():
+        graph, ref = tree.canon_graph(), ReferenceCanonGraph(tree)
+        for vx in _canon_graph_space(tree):
+            assert graph.out_neighbours(vx) == ref.out_neighbours(vx), (tree.parent, vx)
+            assert graph.in_degree(vx) == ref.in_degree(vx), (tree.parent, vx)
+            assert graph.label_min(vx) == ref.label_min(vx), (tree.parent, vx)
+            for m in range(tree.n + 2):
+                assert graph.label_contains(vx, m) == ref.label_contains(vx, m), (
+                    tree.parent, vx, m)
+            assert len(list(ref.label_counts(vx))) <= 1, (tree.parent, vx)
+
+
+def test_canon_graph_memo_matches_the_lazy_reference():
+    for tree in all_trees(7):
+        tree_canon(tree)
+        if tree.n == 1:
+            continue
+        ref = ReferenceCanonGraph(tree)
+        for a in range(1, tree.n + 1):
+            for b in range(a + 1, tree.n + 1):
+                x_membership(ref, (tree.root, a, b), tree.n)
+        assert tree.canon_graph().memo == ref.memo, tree.parent
+
+
+@pytest.mark.parametrize("parents, counts", [
+    (None, (27, 146, 20_742)),
+    ([None] + list(range(39)), (0, 0, 10_699)),
+    ([None] + [0] * 29, (28, 28, 1_276)),
+])
+def test_tree_canon_memo_sizes_are_pinned(parents, counts):
+    # exact work counts that do not move with machine load: a change to
+    # any of them changes what the canonisation computes, and must say why
+    if parents is None:
+        tree = DirectedTree.from_structure(generate_random_tree(100, seed=0))
+    else:
+        tree = DirectedTree(parents)
+    tree_canon(tree)
+    graphs = (tree.iso_gadget(), tree.order_gadget(), tree.canon_graph())
+    assert tuple(len(g.memo) for g in graphs) == counts
 
 
 def test_iso_matches_oracle_small_trees():
