@@ -19,6 +19,7 @@ clique with no possible end or the failing model comparison).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import DomainError, RecognitionError
@@ -57,7 +58,8 @@ class Graph:
         self._cliques = None
         self._overlaps = None
         self._partition = None
-        self._induced = None  # vertex set -> Graph, shared with subgraphs
+        self._induced = None  # vertex set -> Graph, on the root graph only
+        self._root = None  # weak reference to the graph this was taken from
 
     @property
     def cliques(self):
@@ -103,17 +105,25 @@ class Graph:
 
     def subgraph(self, keep) -> "Graph":
         """The subgraph induced by `keep`, a subset of the vertices.  Every
-        graph taken from one graph by `subgraph` is an induced subgraph of
-        it, so a vertex set names one Graph, whichever of them it was taken
-        from, and all of them share it."""
-        if self._induced is None:
-            self._induced = {frozenset(self.vertices): self}
+        graph taken from one root graph by `subgraph` is an induced
+        subgraph of it, so a vertex set names one Graph, whichever of them
+        it was taken from, and all of them share it while the root lives.
+        The root keeps them; each holds the root only weakly, so no graph
+        is in a reference cycle.  A subgraph that outlives its root keeps
+        the subgraphs taken from it from then on."""
         keep = frozenset(keep)
-        graph = self._induced.get(keep)
+        if len(keep) == self.n:
+            return self
+        root = self._root() if self._root is not None else None
+        if root is None:
+            root = self
+        if root._induced is None:
+            root._induced = {}
+        graph = root._induced.get(keep)
         if graph is None:
             graph = Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
-            graph._induced = self._induced
-            self._induced[keep] = graph
+            graph._root = weakref.ref(root)
+            root._induced[keep] = graph
         return graph
 
     def components(self):
@@ -666,6 +676,9 @@ def build_modular_tree(G: Graph) -> ColouredTree:
 
     for comp in G.components():
         add_component(comp, 0)
+    # a recursive closure refers to itself through its cell; emptying the
+    # cell frees G and the tree without the cyclic collector
+    del add_component
     return tree
 
 
@@ -805,6 +818,7 @@ def interval_canon(G: Graph):
     for node in tree.children(0):
         n, edges = canon_component(node)
         pieces.append((n, tuple(sorted(edges))))
+    del canon_module, canon_component  # as in build_modular_tree
     pieces.sort()
     offset = 0
     edges = set()

@@ -526,20 +526,56 @@ class _CanonGraph(LabelledGraph):
 def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
     """Canonical copy of the tree: directed edges over [1, n], the root
     numbered 1 and every subtree numbered by preorder position.  Isomorphic
-    trees yield identical edge tuples."""
+    trees yield identical edge tuples.
+
+    In a preorder numbering every b > 1 has exactly one parent a < b, so
+    for each b the edge queries (root, a, b) are asked for a = b - 1,
+    b - 2, ... and stop at the first accepted one.  An early stop cannot
+    see a second, spurious edge into b, so the copy is checked instead:
+    every b > 1 has a parent, the copy is numbered in preorder, and it is
+    isomorphic to the input."""
     n = tree.n
     if n == 1:
         return ()
     graph = tree.canon_graph()
-    edges = []
-    # a preorder numbering puts every parent before its children
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
+    parent = [None, None]  # parent[b] in the copy, for b in [1, n]
+    for b in range(2, n + 1):
+        for a in range(b - 1, 0, -1):
             if x_membership(graph, (tree.root, a, b), n):
-                edges.append((a, b))
-    if len(edges) != n - 1:
-        raise LimrecError(f"canonical copy has {len(edges)} edges, not the {n - 1} of a tree")
-    return tuple(sorted(edges))
+                parent.append(a)
+                break
+        else:
+            raise LimrecError(f"canonical copy gives vertex {b} no parent")
+    _check_canonical_copy(tree, parent)
+    return tuple(sorted((parent[b], b) for b in range(2, n + 1)))
+
+
+def _check_canonical_copy(tree: DirectedTree, parent) -> None:
+    """Raise unless the copy given by parent[b] (b in [2, n], each < b) is
+    numbered in preorder, its ascending-children walk visiting 1..n in
+    order, and is isomorphic to the input: both roots, hung under one new
+    root, get equal `coloured_keys`."""
+    n = tree.n
+    kids = [[] for _ in range(n + 1)]
+    for b in range(2, n + 1):
+        kids[parent[b]].append(b)
+    order, stack = [], [1]
+    while stack:
+        a = stack.pop()
+        order.append(a)
+        stack.extend(reversed(kids[a]))
+    if order != list(range(1, n + 1)):
+        raise LimrecError("canonical copy is not numbered in preorder")
+    # vertex 0 is the new root, input vertex v is 1 + v, copy vertex b is n + b
+    joint = DirectedTree(
+        [None]
+        + [0 if p is None else 1 + p for p in tree.parent]
+        + [0]
+        + [n + parent[b] for b in range(2, n + 1)]
+    )
+    keys = coloured_keys(joint, {})
+    if keys[1 + tree.root] != keys[n + 1]:
+        raise LimrecError("canonical copy is not isomorphic to the input tree")
 
 
 # ---------------------------------------------------------------------------

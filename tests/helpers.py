@@ -5,7 +5,7 @@ import random
 from bisect import bisect_right
 from functools import lru_cache
 
-from limrec.errors import FormulaError, ParseError, RecognitionError
+from limrec.errors import FormulaError, LimrecError, ParseError, RecognitionError
 from limrec.evaluator import EvalContext, LabelledGraph, _child_resources, x_membership
 from limrec.intervalcanon import (
     LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
@@ -862,6 +862,24 @@ class ReferenceCanonGraph(LabelledGraph):
 
     def label_min(self, vx):
         return min(self.label_counts(vx), default=None)
+
+
+def reference_tree_canon(tree: DirectedTree) -> tuple:
+    """tree_canon as it was before it asked one parent per vertex: every
+    pair a < b is asked, and the copy must have exactly n - 1 edges."""
+    n = tree.n
+    if n == 1:
+        return ()
+    graph = tree.canon_graph()
+    edges = [
+        (a, b)
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+        if x_membership(graph, (tree.root, a, b), n)
+    ]
+    if len(edges) != n - 1:
+        raise LimrecError(f"canonical copy has {len(edges)} edges, not the {n - 1} of a tree")
+    return tuple(edges)
 
 
 def reference_x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:

@@ -594,6 +594,7 @@ def test_engine_invariant_checks_survive_python_O():
         "import sys\n"
         "from limrec.errors import LimrecError\n"
         "from limrec.evaluator import LabelledGraph, x_membership\n"
+        "from limrec.treelogic import DirectedTree, tree_canon\n"
         "class G(LabelledGraph):\n"
         "    def out_neighbours(self, v): return (1,) if v == 0 else ()\n"
         "    def in_degree(self, v): return 0\n"
@@ -602,7 +603,17 @@ def test_engine_invariant_checks_survive_python_O():
         "try:\n"
         "    x_membership(G(), 0, 5)\n"
         "except LimrecError:\n"
-        "    sys.exit(0)\n"
+        "    pass\n"
+        "else:\n"
+        "    sys.exit(1)\n"
+        # tree_canon's output check: a flipped verdict makes the copy of a
+        # root with three leaves a preorder copy that is not isomorphic
+        "star = DirectedTree([None, 0, 0, 0])\n"
+        "star.canon_graph().memo[((0, 2, 3), 4)] = True\n"
+        "try:\n"
+        "    tree_canon(star)\n"
+        "except LimrecError as exc:\n"
+        "    sys.exit(0 if 'not isomorphic' in str(exc) else 1)\n"
         "sys.exit(1)\n"
     )
     src = str(Path(limrec.__file__).resolve().parent.parent)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -635,6 +637,29 @@ def test_subgraph_is_one_shared_graph_per_vertex_set():
     path = _band(5, 1)
     assert path.partition is path.partition
     assert path.partition.cells == modular_partition(path).cells
+
+
+def test_graphs_are_freed_without_the_cyclic_collector():
+    # no graph refers to itself through its subgraphs, and canonisation
+    # leaves no reference cycle, so the last reference frees everything
+    g = Graph.from_structure(generate_random_interval_graph(40, seed=1))
+    gc.collect()
+    gc.disable()
+    try:
+        interval_canon(g)
+        refs = [weakref.ref(h) for h in (g, *g._induced.values())]
+        assert len(refs) > 1
+        del g
+        assert [r() for r in refs] == [None] * len(refs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # a subgraph that outlives its root still hands out one graph per set
+    g = Graph.from_structure(generate_random_interval_graph(20, seed=1))
+    h = g.subgraph(g.vertices[:12])
+    del g
+    assert h.subgraph(h.vertices[3:9]) is h.subgraph(h.vertices[3:9])
+    assert h.subgraph(h.vertices) is h
 
 
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):

@@ -1,9 +1,10 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from limrec.errors import DomainError, RecognitionError
+from limrec.errors import DomainError, LimrecError, RecognitionError
 from limrec.evaluator import x_membership, x_membership_streaming
 from limrec.structures import (
     Structure, generate_random_circuit, generate_random_tree,
@@ -16,11 +17,12 @@ from limrec.treelogic import (
 from .helpers import (
     ReferenceCanonGraph, all_trees, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
     circuit_value_oracle, coloured_canonical_form, not_chain, permute_tree, profile,
-    random_permutation, reference_dense_profile, subtree_string, tree_canon_oracle,
-    tree_shapes, tree_to_structure,
+    random_permutation, reference_dense_profile, reference_tree_canon, subtree_string,
+    tree_canon_oracle, tree_shapes, tree_to_structure,
 )
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_tree_shape_counts():
@@ -224,20 +226,22 @@ def test_canon_graph_tables_match_the_lazy_reference():
 
 
 def test_canon_graph_memo_matches_the_lazy_reference():
+    # the reference graph, asked the queries tree_canon asks (for each b,
+    # a = b - 1, b - 2, ... up to the first accepted one), memoizes the
+    # same verdicts for the same tuples
     for tree in all_trees(7):
         tree_canon(tree)
-        if tree.n == 1:
-            continue
         ref = ReferenceCanonGraph(tree)
-        for a in range(1, tree.n + 1):
-            for b in range(a + 1, tree.n + 1):
-                x_membership(ref, (tree.root, a, b), tree.n)
+        for b in range(2, tree.n + 1):
+            for a in range(b - 1, 0, -1):
+                if x_membership(ref, (tree.root, a, b), tree.n):
+                    break
         assert tree.canon_graph().memo == ref.memo, tree.parent
 
 
 @pytest.mark.parametrize("parents, counts", [
-    (None, (27, 146, 20_742)),
-    ([None] + list(range(39)), (0, 0, 10_699)),
+    (None, (27, 146, 3_504)),
+    ([None] + list(range(39)), (0, 0, 819)),
     ([None] + [0] * 29, (28, 28, 1_276)),
 ])
 def test_tree_canon_memo_sizes_are_pinned(parents, counts):
@@ -358,6 +362,58 @@ def test_tree_canon_relabelling_invariant():
         canon = tree_canon(tree)
         perm = random_permutation(tree.n, rng)
         assert tree_canon(permute_tree(tree, perm)) == canon
+
+
+def _bench_trees():
+    """The trees of the benchmark's `TREE_SPECS`, made by its generators,
+    the random ones at the seeds 0-3 of its items."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import gen
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    for family, sizes in workloads.TREE_SPECS.items():
+        for size in sizes:
+            if family == "random":
+                shapes = [gen.random_tree(size, random.Random(f"{seed}:tree:random:{size}"))
+                          for seed in range(4)]
+            elif family == "spider":
+                shapes = [gen.spider_tree(*size)]
+            else:
+                shapes = [getattr(gen, f"{family}_tree")(size)]
+            for edges in shapes:
+                parents = [None] * (len(edges) + 1)
+                for a, b in edges:
+                    parents[b] = a
+                yield DirectedTree(parents)
+
+
+def test_tree_canon_matches_the_all_pairs_reference():
+    # asking one parent per vertex finds the edges that asking every
+    # pair a < b finds
+    for tree in [*all_trees(9), *_bench_trees()]:
+        assert tree_canon(tree) == reference_tree_canon(tree), tree.parent
+
+
+def _flip_canon_verdict(tree, a, b):
+    """Corrupt the canon graph: its memo answers the edge query (a, b) of
+    the copy the other way."""
+    graph, query = tree.canon_graph(), (tree.root, a, b)
+    graph.memo[(query, tree.n)] = not x_membership(graph, query, tree.n)
+
+
+@pytest.mark.parametrize("flip, message", [
+    ((1, 3), "gives vertex 3 no parent"),  # (2, 3) and (1, 3) both rejected
+    ((2, 4), "not numbered in preorder"),  # 4 under 2, then 3 under 1
+    ((2, 3), "not isomorphic"),  # 3 under 2: a preorder copy, not a star
+])
+def test_tree_canon_rejects_a_corrupted_copy(flip, message):
+    # the copy of a root with three leaves is 1 -> 2, 1 -> 3, 1 -> 4
+    star = DirectedTree([None, 0, 0, 0])
+    _flip_canon_verdict(star, *flip)
+    with pytest.raises(LimrecError, match=message):
+        tree_canon(star)
 
 
 def test_tree_canon_structure_roundtrip():
