@@ -14,8 +14,8 @@ from .treelogic import (
     DirectedTree, circuit_value, tree_canon, tree_isomorphic, tree_order_less,
 )
 from .intervalcanon import (
-    Graph, build_modular_tree, canon_L, clique_preorder, decomposition_components,
-    interval_canon, interval_model, max_cliques, modular_partition,
+    Graph, build_modular_tree, canon_L, clique_preorder, interval_canon, interval_model,
+    max_cliques, modular_partition,
 )
 
 __version__ = "0.1.0"

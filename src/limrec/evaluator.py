@@ -7,11 +7,14 @@ unbounded ints and strictly decrease along edges, so the recursion is on
 a DAG and is run with an explicit stack.
 
 The streaming engine follows the two-machine evaluation strategy: it
-materializes the unravelling tree of the recursion graph at the queried
-(vertex, resource) pair, then decides acceptance by a depth-first sweep
-that visits children in decreasing subtree-size order while keeping
-per-level counters.  It checks the logarithmic counter budget
-(sum of 2*l_v(i) at most 6*log2 |W|) at every step.
+decides acceptance by a depth-first walk of the unravelling tree W of the
+recursion graph at the queried (vertex, resource) pair, visiting children
+in decreasing subtree-size order while keeping per-level counters, and
+checks the logarithmic counter budget (sum of 2*l_v(i) at most
+6*log2 |W|) at every step.  It does not store W: it stores a table with
+one entry per (vertex, resource) pair reached, holding the subtree size
+and the ordered child pairs, plus the path of counters.  The table is
+polynomial in the pairs reached, not logarithmic space.
 """
 
 from __future__ import annotations
@@ -679,81 +682,66 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
             stack.pop()
 
 
-@dataclass
-class Unravelling:
-    """The tree of resource-annotated paths from a root query."""
+def _unravelling(graph: LabelledGraph, vertex, resource: int) -> dict:
+    """The unravelling W at (vertex, resource), stored once per pair.
 
-    vertices: list
-    resources: list
-    parents: list
-    children: list
-    sizes: list
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def fail(self, i: int) -> bool:
-        return self.resources[i] == 0
-
-
-def unravel(graph: LabelledGraph, vertex, resource: int) -> Unravelling:
-    """Materialize the unravelling tree at (vertex, resource).
-
-    Node children follow the graph's neighbour order (ascending tuple
-    order, the fixed ordering used when walking the recursion graph);
-    each child's resource is floor((l-1)/in_degree(child)); nodes with
-    resource 0 are failure leaves.
+    The subtree of W below a node depends only on the node's (vertex,
+    resource) pair, so W is kept as a table over the pairs it reaches:
+    pair -> (size of the subtree of W below a node with that pair, its
+    child pairs in visiting order).  A pair's children are its vertex's
+    out-neighbours, each with resource floor((l-1)/in_degree); a pair
+    with resource 0 is a failure leaf.  Children are visited in
+    decreasing subtree size, then by vertex, then by resource.  The table
+    is filled in post-order with an explicit stack, asking
+    `out_neighbours` and `_child_resources` once per pair.
     """
-    vertices = [vertex]
-    resources = [resource]
-    parents = [-1]
-    children = [[]]
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        ell = resources[i]
-        if ell <= 0:
+    table: dict = {}
+    # frame: [pair, child pairs, index of the next child to look at]
+    stack = [[(vertex, resource), None, 0]]
+    while stack:
+        frame = stack[-1]
+        pair, kids, i = frame
+        if kids is None:
+            v, ell = pair
+            out = graph.out_neighbours(v) if ell > 0 else ()
+            kids = frame[1] = list(zip(out, _child_resources(graph, out, ell)))
+        while i < len(kids) and kids[i] in table:
+            i += 1
+        if i < len(kids):
+            frame[2] = i
+            stack.append([kids[i], None, 0])
             continue
-        kids = graph.out_neighbours(vertices[i])
-        for b, sub in zip(kids, _child_resources(graph, kids, ell)):
-            j = len(vertices)
-            vertices.append(b)
-            resources.append(sub)
-            parents.append(i)
-            children.append([])
-            children[i].append(j)
-            queue.append(j)
-    sizes = [1] * len(vertices)
-    for i in range(len(vertices) - 1, 0, -1):
-        sizes[parents[i]] += sizes[i]
-    return Unravelling(vertices, resources, parents, children, sizes)
+        size = 1
+        for child in kids:
+            size += table[child][0]
+        if len(kids) > 1:
+            kids.sort(key=lambda child: (-table[child][0], child))
+        table[pair] = (size, kids)
+        stack.pop()
+    return table
 
 
 def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
-    """Streaming decision: unravel, then accept by counter-based DFS.
+    """Streaming decision: a counter-based walk of the unravelling W.
 
     Children are visited in decreasing order of subtree size (ties by
-    the child's representation), each path level i keeping counters
-    t(i), c(i) of 2*l_v(i) bits.  The counter budget
-    sum_i 2*l_v(i) <= 6*log2|W| is checked exactly at every visit.
+    the child's vertex, then resource), each path level i keeping
+    counters t(i), c(i) of 2*l_v(i) bits.  The counter budget
+    sum_i 2*l_v(i) <= 6*log2|W| is checked exactly at every visit.  What
+    is stored is the `_unravelling` table, one entry per (vertex,
+    resource) pair reached (polynomial in the pairs, not logarithmic
+    space), plus the path of counters; W itself is never stored.
     """
-    tree = unravel(graph, vertex, resource)
-    w_count = len(tree)
+    table = _unravelling(graph, vertex, resource)
+    root = (vertex, resource)
+    w_count = table[root][0]
     w_pow6 = w_count ** 6
-
-    def ordered(i):
-        return sorted(
-            tree.children[i],
-            key=lambda j: (-tree.sizes[j], tree.vertices[j], tree.resources[j]),
-        )
-
-    # path frames: [node, ordered children, next index (0-based), t, c, level_bits]
-    root_frame = [0, ordered(0), 0, 0, 0, (w_count - 1).bit_length()]
-    path = [root_frame]
-    verdict = None
-    while path:
+    w_bits = (w_count - 1).bit_length()
+    # path frames: [pair, ordered children, next index (0-based), t, c, level_bits]
+    path = [[root, table[root][1], 0, 0, 0, w_bits]]
+    while True:
         frame = path[-1]
-        node, kids, idx = frame[0], frame[1], frame[2]
+        pair, kids, idx = frame[0], frame[1], frame[2]
         budget = sum(2 * fr[5] for fr in path)
         if (1 << budget) > w_pow6:
             raise LimrecError(f"counter budget of {budget} bits exceeds 6*log2|W|, |W| = {w_count}")
@@ -764,20 +752,18 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
             # t(i) = j-1 processed children must fit in l_v(i) bits
             if frame[3] != j - 1 or frame[3] > (1 << frame[5]) - 1:
                 raise LimrecError(f"counter t = {frame[3]} does not fit in {frame[5]} bits")
-            path.append([child, ordered(child), 0, 0, 0, (w_count - 1).bit_length()])
+            path.append([child, table[child][1], 0, 0, 0, w_bits])
             continue
-        succeeds = (not tree.fail(node)) and graph.label_contains(tree.vertices[node], frame[4])
+        succeeds = pair[1] > 0 and graph.label_contains(pair[0], frame[4])
         path.pop()
         if not path:
-            verdict = succeeds
-            break
+            return bool(succeeds)
         parent = path[-1]
         parent[2] += 1
         parent[3] += 1
         if succeeds:
             parent[4] += 1
-        parent[5] = (w_count - 1).bit_length()
-    return bool(verdict)
+        parent[5] = w_bits
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,6 @@ bottom-up over that tree.
 
 The tree's component vertices come from the module recursion alone: the
 connected components of the graph and of each module's subgraph.
-`decomposition_components` gives the paper's characterisation of the same
-sets by the span filtration; canonisation does not call it.
 
 Recognition is exact: the pipeline orders each component's cliques and
 the resulting interval model is verified against the input graph, so
@@ -56,6 +54,7 @@ class Graph:
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
         self._cliques = None
+        self._spans = None
         self._overlaps = None
         self._partition = None
         self._induced = None  # vertex set -> Graph, on the root graph only
@@ -67,6 +66,13 @@ class Graph:
         if self._cliques is None:
             self._cliques = max_cliques(self)
         return self._cliques
+
+    @property
+    def spans(self):
+        """span_map(self), computed once."""
+        if self._spans is None:
+            self._spans = span_map(self)
+        return self._spans
 
     @property
     def overlaps(self):
@@ -155,16 +161,6 @@ class Graph:
         vertex is its own neighbour, so vs - adj[a] is {a} exactly then."""
         vs = frozenset(vs)
         return all(vs - self.adj[a] == {a} for a in vs)
-
-    def is_module(self, ws):
-        ws = set(ws)
-        for v in self.vertices:
-            if v in ws:
-                continue
-            hits = sum(1 for w in ws if w in self.adj[v])
-            if hits not in (0, len(ws)):
-                return False
-        return True
 
 
 def max_cliques(G: Graph):
@@ -287,7 +283,7 @@ def _possible_ends(G: Graph):
     """The asymmetric preorders seeded at each clique in clique order, each
     found only when asked for.  An end of a consecutive clique order holds
     a vertex in no other max clique, so only such cliques are tried."""
-    spans = span_map(G)
+    spans = G.spans
     for M in G.cliques:
         if 1 not in map(spans.__getitem__, M):
             continue
@@ -342,7 +338,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
     """collapse_incomparables for an asymmetric preorder already computed.
     The quotient keeps the linear clique order as its cliques."""
     cliques = pre.cliques
-    spans = span_map(G)
+    spans = G.spans
     vertex_class = {v: v for v in G.vertices}
     for group in pre.classes:
         if len(group) < 2:
@@ -523,84 +519,6 @@ def canon_L(H: Graph) -> LCanon:
             group = "single"
         modules.append(ModuleRecord(cls, colour, group))
     return LCanon(L.n, edges, intervals, m, palindromic, modules)
-
-
-# ---------------------------------------------------------------------------
-# Decomposition components (the P sets)
-
-
-def decomposition_components(G: Graph):
-    """The filtered (clique, bound) pairs whose span component is a
-    connected component of a decomposition module.
-
-    Returned entries are (clique, n, vertex set).  The distinct vertex
-    sets are the paper's characterisation of the component vertices of
-    the decomposition tree: they equal the `comp_set` values of
-    `build_modular_tree(G)`, which finds them by the module recursion
-    and does not call this function.
-    """
-    cliques = G.cliques
-    spans = span_map(G)
-    # The span filtration in one sweep: vertices join in increasing span
-    # order, and a union-find whose member lists merge small into large
-    # holds the components of the vertices with span <= bound.  A max
-    # clique's vertices below the bound are pairwise adjacent, so they lie
-    # in one component, reached through the clique's least-span vertex.
-    joining = sorted(G.vertices, key=spans.__getitem__)
-    anchor = {M: min(M, key=spans.__getitem__) for M in cliques}
-    root = {}
-    members = {}
-    by_set = {M: {} for M in cliques}  # clique -> {component: max bound}
-    current = {}
-    joined = 0
-    for bound in range(1, G.n + 1):
-        start = joined
-        while joined < len(joining) and spans[joining[joined]] <= bound:
-            v = joining[joined]
-            joined += 1
-            root[v] = v
-            members[v] = [v]
-            for w in G.adj[v]:
-                a, b = root.get(w), root[v]
-                if a is None or a == b:
-                    continue
-                if len(members[a]) < len(members[b]):
-                    a, b = b, a
-                for x in members[b]:
-                    root[x] = a
-                members[a].extend(members.pop(b))
-        if joined > start:
-            frozen = {r: frozenset(vs) for r, vs in members.items()}
-            current = {M: frozen[root[v]] for M, v in anchor.items() if v in root}
-        for M, comp in current.items():
-            by_set[M][comp] = bound  # ascending bound: keeps the maximum
-    splits = {}
-
-    def module_split(vset):
-        """(big classes, apices) of vset if it is a module of G, else None."""
-        if vset not in splits:
-            split = None
-            if G.is_module(vset):
-                H = G.subgraph(vset)
-                split = (H.partition.modules, H.apices())
-            splits[vset] = split
-        return splits[vset]
-
-    result = []
-    for M in cliques:
-        for comp, bound in by_set[M].items():
-            for upper, upper_bound in by_set[M].items():
-                if upper_bound <= bound or upper == comp:
-                    continue
-                split = module_split(upper)
-                if split is None:
-                    continue
-                big, apices = split
-                if not (any(comp <= cls for cls in big) or apices - comp):
-                    break
-            else:
-                result.append((M, bound, comp))
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import itertools
 import random
+import tracemalloc
 from bisect import bisect_right
+from dataclasses import dataclass
 from functools import lru_cache
 
 from limrec.errors import FormulaError, LimrecError, ParseError, RecognitionError
-from limrec.evaluator import EvalContext, LabelledGraph, _child_resources, x_membership
+from limrec.evaluator import (
+    EvalContext, LabelledGraph, _child_resources, x_membership, x_membership_streaming,
+)
 from limrec.intervalcanon import (
     LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
-    interval_model, modular_partition, span_map,
+    interval_model,
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
@@ -17,7 +21,8 @@ from limrec.syntax import (
     Not, Or, Var, _Token, and_all, eq_tuple, is_zero,
 )
 from limrec.treelogic import (
-    DirectedTree, _circuit_shape, _postorder, tree_isomorphic, tree_order_less,
+    DirectedTree, _circuit_shape, _gadget_resource, _postorder, tree_isomorphic,
+    tree_order_less,
 )
 
 
@@ -420,52 +425,88 @@ def reference_possible_ends(G):
         yield pre
 
 
-def reference_decomposition_components(G):
-    """decomposition_components with one induced subgraph per (clique,
-    bound) pair."""
+def is_module(G, ws):
+    """Whether every vertex of G outside ws sees all of ws or none of it."""
+    ws = set(ws)
+    for v in G.vertices:
+        if v in ws:
+            continue
+        hits = sum(1 for w in ws if w in G.adj[v])
+        if hits not in (0, len(ws)):
+            return False
+    return True
+
+
+def decomposition_components(G):
+    """The filtered (clique, bound) pairs whose span component is a
+    connected component of a decomposition module.
+
+    Returned entries are (clique, n, vertex set).  The distinct vertex
+    sets are the paper's characterisation of the component vertices of
+    the decomposition tree (the P-sets): they equal the `comp_set` values
+    of `build_modular_tree(G)`, which finds them by the module recursion.
+    """
     cliques = G.cliques
-    spans = span_map(G)
-    candidates = []
-    for M in cliques:
-        by_set = {}
-        for bound in range(1, G.n + 1):
-            sub = G.subgraph({v for v in G.vertices if spans[v] <= bound})
-            comp = next((c for c in sub.components() if c & M), None)
-            if comp is not None:
-                by_set[comp] = bound
-        candidates.extend((M, bound, comp) for comp, bound in by_set.items())
+    spans = G.spans
+    # The span filtration in one sweep: vertices join in increasing span
+    # order, and a union-find whose member lists merge small into large
+    # holds the components of the vertices with span <= bound.  A max
+    # clique's vertices below the bound are pairwise adjacent, so they lie
+    # in one component, reached through the clique's least-span vertex.
+    joining = sorted(G.vertices, key=spans.__getitem__)
+    anchor = {M: min(M, key=spans.__getitem__) for M in cliques}
+    root = {}
+    members = {}
+    by_set = {M: {} for M in cliques}  # clique -> {component: max bound}
+    current = {}
+    joined = 0
+    for bound in range(1, G.n + 1):
+        start = joined
+        while joined < len(joining) and spans[joining[joined]] <= bound:
+            v = joining[joined]
+            joined += 1
+            root[v] = v
+            members[v] = [v]
+            for w in G.adj[v]:
+                a, b = root.get(w), root[v]
+                if a is None or a == b:
+                    continue
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for x in members[b]:
+                    root[x] = a
+                members[a].extend(members.pop(b))
+        if joined > start:
+            frozen = {r: frozenset(vs) for r, vs in members.items()}
+            current = {M: frozen[root[v]] for M, v in anchor.items() if v in root}
+        for M, comp in current.items():
+            by_set[M][comp] = bound  # ascending bound: keeps the maximum
+    splits = {}
 
-    big_cache = {}
+    def module_split(vset):
+        """(big classes, apices) of vset if it is a module of G, else None."""
+        if vset not in splits:
+            split = None
+            if is_module(G, vset):
+                H = G.subgraph(vset)
+                split = (H.partition.modules, H.apices())
+            splits[vset] = split
+        return splits[vset]
 
-    def big_classes(vset):
-        if vset not in big_cache:
-            H = G.subgraph(vset)
-            apices = H.apices()
-            rest = frozenset(H.vertices) - apices
-            if H.n <= 1:
-                big_cache[vset] = []
-            elif apices:
-                big_cache[vset] = [rest] if len(rest) > 1 else []
-            else:
-                big_cache[vset] = list(modular_partition(H).modules)
-        return big_cache[vset]
-
-    sets_by_clique = {}
-    for M, bound, comp in candidates:
-        sets_by_clique.setdefault(M, {})[bound] = comp
     result = []
-    for M, bound, comp in candidates:
-        ok = True
-        for upper_bound, upper in sets_by_clique[M].items():
-            if upper_bound <= bound or upper == comp or not G.is_module(upper):
-                continue
-            inside_big = any(comp <= cls for cls in big_classes(upper))
-            apex_outside = bool(G.subgraph(upper).apices() - comp)
-            if not (inside_big or apex_outside):
-                ok = False
-                break
-        if ok:
-            result.append((M, bound, comp))
+    for M in cliques:
+        for comp, bound in by_set[M].items():
+            for upper, upper_bound in by_set[M].items():
+                if upper_bound <= bound or upper == comp:
+                    continue
+                split = module_split(upper)
+                if split is None:
+                    continue
+                big, apices = split
+                if not (any(comp <= cls for cls in big) or apices - comp):
+                    break
+            else:
+                result.append((M, bound, comp))
     return result
 
 
@@ -927,6 +968,133 @@ def reference_x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
         memo[fkey] = graph.label_contains(v, frame[5])
         stack.pop()
     return memo[key]
+
+
+@dataclass
+class Unravelling:
+    """The tree of resource-annotated paths from a root query."""
+
+    vertices: list
+    resources: list
+    parents: list
+    children: list
+    sizes: list
+
+    def __len__(self):
+        return len(self.vertices)
+
+    def fail(self, i: int) -> bool:
+        return self.resources[i] == 0
+
+
+def reference_unravel(graph: LabelledGraph, vertex, resource: int) -> Unravelling:
+    """Materialize the unravelling tree at (vertex, resource), one list
+    entry per node of W, as the streaming engine did before it kept one
+    table entry per (vertex, resource) pair.
+
+    Node children follow the graph's neighbour order; each child's
+    resource is floor((l-1)/in_degree(child)); nodes with resource 0 are
+    failure leaves.
+    """
+    vertices = [vertex]
+    resources = [resource]
+    parents = [-1]
+    children = [[]]
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        ell = resources[i]
+        if ell <= 0:
+            continue
+        kids = graph.out_neighbours(vertices[i])
+        for b, sub in zip(kids, _child_resources(graph, kids, ell)):
+            j = len(vertices)
+            vertices.append(b)
+            resources.append(sub)
+            parents.append(i)
+            children.append([])
+            children[i].append(j)
+            queue.append(j)
+    sizes = [1] * len(vertices)
+    for i in range(len(vertices) - 1, 0, -1):
+        sizes[parents[i]] += sizes[i]
+    return Unravelling(vertices, resources, parents, children, sizes)
+
+
+def reference_x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
+    """The streaming engine over the materialized unravelling: children
+    in decreasing subtree size (ties by vertex, then resource), the
+    counter budget and the t-counter checked at every visit."""
+    tree = reference_unravel(graph, vertex, resource)
+    w_count = len(tree)
+    w_pow6 = w_count ** 6
+
+    def ordered(i):
+        return sorted(
+            tree.children[i],
+            key=lambda j: (-tree.sizes[j], tree.vertices[j], tree.resources[j]),
+        )
+
+    # path frames: [node, ordered children, next index (0-based), t, c, level_bits]
+    root_frame = [0, ordered(0), 0, 0, 0, (w_count - 1).bit_length()]
+    path = [root_frame]
+    verdict = None
+    while path:
+        frame = path[-1]
+        node, kids, idx = frame[0], frame[1], frame[2]
+        budget = sum(2 * fr[5] for fr in path)
+        if (1 << budget) > w_pow6:
+            raise LimrecError(f"counter budget of {budget} bits exceeds 6*log2|W|, |W| = {w_count}")
+        if idx < len(kids):
+            child = kids[idx]
+            j = idx + 1  # 1-based rank of the child being entered
+            frame[5] = (j - 1).bit_length()
+            if frame[3] != j - 1 or frame[3] > (1 << frame[5]) - 1:
+                raise LimrecError(f"counter t = {frame[3]} does not fit in {frame[5]} bits")
+            path.append([child, ordered(child), 0, 0, 0, (w_count - 1).bit_length()])
+            continue
+        succeeds = (not tree.fail(node)) and graph.label_contains(tree.vertices[node], frame[4])
+        path.pop()
+        if not path:
+            verdict = succeeds
+            break
+        parent = path[-1]
+        parent[2] += 1
+        parent[3] += 1
+        if succeeds:
+            parent[4] += 1
+        parent[5] = (w_count - 1).bit_length()
+    return bool(verdict)
+
+
+def streaming_like_reference(graph: LabelledGraph, vertex, resource: int) -> bool:
+    """x_membership_streaming's verdict on (vertex, resource), once it is
+    checked to give the verdict and make the label_contains calls of
+    reference_x_membership_streaming: one call per node of W with
+    resource > 0, in walk post-order, so the visiting order is the same."""
+    runs = []
+    for engine in (reference_x_membership_streaming, x_membership_streaming):
+        recorder = RecordingGraph(graph)
+        verdict = engine(recorder, vertex, resource)
+        runs.append((verdict, [call for call in recorder.calls if call[0] == "label_contains"]))
+    assert runs[0] == runs[1], (vertex, resource)
+    return runs[1][0]
+
+
+def streaming_iso_query_peak(n):
+    """On the complete binary tree with n vertices, whose root's two
+    subtrees are isomorphic: the streaming engine's verdict on the iso
+    query (0, 1, 2, 1, 2, 0) at the gadget resource, the memo engine's
+    verdict on it, and the tracemalloc peak in bytes of the streaming run."""
+    tree = DirectedTree([None] + [(i - 1) // 2 for i in range(1, n)])
+    query, resource = (0, 1, 2, 1, 2, 0), _gadget_resource(tree)
+    tracemalloc.start()
+    try:
+        verdict = x_membership_streaming(tree.iso_gadget(), query, resource)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return verdict, x_membership(tree.iso_gadget(), query, resource), peak
 
 
 class RecordingGraph(LabelledGraph):

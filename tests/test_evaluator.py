@@ -20,8 +20,8 @@ import limrec
 from limrec import evaluator
 from limrec.errors import DomainError, FormulaError, LimrecError
 from limrec.evaluator import (
-    EvalContext, LabelledGraph, Transduction, apply_transduction, evaluate, unravel,
-    x_membership, x_membership_streaming,
+    EvalContext, LabelledGraph, Transduction, apply_transduction, evaluate, x_membership,
+    x_membership_streaming,
 )
 from limrec.structures import (
     GRAPH_VOCAB, Structure, generate_layered_graph, generate_random_circuit,
@@ -34,7 +34,8 @@ from limrec.treelogic import CIRCUIT_FORMULA, circuit_value
 
 from .helpers import (
     ExplicitGraph, RecordingGraph, circuit_value_oracle, lrec_membership, not_chain,
-    reference_x_membership,
+    reference_unravel, reference_x_membership, streaming_iso_query_peak,
+    streaming_like_reference,
 )
 from .test_syntax import _formulas
 from .test_treelogic import _canon_graph_trees
@@ -150,7 +151,7 @@ def test_engines_agree_on_random_graphs():
         g = _random_graph(rng, n)
         for v in range(n):
             for ell in range(0, 21):
-                assert x_membership(g, (v,), ell) == x_membership_streaming(g, (v,), ell)
+                assert x_membership(g, (v,), ell) == streaming_like_reference(g, (v,), ell)
 
 
 def test_unravelling_matches_claim():
@@ -161,7 +162,7 @@ def test_unravelling_matches_claim():
         g = _random_graph(rng, n)
         root = (rng.randrange(n),)
         ell = rng.randint(0, 15)
-        tree = unravel(g, root, ell)
+        tree = reference_unravel(g, root, ell)
         for i in range(len(tree)):
             in_x = x_membership(g, tree.vertices[i], tree.resources[i])
             accepted = (
@@ -183,6 +184,10 @@ def test_leaf_with_zero_label_streaming():
     assert x_membership_streaming(g, (0,), 1)
     assert x_membership(g, (0,), 1)
     assert not x_membership(g, (0,), 0)
+    # no resource left, none asked: both engines reject without a label
+    for ell in (0, -1):
+        assert not x_membership_streaming(g, (0,), ell)
+        assert not x_membership(g, (0,), ell)
 
 
 def test_engines_agree_on_random_formulas():
@@ -527,6 +532,14 @@ def test_engines_reject_an_edge_target_without_incoming_edges():
         x_membership_streaming(_ZeroInDegreeGraph(), 0, 5)
 
 
+def test_streaming_engine_stores_pairs_not_the_unravelling():
+    # the n=31 iso query unravels into |W| = 108,307 nodes over 695
+    # (vertex, resource) pairs; storing W itself peaked at 28 MB
+    verdict, memo_verdict, peak = streaming_iso_query_peak(31)
+    assert verdict is memo_verdict is True
+    assert peak < 5 * 2 ** 20
+
+
 class _PrunedGraph(LabelledGraph):
     """Vertex 0 has an empty label, vertex 1 least count 5 and children 2
     and 3; nothing else about them may be asked."""
@@ -593,19 +606,43 @@ def test_engine_invariant_checks_survive_python_O():
     script = (
         "import sys\n"
         "from limrec.errors import LimrecError\n"
-        "from limrec.evaluator import LabelledGraph, x_membership\n"
+        "from limrec import evaluator\n"
+        "from limrec.evaluator import LabelledGraph, x_membership, x_membership_streaming\n"
         "from limrec.treelogic import DirectedTree, tree_canon\n"
         "class G(LabelledGraph):\n"
         "    def out_neighbours(self, v): return (1,) if v == 0 else ()\n"
         "    def in_degree(self, v): return 0\n"
         "    def label_contains(self, v, c): return c == 0\n"
         "assert False, 'asserts must be off'\n"
+        "for engine in (x_membership, x_membership_streaming):\n"
+        "    try:\n"
+        "        engine(G(), 0, 5)\n"
+        "    except LimrecError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        sys.exit(f'{engine.__name__}: no in-degree error')\n"
+        # the streaming counter budget: a spine of 20 vertices, each with 3
+        # leaves beside the next spine vertex, |W| = 81, walked with the
+        # children in increasing size needs 2*(20*2 + 7) bits > 6*log2(81)
+        "class Spine(LabelledGraph):\n"
+        "    def out_neighbours(self, v):\n"
+        "        i, k = v\n"
+        "        return ((i, 1), (i, 2), (i, 3), (i + 1, 0)) if k == 0 and i < 20 else ()\n"
+        "    def in_degree(self, v): return 1\n"
+        "    def label_contains(self, v, c): return c == 0\n"
+        "if x_membership_streaming(Spine(), (0, 0), 30) != x_membership(Spine(), (0, 0), 30):\n"
+        "    sys.exit('engines disagree on the spine')\n"
+        "table_of = evaluator._unravelling\n"
+        "def ascending(*query):\n"
+        "    return {pair: (size, kids[::-1]) for pair, (size, kids) in table_of(*query).items()}\n"
+        "evaluator._unravelling = ascending\n"
         "try:\n"
-        "    x_membership(G(), 0, 5)\n"
-        "except LimrecError:\n"
-        "    pass\n"
+        "    x_membership_streaming(Spine(), (0, 0), 30)\n"
+        "except LimrecError as exc:\n"
+        "    if 'counter budget' not in str(exc):\n"
+        "        raise\n"
         "else:\n"
-        "    sys.exit(1)\n"
+        "    sys.exit('no counter budget error')\n"
         # tree_canon's output check: a flipped verdict makes the copy of a
         # root with three leaves a preorder copy that is not isomorphic
         "star = DirectedTree([None, 0, 0, 0])\n"
@@ -695,6 +732,7 @@ def test_every_library_name_is_called_documented_or_traced():
 # metrics read 0; mending one of those metrics takes its name off this set
 ORPHANED_TRACER_HOOKS = {
     "EvalContext.quotient_graph", "QuotientGraph", "possible_ends", "coloured_compare",
+    "decomposition_components",
 }
 
 

@@ -10,18 +10,17 @@ from limrec import intervalcanon
 from limrec.errors import DomainError, RecognitionError
 from limrec.intervalcanon import (
     Graph, _ckey, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
-    decomposition_components, interval_canon, interval_model, max_cliques,
-    modular_partition, span_map,
+    interval_canon, interval_model, max_cliques, modular_partition, span_map,
 )
 from limrec.cli import main
 from limrec.structures import GRAPH_VOCAB, Structure, generate_random_interval_graph
 from limrec.treelogic import coloured_keys
 
 from .helpers import (
-    clique_witness, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all, is_interval_graph,
-    mask_to_edges, possible_ends, reference_asymmetric, reference_canon_L,
-    reference_clique_order, reference_clique_pairs, reference_decomposition_components,
-    reference_max_cliques, reference_possible_ends,
+    clique_witness, decomposition_components, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all,
+    is_interval_graph, is_module, mask_to_edges, possible_ends, reference_asymmetric,
+    reference_canon_L, reference_clique_order, reference_clique_pairs, reference_max_cliques,
+    reference_possible_ends,
 )
 
 
@@ -314,10 +313,6 @@ def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
 # --- incomparability classes span modules ------------------------------------
 
 
-def _is_module(g, ws):
-    return g.is_module(ws)
-
-
 def test_incomparability_classes_yield_modules_exhaustive():
     for n in range(2, 7):
         for g in _connected_graphs(n):
@@ -335,7 +330,7 @@ def test_incomparability_classes_yield_modules_exhaustive():
                     direct = union - outside
                     via_span = {v for v in union if spans[v] <= len(group)}
                     assert direct == via_span
-                    assert _is_module(g, direct) or not direct
+                    assert is_module(g, direct) or not direct
 
 
 def test_quotients_of_all_ends_isomorphic_exhaustive():
@@ -581,9 +576,8 @@ def _partition_fields(part):
 def test_sweep_and_first_end_match_reference_loops(monkeypatch):
     for g in _differential_graphs():
         assert g.components() == sorted(g.components(), key=_ckey)
-        p_sets = reference_decomposition_components(g)
-        assert decomposition_components(g) == p_sets
-        assert set(build_modular_tree(g).comp_set.values()) == {comp for _, _, comp in p_sets}
+        p_sets = {comp for _, _, comp in decomposition_components(g)}
+        assert set(build_modular_tree(g).comp_set.values()) == p_sets
         parts = {}
         for comp in g.components():
             h = g.subgraph(comp)
@@ -598,18 +592,6 @@ def test_sweep_and_first_end_match_reference_loops(monkeypatch):
             assert interval_canon(Graph(g.vertices, g.edges())) == canon
 
 
-def test_interval_canon_does_not_run_the_span_filtration(monkeypatch):
-    graphs = list(_differential_graphs())
-    canons = [interval_canon(g) for g in graphs]
-
-    def unused(G):
-        raise AssertionError("decomposition_components called")
-
-    monkeypatch.setattr(intervalcanon, "decomposition_components", unused)
-    # fresh graphs, so nothing comes from the caches filled above
-    assert [interval_canon(Graph(g.vertices, g.edges())) for g in graphs] == canons
-
-
 def test_one_preorder_per_graph_and_start(monkeypatch):
     g = Graph.from_structure(generate_random_interval_graph(40, seed=3))
     calls = []
@@ -622,6 +604,20 @@ def test_one_preorder_per_graph_and_start(monkeypatch):
     monkeypatch.setattr(intervalcanon, "clique_preorder", counting)
     interval_canon(g)
     assert len(calls) == len(set(calls)) == 2
+
+
+def test_spans_are_computed_once_per_graph(monkeypatch):
+    # the possible ends and the collapse of one graph read the same spans
+    graphs = []
+    original = intervalcanon.span_map
+
+    def counting(G):
+        graphs.append(G)
+        return original(G)
+
+    monkeypatch.setattr(intervalcanon, "span_map", counting)
+    interval_canon(Graph.from_structure(generate_random_interval_graph(40, seed=3)))
+    assert graphs and len({id(G) for G in graphs}) == len(graphs)
 
 
 def test_subgraph_is_one_shared_graph_per_vertex_set():

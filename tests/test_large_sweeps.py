@@ -16,7 +16,7 @@ from limrec.treelogic import DirectedTree, tree_canon
 
 from .helpers import (
     canon_edges_to_tree, circuit_value_oracle, not_chain, permute_tree, random_permutation,
-    tree_canon_oracle,
+    streaming_iso_query_peak, tree_canon_oracle,
 )
 from .test_intervalcanon import _relabel
 
@@ -81,3 +81,11 @@ def test_check_circuit_on_a_long_not_chain(tmp_path, capsys):
     assert main(["check", "--kind", "circuit", str(path)]) == 0
     value = str(circuit_value_oracle(chain)).lower()
     assert capsys.readouterr().out.strip() == f"circuit ok, worst path product 1, value {value}"
+
+
+def test_streaming_iso_query_on_a_63_vertex_complete_binary_tree():
+    # |W| = 4,332,307 nodes over 2,659 (vertex, resource) pairs; storing W
+    # itself peaked at 1.1 GB
+    verdict, memo_verdict, peak = streaming_iso_query_peak(63)
+    assert verdict is memo_verdict is True
+    assert peak < 50 * 2 ** 20

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from limrec.errors import DomainError, LimrecError, RecognitionError
-from limrec.evaluator import x_membership, x_membership_streaming
+from limrec.evaluator import x_membership
 from limrec.structures import (
     Structure, generate_random_circuit, generate_random_tree,
 )
@@ -17,8 +17,8 @@ from limrec.treelogic import (
 from .helpers import (
     ReferenceCanonGraph, all_trees, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
     circuit_value_oracle, coloured_canonical_form, not_chain, permute_tree, profile,
-    random_permutation, reference_dense_profile, reference_tree_canon, subtree_string,
-    tree_canon_oracle, tree_shapes, tree_to_structure,
+    random_permutation, reference_dense_profile, reference_tree_canon, streaming_like_reference,
+    subtree_string, tree_canon_oracle, tree_shapes, tree_to_structure,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -196,7 +196,7 @@ def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
         for a in range(1, tree.n + 1):
             for b in range(1, tree.n + 1):
                 query = (tree.root, a, b)
-                assert x_membership(graph, query, tree.n) == x_membership_streaming(
+                assert x_membership(graph, query, tree.n) == streaming_like_reference(
                     graph, query, tree.n
                 ), (tree.parent, a, b)
 
