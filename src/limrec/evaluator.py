@@ -36,8 +36,8 @@ EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
 class EvalContext:
     """Per-evaluation caches: compiled formula closures, the relation
     indexes of `_guard`, and the recursion graphs of lrec and lreceq nodes
-    (`formula_graph`), keyed by node and the assignment restricted to the
-    node's outer free variables.  Never share across structures."""
+    (`formula_graph`), keyed by node, engine and the assignment restricted
+    to the node's outer free variables.  Never share across structures."""
 
     def __init__(self, structure: Structure):
         self.structure = structure
@@ -46,18 +46,20 @@ class EvalContext:
         self._compiled: dict = {}
         self._index: dict = {}
 
-    def formula_graph(self, node: Lrec | LrecEq, alpha) -> FormulaGraph:
+    def formula_graph(self, node: Lrec | LrecEq, alpha, engine: str = "memo") -> FormulaGraph:
         """The recursion graph of `node` under `alpha`, built once per
-        value of the node's outer variables."""
-        entry = self._graphs.get(id(node))
+        engine and value of the node's outer variables.  Its formulas run
+        their own recursions on `engine`, the engine of the query that
+        builds the graph."""
+        entry = self._graphs.get((id(node), engine))
         if entry is None:
             # holding the node keeps its id from being reused
-            entry = self._graphs[id(node)] = (node, _outer_variables(node), {})
+            entry = self._graphs[id(node), engine] = (node, _outer_variables(node), {})
         _, outer, graphs = entry
         values = tuple(alpha[v] for v in outer)
         graph = graphs.get(values)
         if graph is None:
-            graph = graphs[values] = FormulaGraph(self, node, dict(zip(outer, values)))
+            graph = graphs[values] = FormulaGraph(self, node, dict(zip(outer, values)), engine)
         return graph
 
 
@@ -390,7 +392,7 @@ def _build(ctx: EvalContext, f: Formula, engine: str):
         n = A.universe_size
 
         def lrec_fn(alpha):
-            graph = ctx.formula_graph(node, alpha)
+            graph = ctx.formula_graph(node, alpha, engine)
             vertex = graph.class_of(tuple(alpha[x] for x in node.w))
             ell = num_encode([alpha[x] for x in node.r], n)
             return _run_engines(graph, vertex, ell, engine)
@@ -468,10 +470,12 @@ class FormulaGraph(LabelledGraph):
     In-degrees are counted in one sweep over all out-neighbours at the
     first in_degree call, except in an lrec graph whose squared domain
     size exceeds the context threshold: there each vertex counts its
-    candidate sources (the guard over u, with v bound) that pass.
+    candidate sources (the guard over u, with v bound) that pass.  The
+    edge, label and equivalence formulas run the recursions nested in
+    them on `engine`.
     """
 
-    def __init__(self, ctx: EvalContext, node: Lrec | LrecEq, base_alpha):
+    def __init__(self, ctx: EvalContext, node: Lrec | LrecEq, base_alpha, engine: str = "memo"):
         super().__init__()
         self.ctx = ctx
         self.node = node
@@ -482,8 +486,8 @@ class FormulaGraph(LabelledGraph):
             self.dom_size *= len(d)
         self.width_p = len(node.p)
         self.label_bound = (A.universe_size + 1) ** self.width_p
-        self._edge_fn = _compile(ctx, node.phi_edge, "memo")
-        self._label_fn = _compile(ctx, node.phi_label, "memo")
+        self._edge_fn = _compile(ctx, node.phi_edge, engine)
+        self._label_fn = _compile(ctx, node.phi_label, engine)
         edge_parts = self._guard_parts(node.phi_edge)
         self._targets = _candidates(ctx, edge_parts, node.v)
         self._sources = _candidates(ctx, edge_parts, node.u)
@@ -497,7 +501,7 @@ class FormulaGraph(LabelledGraph):
         self._sweep = isinstance(node, LrecEq) or self.dom_size ** 2 <= ctx.edge_threshold
         classes = []
         if isinstance(node, LrecEq):
-            eq_fn = _compile(ctx, node.phi_eq, "memo")
+            eq_fn = _compile(ctx, node.phi_eq, engine)
             eq_targets = _candidates(ctx, self._guard_parts(node.phi_eq), node.v)
             classes = _closure_classes(
                 list(itertools.product(*self.doms)),
@@ -737,18 +741,21 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
     w_count = table[root][0]
     w_pow6 = w_count ** 6
     w_bits = (w_count - 1).bit_length()
-    # path frames: [pair, ordered children, next index (0-based), t, c, level_bits]
+    # path frames: [pair, ordered children, next index (0-based), t, c, level_bits];
+    # budget is sum 2*level_bits over the path, kept as the level bits change
     path = [[root, table[root][1], 0, 0, 0, w_bits]]
+    budget = 2 * w_bits
     while True:
         frame = path[-1]
         pair, kids, idx = frame[0], frame[1], frame[2]
-        budget = sum(2 * fr[5] for fr in path)
         if (1 << budget) > w_pow6:
             raise LimrecError(f"counter budget of {budget} bits exceeds 6*log2|W|, |W| = {w_count}")
         if idx < len(kids):
             child = kids[idx]
             j = idx + 1  # 1-based rank of the child being entered
-            frame[5] = (j - 1).bit_length()
+            bits = (j - 1).bit_length()
+            budget += 2 * (bits - frame[5]) + 2 * w_bits  # and the child's frame
+            frame[5] = bits
             # t(i) = j-1 processed children must fit in l_v(i) bits
             if frame[3] != j - 1 or frame[3] > (1 << frame[5]) - 1:
                 raise LimrecError(f"counter t = {frame[3]} does not fit in {frame[5]} bits")
@@ -763,6 +770,7 @@ def x_membership_streaming(graph: LabelledGraph, vertex, resource: int) -> bool:
         parent[3] += 1
         if succeeds:
             parent[4] += 1
+        budget += 2 * (w_bits - parent[5]) - 2 * frame[5]
         parent[5] = w_bits
 
 

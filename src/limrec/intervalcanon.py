@@ -6,8 +6,10 @@ the module-free quotient L with its two clique orders, the coloured
 modular decomposition tree, and finally a canonical copy assembled
 bottom-up over that tree.
 
-The tree's component vertices come from the module recursion alone: the
-connected components of the graph and of each module's subgraph.
+`module_walk` finds the components of the graph and, recursively, of
+each module's subgraph, once per graph on an explicit stack; the model,
+the tree and the canonical copy are all built from it without recursion,
+so no input costs a Python frame per level of module nesting.
 
 Recognition is exact: the pipeline orders each component's cliques and
 the resulting interval model is verified against the input graph, so
@@ -17,8 +19,9 @@ clique with no possible end or the failing model comparison).
 
 from __future__ import annotations
 
-import weakref
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, RecognitionError
 from .structures import Structure
@@ -40,9 +43,8 @@ def _ckey(clique):
 class Graph:
     """Simple undirected graph over hashable vertices.
 
-    A graph keeps what is derived from it: its max cliques and its modular
-    partition, each computed on first use, and one shared Graph per vertex
-    set for itself and every subgraph taken from it."""
+    A graph keeps what is derived from it: its max cliques, its modular
+    partition and its module walk, each computed on first use."""
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(set(vertices), key=_vkey))
@@ -53,45 +55,36 @@ class Graph:
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
-        self._cliques = None
-        self._spans = None
-        self._overlaps = None
-        self._partition = None
-        self._induced = None  # vertex set -> Graph, on the root graph only
-        self._root = None  # weak reference to the graph this was taken from
 
-    @property
+    @cached_property
     def cliques(self):
         """max_cliques(self), computed once."""
-        if self._cliques is None:
-            self._cliques = max_cliques(self)
-        return self._cliques
+        return max_cliques(self)
 
-    @property
+    @cached_property
     def spans(self):
         """span_map(self), computed once."""
-        if self._spans is None:
-            self._spans = span_map(self)
-        return self._spans
+        return span_map(self)
 
-    @property
+    @cached_property
     def overlaps(self):
         """For each max clique, the ascending indices of the max cliques
         that meet it (itself included), computed once from `cliques`."""
-        if self._overlaps is None:
-            holders = {}
-            for i, c in enumerate(self.cliques):
-                for v in c:
-                    holders.setdefault(v, []).append(i)
-            self._overlaps = [sorted({j for v in c for j in holders[v]}) for c in self.cliques]
-        return self._overlaps
+        holders = {}
+        for i, c in enumerate(self.cliques):
+            for v in c:
+                holders.setdefault(v, []).append(i)
+        return [sorted({j for v in c for j in holders[v]}) for c in self.cliques]
 
-    @property
+    @cached_property
     def partition(self) -> "ModularPartition":
         """modular_partition(self), computed once."""
-        if self._partition is None:
-            self._partition = modular_partition(self)
-        return self._partition
+        return modular_partition(self)
+
+    @cached_property
+    def walk(self) -> "ModuleWalk":
+        """module_walk(self), computed once."""
+        return module_walk(self)
 
     @classmethod
     def from_structure(cls, structure: Structure) -> "Graph":
@@ -110,27 +103,9 @@ class Graph:
         }
 
     def subgraph(self, keep) -> "Graph":
-        """The subgraph induced by `keep`, a subset of the vertices.  Every
-        graph taken from one root graph by `subgraph` is an induced
-        subgraph of it, so a vertex set names one Graph, whichever of them
-        it was taken from, and all of them share it while the root lives.
-        The root keeps them; each holds the root only weakly, so no graph
-        is in a reference cycle.  A subgraph that outlives its root keeps
-        the subgraphs taken from it from then on."""
+        """The subgraph induced by `keep`, a subset of the vertices."""
         keep = frozenset(keep)
-        if len(keep) == self.n:
-            return self
-        root = self._root() if self._root is not None else None
-        if root is None:
-            root = self
-        if root._induced is None:
-            root._induced = {}
-        graph = root._induced.get(keep)
-        if graph is None:
-            graph = Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
-            graph._root = weakref.ref(root)
-            root._induced[keep] = graph
-        return graph
+        return Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
 
     def components(self):
         """Vertex sets of the connected components, in `_ckey` order: each
@@ -364,7 +339,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
                 )
             clique_position[cliques[i]] = pos
         clique_order.append(image)
-    quotient._cliques = clique_order
+    quotient.cliques = clique_order
     return Collapse(quotient, clique_order, vertex_class, clique_position)
 
 
@@ -437,6 +412,59 @@ def modular_partition(G: Graph) -> ModularPartition:
     )
     order = [frozenset(flat[x] for x in image) for image in second.clique_order]
     return ModularPartition(cells, modules, vertex_class, quotient, order, clique_position)
+
+
+# ---------------------------------------------------------------------------
+# The module walk
+
+
+@dataclass(eq=False)
+class WalkEntry:
+    """A component met by the module walk: a connected component of the
+    walked graph or of a module's subgraph.  `graph` is its induced
+    subgraph, taken once, or None for a component that is the whole walked
+    graph: that graph keeps the walk, and a walk holding it would be a
+    reference cycle."""
+
+    vertices: frozenset
+    graph: Graph | None
+    partition: ModularPartition
+    modules: dict               # module -> WalkEntry per component, in _ckey order
+
+
+@dataclass
+class ModuleWalk:
+    components: list            # WalkEntry per connected component, in _ckey order
+    entries: list               # every WalkEntry, each before those of its modules
+
+
+def module_walk(G: Graph) -> ModuleWalk:
+    """Every connected component of G and, recursively, of each module's
+    subgraph, in pre-order on an explicit stack: an entry's partition is
+    computed when it is reached, then its modules are walked in partition
+    order.  Each module's subgraph, and each component's, is taken once.
+    The walk computes partitions only; `interval_model` checks that the
+    modules' cliques expand their cells."""
+    components = []
+    entries = []
+    stack = [
+        (components, comp, None if len(comp) == G.n else G.subgraph(comp))
+        for comp in reversed(G.components())
+    ]
+    while stack:
+        siblings, vertices, graph = stack.pop()
+        H = G if graph is None else graph
+        entry = WalkEntry(vertices, graph, H.partition, {})
+        siblings.append(entry)
+        entries.append(entry)
+        pending = []
+        for module in entry.partition.modules:
+            M = H.subgraph(module)
+            entry.modules[module] = subs = []
+            pending += [(subs, comp, M if len(comp) == M.n else M.subgraph(comp))
+                        for comp in M.components()]
+        stack.extend(reversed(pending))
+    return ModuleWalk(components, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +556,7 @@ def canon_L(H: Graph) -> LCanon:
 @dataclass
 class ColouredTree:
     """Directed tree with a colour relation (vertex -> tuple of pairs)
-    plus the payloads the canonisation recursion reads."""
+    plus the payloads the canonisation reads."""
 
     parents: list
     child_lists: list           # node -> its children, in creation order
@@ -548,55 +576,48 @@ class ColouredTree:
 
 
 def build_modular_tree(G: Graph) -> ColouredTree:
-    """Construct the coloured decomposition tree: one component vertex per
-    connected component of G and of each module's subgraph, at most three
-    arrangement vertices per component, and one module vertex per
-    multi-vertex module.  The empty graph gets the root alone."""
-    parents = [None]
-    child_lists = [[]]
-    kinds = ["root"]
-    colours = {0: ()}
-    tree = ColouredTree(parents, child_lists, kinds, colours)
-
-    def new_node(kind, parent):
-        node = len(parents)
-        parents.append(parent)
-        child_lists.append([])
-        child_lists[parent].append(node)
-        kinds.append(kind)
-        return node
-
-    def add_component(comp, parent):
-        node = new_node("component", parent)
-        tree.comp_set[node] = comp
-        H = G.subgraph(comp)
-        info = canon_L(H)
-        tree.comp_lcanon[node] = info
-        tree.comp_apices[node] = H.apices()
-        tree.colours[node] = tuple(sorted(info.edges))
-        groups = {}
-        for record in info.modules:
-            groups.setdefault(record.group, []).append(record)
-        for tag in sorted(groups):
-            arr = new_node("arrangement", node)
-            tree.colours[arr] = ()
-            tree.arr_group[arr] = tag
-            for record in sorted(groups[tag], key=lambda r: r.colour):
-                mod = new_node("module", arr)
-                tree.module_record[mod] = record
-                counts = {}
-                for p in record.colour:
-                    counts[p] = counts.get(p, 0) + 1
-                tree.colours[mod] = tuple(sorted(counts.items()))
-                for sub in G.subgraph(record.vertices).components():
-                    add_component(sub, mod)
-        return node
-
-    for comp in G.components():
-        add_component(comp, 0)
-    # a recursive closure refers to itself through its cell; emptying the
-    # cell frees G and the tree without the cyclic collector
-    del add_component
+    """Construct the coloured decomposition tree from the module walk: one
+    component vertex per connected component of G and of each module's
+    subgraph, at most three arrangement vertices per component, and one
+    module vertex per multi-vertex module.  Nodes are numbered in
+    pre-order on an explicit stack, each module's subtree before the next
+    module.  The empty graph gets the root alone."""
+    tree = ColouredTree([None], [[]], ["root"], {0: ()})
+    # (kind, parent node, payload), popped in pre-order
+    stack = [("component", 0, entry) for entry in reversed(G.walk.components)]
+    while stack:
+        kind, parent, payload = stack.pop()
+        node = len(tree.parents)
+        tree.parents.append(parent)
+        tree.child_lists.append([])
+        tree.child_lists[parent].append(node)
+        tree.kinds.append(kind)
+        if kind == "component":
+            entry = payload
+            H = G if entry.graph is None else entry.graph
+            info = canon_L(H)
+            tree.comp_set[node] = entry.vertices
+            tree.comp_lcanon[node] = info
+            tree.comp_apices[node] = H.apices()
+            tree.colours[node] = tuple(sorted(info.edges))
+            groups = {}
+            for record in info.modules:
+                groups.setdefault(record.group, []).append(record)
+            children = [
+                ("arrangement", (tag, sorted(groups[tag], key=lambda r: r.colour), entry))
+                for tag in sorted(groups)
+            ]
+        elif kind == "arrangement":
+            tag, records, entry = payload
+            tree.colours[node] = ()
+            tree.arr_group[node] = tag
+            children = [("module", (r, entry.modules[r.vertices])) for r in records]
+        else:
+            record, subs = payload
+            tree.module_record[node] = record
+            tree.colours[node] = tuple(sorted(Counter(record.colour).items()))
+            children = [("component", sub) for sub in subs]
+        stack.extend((child_kind, node, item) for child_kind, item in reversed(children))
     return tree
 
 
@@ -608,163 +629,136 @@ def interval_canon(G: Graph):
     """Canonical copy of an interval graph: edge set over [1, |V|].
 
     Raises RecognitionError with a certificate when the input is not an
-    interval graph.
+    interval graph.  The blocks of the component and module nodes are
+    assembled in decreasing node index: the tree is numbered in
+    pre-order, so every child's block is done before its parent's.
     """
     interval_model(G)  # full recognition; raises otherwise
     tree = build_modular_tree(G)
     keys = coloured_keys(tree.as_directed_tree(), tree.colours)
-
-    def canon_module(mod_node):
-        kids = tree.children(mod_node)
-        blocks = {c: canon_component(c) for c in kids}
-        total = 0
-        edges = set()
-        for c in sorted(kids, key=keys.__getitem__):
-            bn, bedges = blocks[c]
-            edges |= {(total + u, total + v) for u, v in bedges}
-            total += bn
-        return total, edges
-
-    def canon_component(node):
-        comp = tree.comp_set[node]
-        info = tree.comp_lcanon[node]
-        apices = tree.comp_apices[node]
-        arr_nodes = tree.children(node)
-        modules = [m for a in arr_nodes for m in tree.children(a)]
-        if not modules:  # module-free, or a complete apex component
-            return info.size, set(info.edges)
-        if apices:
-            total = len(comp)
-            if len(modules) != 1:
-                raise RecognitionError(
-                    "apex component has more than one module", certificate=comp
-                )
-            sub_n, sub_edges = canon_module(modules[0])
-            edges = set(sub_edges)
-            for i in range(1, total + 1):
-                for j in range(max(i + 1, sub_n + 1), total + 1):
-                    edges.add((i, j))
-            return total, edges
-        # module-free pipeline component
-        m = info.m
-        splices = []  # (clique position, module node)
-        by_arr = {tree.arr_group[a]: a for a in arr_nodes}
-        if not info.palindromic or m == 1:
-            for mod in modules:
-                rec = tree.module_record[mod]
-                splices.append((rec.colour[0], mod))
-            ordered_blocks = [mod for _, mod in sorted(splices)]
-        else:
-            low = by_arr.get("low")
-            high = by_arr.get("high")
-            mid = by_arr.get("mid")
-            flip = False
-            if low is not None and high is not None:
-                flip = keys[high] < keys[low]
-            elif low is None and high is not None:
-                flip = True
-
-            def position(rec):
-                pos = min(rec.colour)
-                if (rec.group == "low") == flip and rec.group != "mid":
-                    pos = m + 1 - pos
-                return pos if rec.group != "mid" else (m + 1) // 2
-
-            ordered_blocks = []
-            if mid is not None:
-                ordered_blocks.extend(tree.children(mid))
-            first, second = (high, low) if flip else (low, high)
-            for arr in (first, second):
-                if arr is None:
-                    continue
-                mods = sorted(
-                    tree.children(arr), key=lambda mm: tree.module_record[mm].colour
-                )
-                ordered_blocks.extend(mods)
-            splices = [(position(tree.module_record[mod]), mod) for mod in ordered_blocks]
-        # replaced vertex per splice position: least canon vertex whose
-        # interval is exactly that clique and no other
-        intervals = info.intervals
-        replaced = {}
-        for pos, mod in splices:
-            cand = [
-                i + 1
-                for i, iv in enumerate(intervals)
-                if iv == (pos, pos) and (i + 1) not in replaced.values()
-            ]
-            if not cand:
-                raise RecognitionError(
-                    "no span-one vertex at module position", certificate=pos
-                )
-            replaced[mod] = cand[0]
-        removed = sorted(replaced.values())
-
-        def shift(x):
-            return x - sum(1 for r in removed if r < x)
-
-        adjacency = {i: set() for i in range(1, info.size + 1)}
-        for u, v in info.edges:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-        edges = {
-            (shift(u), shift(v))
-            for u, v in info.edges
-            if u not in removed and v not in removed
-        }
-        offset = info.size - len(removed)
-        blocks = {}
-        for mod in ordered_blocks:
-            bn, bedges = canon_module(mod)
-            blocks[mod] = (offset, bn)
-            edges |= {(offset + u, offset + v) for u, v in bedges}
-            offset += bn
-        for pos, mod in splices:
-            z = replaced[mod]
-            nbrs = [shift(x) for x in adjacency[z] if x not in removed]
-            start, bn = blocks[mod]
-            for x in nbrs:
-                for t in range(1, bn + 1):
-                    a, b = sorted((x, start + t))
-                    edges.add((a, b))
-        if offset != len(comp):
-            raise RecognitionError(
-                "assembled canon has wrong vertex count", certificate=comp
-            )
-        return offset, edges
-
-    pieces = []
-    for node in tree.children(0):
-        n, edges = canon_component(node)
-        pieces.append((n, tuple(sorted(edges))))
-    del canon_module, canon_component  # as in build_modular_tree
-    pieces.sort()
-    offset = 0
-    edges = set()
-    for n, block in pieces:
-        edges |= {(offset + u, offset + v) for u, v in block}
-        offset += n
+    blocks = {}  # node -> (vertex count, edges), until its parent reads it
+    for node in range(len(tree.parents) - 1, 0, -1):
+        if tree.kinds[node] == "component":
+            blocks[node] = _canon_component(tree, keys, blocks, node)
+        elif tree.kinds[node] == "module":
+            kids = sorted(tree.children(node), key=keys.__getitem__)
+            blocks[node] = _side_by_side(map(blocks.pop, kids))
+    pieces = [(n, tuple(sorted(edges))) for n, edges in map(blocks.pop, tree.children(0))]
+    offset, edges = _side_by_side(sorted(pieces))
     if offset != G.n:
-        raise RecognitionError(
-            "canonical copy has wrong vertex count", certificate=(offset, G.n)
-        )
+        raise RecognitionError("canonical copy has wrong vertex count", certificate=(offset, G.n))
     return offset, tuple(sorted(edges))
+
+
+def _side_by_side(blocks):
+    """The disjoint union of (vertex count, edges) blocks, each numbered
+    after the blocks before it."""
+    total, edges = 0, set()
+    for n, block in blocks:
+        edges |= {(total + u, total + v) for u, v in block}
+        total += n
+    return total, edges
+
+
+def _canon_component(tree: ColouredTree, keys, blocks, node):
+    """The canonical block of a component node: its L copy with each
+    module's block, taken out of `blocks`, spliced in place of one
+    span-one vertex."""
+    comp = tree.comp_set[node]
+    info = tree.comp_lcanon[node]
+    arr_nodes = tree.children(node)
+    modules = [m for a in arr_nodes for m in tree.children(a)]
+    if not modules:  # module-free, or a complete apex component
+        return info.size, set(info.edges)
+    if tree.comp_apices[node]:
+        total = len(comp)
+        if len(modules) != 1:
+            raise RecognitionError("apex component has more than one module", certificate=comp)
+        sub_n, edges = blocks.pop(modules[0])
+        for i in range(1, total + 1):
+            for j in range(max(i + 1, sub_n + 1), total + 1):
+                edges.add((i, j))
+        return total, edges
+    # module-free pipeline component
+    m = info.m
+    if not info.palindromic or m == 1:
+        splices = [(tree.module_record[mod].colour[0], mod) for mod in modules]
+        ordered_blocks = [mod for _, mod in sorted(splices)]
+    else:
+        by_arr = {tree.arr_group[a]: a for a in arr_nodes}
+        low, high, mid = map(by_arr.get, ("low", "high", "mid"))
+        flip = high is not None and (low is None or keys[high] < keys[low])
+
+        def position(rec):
+            pos = min(rec.colour)
+            if (rec.group == "low") == flip and rec.group != "mid":
+                pos = m + 1 - pos
+            return pos if rec.group != "mid" else (m + 1) // 2
+
+        # an arrangement's modules are in colour order already
+        ordered_blocks = []
+        for arr in (mid, high, low) if flip else (mid, low, high):
+            if arr is not None:
+                ordered_blocks += tree.children(arr)
+        splices = [(position(tree.module_record[mod]), mod) for mod in ordered_blocks]
+    # replaced vertex per splice position: least canon vertex whose
+    # interval is exactly that clique and no other
+    intervals = info.intervals
+    replaced = {}
+    for pos, mod in splices:
+        cand = [i for i, iv in enumerate(intervals, 1) if iv == (pos, pos)
+                and i not in replaced.values()]
+        if not cand:
+            raise RecognitionError("no span-one vertex at module position", certificate=pos)
+        replaced[mod] = cand[0]
+    removed = sorted(replaced.values())
+
+    def shift(x):
+        return x - sum(1 for r in removed if r < x)
+
+    adjacency = {i: set() for i in range(1, info.size + 1)}
+    for u, v in info.edges:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    edges = {
+        (shift(u), shift(v))
+        for u, v in info.edges
+        if u not in removed and v not in removed
+    }
+    offset = info.size - len(removed)
+    starts = {}
+    for mod in ordered_blocks:
+        bn, bedges = blocks.pop(mod)
+        starts[mod] = (offset, bn)
+        edges |= {(offset + u, offset + v) for u, v in bedges}
+        offset += bn
+    # each module's block, numbered after every vertex of L, meets the
+    # neighbours of the vertex it replaces
+    for _, mod in splices:
+        start, bn = starts[mod]
+        for x in adjacency[replaced[mod]] - set(removed):
+            edges |= {(shift(x), start + t) for t in range(1, bn + 1)}
+    if offset != len(comp):
+        raise RecognitionError("assembled canon has wrong vertex count", certificate=comp)
+    return offset, edges
 
 
 # ---------------------------------------------------------------------------
 # Interval models and recognition
 
 
-def _component_clique_order(H: Graph) -> list:
-    """A valid consecutive order of the max cliques of a connected graph:
-    the cells in order, each module's cliques expanded in place."""
-    part = H.partition
+def _clique_order(entry: WalkEntry, orders) -> list:
+    """A valid consecutive order of the max cliques of a walk entry's
+    component: the cells in order, each module's cliques expanded in
+    place from the orders of its components, read from `orders`."""
+    part = entry.partition
     order = []
     for cell, image in zip(part.cells, part.clique_order):
         if len(cell) == 1:
             order.append(cell[0])
             continue
         # read from the image in L: an apex graph's one cell is empty when
-        # max_cliques found none, and the recursion below then rejects it
+        # max_cliques found none, and the expansion check below rejects it
         module = next(cls for cls in image if len(cls) > 1)
         outside = frozenset().union(*image) - module
         for c in cell:
@@ -772,10 +766,9 @@ def _component_clique_order(H: Graph) -> list:
                 raise RecognitionError(
                     "cell cliques disagree outside their module", certificate=c
                 )
-        sub_cliques = []
-        for sub in H.subgraph(module).components():
-            sub_cliques.extend(_component_clique_order(H.subgraph(sub)))
-        expanded = [frozenset(sc | outside) for sc in sub_cliques]
+        expanded = [
+            frozenset(sc | outside) for sub in entry.modules[module] for sc in orders[sub]
+        ]
         if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
             raise RecognitionError(
                 "module cliques fail to expand the cell", certificate=cell[0]
@@ -787,13 +780,18 @@ def _component_clique_order(H: Graph) -> list:
 def interval_model(G: Graph):
     """A verified minimal interval model: list of (vertex, left, right)
     with clique positions 1..m per component, components laid out on
-    disjoint ranges.  Raises RecognitionError when no model exists."""
+    disjoint ranges.  Clique orders are built bottom-up over the module
+    walk.  Raises RecognitionError when no model exists."""
+    walk = G.walk
+    orders = {}
+    for entry in reversed(walk.entries):
+        orders[entry] = _clique_order(entry, orders)
     model = []
     offset = 0
-    for comp in G.components():
-        order = _component_clique_order(G.subgraph(comp))
+    for entry in walk.components:
+        order = orders[entry]
         interval = _intervals(order)
-        for v in sorted(comp, key=_vkey):
+        for v in sorted(entry.vertices, key=_vkey):
             if v not in interval:
                 raise RecognitionError("vertex missing from every clique", certificate=v)
             first, last = interval[v]

@@ -11,11 +11,14 @@ never check against the number sort, so the paper's n >= 4 (type 4 must
 be a number of N(T)) does not apply.
 
 A `DirectedTree` holds everything derived from it: the subtree sizes,
-the children by size, the profiles, the child counts `theta`/`good`, and
-one of each gadget, built on first use.  A gadget's memo is the only
-cache of its verdicts.  The canonisation graph lays out the copy blocks
-of every vertex when it is built, in tables linear in the tree, so each
-of its callbacks is a lookup.
+the children by size, the profiles, and one of each gadget, built on
+first use.  A gadget keeps the tree's tables, not the tree, so a tree and
+its gadgets are in no reference cycle, and a gadget stays usable while
+anyone holds it.  The order gadget holds the isomorphism gadget and the
+child counts `theta`/`good`.  A gadget's memo is the only cache of its
+verdicts.  The canonisation graph lays out the copy blocks of every
+vertex when it is built, in tables linear in the tree, so each of its
+callbacks is a lookup.
 """
 
 from __future__ import annotations
@@ -78,8 +81,6 @@ class DirectedTree:
         for (v, s), kids in sorted(self.kids_by_size.items()):
             counts[v].append((-s, len(kids)))
         self.profile = [(self.size[v],) + tuple(counts[v]) for v in range(n)]
-        self._theta = {}
-        self._good = {}
         self._iso_gadget = None
         self._order_gadget = None
         self._canon_graph = None
@@ -113,6 +114,32 @@ class DirectedTree:
         except DomainError as exc:
             raise RecognitionError(f"not a directed tree: {exc}") from None
 
+    def iso_gadget(self):
+        if self._iso_gadget is None:
+            self._iso_gadget = _IsoGadget(self)
+        return self._iso_gadget
+
+    def order_gadget(self):
+        if self._order_gadget is None:
+            self._order_gadget = _OrderGadget(self, self.iso_gadget())
+        return self._order_gadget
+
+    def canon_graph(self):
+        if self._canon_graph is None:
+            self._canon_graph = _CanonGraph(self)
+        return self._canon_graph
+
+
+class _TreeGadget(LabelledGraph):
+    """A recursion graph over a tree's tuple space.  It reads the tree's
+    tables and holds no reference to the tree."""
+
+    def __init__(self, tree: DirectedTree):
+        super().__init__()
+        self.n, self.parent, self.children, self.size = tree.n, tree.parent, tree.children, tree.size
+        self.kids_by_size, self.profile = tree.kids_by_size, tree.profile
+        self.resource = _gadget_resource(tree)
+
     def kids_of_size(self, v, s):
         return self.kids_by_size.get((v, s), ())
 
@@ -120,6 +147,113 @@ class DirectedTree:
         """The pair fails the size/child-count screening of the recursive
         isomorphism procedure."""
         return self.profile[v] != self.profile[w]
+
+
+class _IsoGadget(_TreeGadget):
+    """Decision graph for subtree isomorphism queries.
+
+    Vertex roles, encoded (type, v, w, vhat, what, k):
+      type 0  (0,v,w,v,w,0)      "is T_v iso to T_w?"
+      type 1  (1,v,w,vh,w,0)     "does child vh of v have a partner?"
+      type 2  (2,v,w,vh,wh,k)    "is wh a partner of vh with multiplicity k?"
+      type 3  (3,v,w,vh,wh,k)    counts partners of vh among w's children
+      type 4  (4,v,w,vh,wh,k)    counts partners of wh among v's children
+    """
+
+    def isomorphic(self, v, w) -> bool:
+        """The query (0, a, b, a, b, 0) with a <= b, so that both orders
+        of a pair share one memo entry."""
+        a, b = min(v, w), max(v, w)
+        return v == w or x_membership(self, (0, a, b, a, b, 0), self.resource)
+
+    def out_neighbours(self, vx):
+        t, v, w, vh, wh, k = vx
+        if t == 0:
+            if (vh, wh, k) != (v, w, 0) or self.easy(v, w):
+                return ()
+            return tuple((1, v, w, c, w, 0) for c in self.children[v])
+        if self.easy(v, w):
+            return ()
+        if t == 1:
+            if wh != w or k != 0 or self.parent[vh] != v:
+                return ()
+            s = self.size[vh]
+            cap = len(self.kids_of_size(v, s))
+            return tuple(
+                (2, v, w, vh, c, kk)
+                for c in self.kids_of_size(w, s)
+                for kk in range(1, cap + 1)
+            )
+        # shared validity for types 2-4
+        if self.parent[vh] != v or self.parent[wh] != w:
+            return ()
+        s = self.size[vh]
+        if self.size[wh] != s:
+            return ()
+        cap = len(self.kids_of_size(v, s))
+        if not (1 <= k <= cap):
+            return ()
+        if t == 2:
+            first = (0, vh, wh, vh, wh, 0)
+            if cap == 1:
+                return (first,)
+            return (first, (3, v, w, vh, wh, k), (4, v, w, vh, wh, k))
+        if cap < 2:
+            return ()
+        if t == 3:
+            return tuple((0, vh, c, vh, c, 0) for c in self.kids_of_size(w, s))
+        return tuple((0, c, wh, c, wh, 0) for c in self.kids_of_size(v, s))
+
+    def in_degree(self, vx):
+        t, v, w, vh, wh, k = vx
+        if t != 0:
+            return 1
+        x, y = v, w
+        if self.parent[x] is None or self.parent[y] is None:
+            return 0
+        pv, pw = self.parent[x], self.parent[y]
+        if self.easy(pv, pw):
+            return 0
+        s = self.size[x]
+        if self.size[y] != s:
+            return 0
+        cap = len(self.kids_of_size(pv, s))
+        deg = cap
+        if cap >= 2:
+            deg += 2 * cap * cap
+        return deg
+
+    def label_contains(self, vx, m):
+        t, v, w, vh, wh, k = vx
+        if t == 0:
+            if (vh, wh, k) != (v, w, 0) or self.easy(v, w):
+                return False
+            return m == len(self.children[v])
+        if self.easy(v, w):
+            return False
+        if t == 1:
+            return 1 <= m <= self.n
+        s = self.size[vh]
+        cap = len(self.kids_of_size(v, s))
+        if t == 2:
+            return m == (1 if cap == 1 else 3)
+        return m == k
+
+
+class _OrderGadget(_TreeGadget):
+    """Decision graph for the canonical subtree order.
+
+    A type-0 vertex (0,v,w,v,w,0) asserts v comes strictly before w.
+    Profile comparison settles unequal profiles; for equal profiles the
+    gadget finds a good child of v, matches it against a child of w and
+    verifies the three counting conditions through types 2-4.
+    """
+
+    def __init__(self, tree: DirectedTree, iso: _IsoGadget):
+        super().__init__(tree)
+        self.iso = iso
+        self._theta = {}
+        self._good = {}
 
     def theta(self, u, t) -> int:
         """Number of children of u whose subtree is isomorphic to T_t."""
@@ -129,7 +263,7 @@ class DirectedTree:
             cached = sum(
                 1
                 for c in self.kids_of_size(u, self.size[t])
-                if tree_isomorphic(self, c, t)
+                if self.iso.isomorphic(c, t)
             )
             self._theta[key] = cached
         return cached
@@ -148,162 +282,39 @@ class DirectedTree:
             self._good[key] = cached
         return cached
 
-    def iso_gadget(self):
-        if self._iso_gadget is None:
-            self._iso_gadget = _IsoGadget(self)
-        return self._iso_gadget
-
-    def order_gadget(self):
-        if self._order_gadget is None:
-            self._order_gadget = _OrderGadget(self)
-        return self._order_gadget
-
-    def canon_graph(self):
-        if self._canon_graph is None:
-            self._canon_graph = _CanonGraph(self)
-        return self._canon_graph
-
-
-class _IsoGadget(LabelledGraph):
-    """Decision graph for subtree isomorphism queries.
-
-    Vertex roles, encoded (type, v, w, vhat, what, k):
-      type 0  (0,v,w,v,w,0)      "is T_v iso to T_w?"
-      type 1  (1,v,w,vh,w,0)     "does child vh of v have a partner?"
-      type 2  (2,v,w,vh,wh,k)    "is wh a partner of vh with multiplicity k?"
-      type 3  (3,v,w,vh,wh,k)    counts partners of vh among w's children
-      type 4  (4,v,w,vh,wh,k)    counts partners of wh among v's children
-    """
-
-    def __init__(self, tree: DirectedTree):
-        super().__init__()
-        self.tree = tree
-
-    def out_neighbours(self, vx):
-        t, v, w, vh, wh, k = vx
-        tree = self.tree
-        if t == 0:
-            if (vh, wh, k) != (v, w, 0) or tree.easy(v, w):
-                return ()
-            return tuple((1, v, w, c, w, 0) for c in tree.children[v])
-        if tree.easy(v, w):
-            return ()
-        if t == 1:
-            if wh != w or k != 0 or tree.parent[vh] != v:
-                return ()
-            s = tree.size[vh]
-            cap = len(tree.kids_of_size(v, s))
-            return tuple(
-                (2, v, w, vh, c, kk)
-                for c in tree.kids_of_size(w, s)
-                for kk in range(1, cap + 1)
-            )
-        # shared validity for types 2-4
-        if tree.parent[vh] != v or tree.parent[wh] != w:
-            return ()
-        s = tree.size[vh]
-        if tree.size[wh] != s:
-            return ()
-        cap = len(tree.kids_of_size(v, s))
-        if not (1 <= k <= cap):
-            return ()
-        if t == 2:
-            first = (0, vh, wh, vh, wh, 0)
-            if cap == 1:
-                return (first,)
-            return (first, (3, v, w, vh, wh, k), (4, v, w, vh, wh, k))
-        if cap < 2:
-            return ()
-        if t == 3:
-            return tuple((0, vh, c, vh, c, 0) for c in tree.kids_of_size(w, s))
-        return tuple((0, c, wh, c, wh, 0) for c in tree.kids_of_size(v, s))
-
-    def in_degree(self, vx):
-        t, v, w, vh, wh, k = vx
-        tree = self.tree
-        if t != 0:
-            return 1
-        x, y = v, w
-        if tree.parent[x] is None or tree.parent[y] is None:
-            return 0
-        pv, pw = tree.parent[x], tree.parent[y]
-        if tree.easy(pv, pw):
-            return 0
-        s = tree.size[x]
-        if tree.size[y] != s:
-            return 0
-        cap = len(tree.kids_of_size(pv, s))
-        deg = cap
-        if cap >= 2:
-            deg += 2 * cap * cap
-        return deg
-
-    def label_contains(self, vx, m):
-        t, v, w, vh, wh, k = vx
-        tree = self.tree
-        if t == 0:
-            if (vh, wh, k) != (v, w, 0) or tree.easy(v, w):
-                return False
-            return m == len(tree.children[v])
-        if tree.easy(v, w):
-            return False
-        if t == 1:
-            return 1 <= m <= tree.n
-        s = tree.size[vh]
-        cap = len(tree.kids_of_size(v, s))
-        if t == 2:
-            return m == (1 if cap == 1 else 3)
-        return m == k
-
-
-class _OrderGadget(LabelledGraph):
-    """Decision graph for the canonical subtree order.
-
-    A type-0 vertex (0,v,w,v,w,0) asserts v comes strictly before w.
-    Profile comparison settles unequal profiles; for equal profiles the
-    gadget finds a good child of v, matches it against a child of w and
-    verifies the three counting conditions through types 2-4.
-    """
-
-    def __init__(self, tree: DirectedTree):
-        super().__init__()
-        self.tree = tree
-
     def _valid_inner(self, v, w, vh, wh, k):
-        tree = self.tree
-        if tree.profile[v] != tree.profile[w]:
+        if self.profile[v] != self.profile[w]:
             return False
-        if tree.parent[vh] != v or tree.parent[wh] != w:
+        if self.parent[vh] != v or self.parent[wh] != w:
             return False
-        if not tree.good(v, w, vh):
+        if not self.good(v, w, vh):
             return False
-        s = tree.size[vh]
-        if tree.size[wh] != s:
+        s = self.size[vh]
+        if self.size[wh] != s:
             return False
-        return 1 <= k <= len(tree.kids_of_size(v, s))
+        return 1 <= k <= len(self.kids_of_size(v, s))
 
     def out_neighbours(self, vx):
         t, v, w, vh, wh, k = vx
-        tree = self.tree
         if t == 0:
             if (vh, wh, k) != (v, w, 0):
                 return ()
-            if tree.profile[v] != tree.profile[w]:
+            if self.profile[v] != self.profile[w]:
                 return ()
             out = []
-            for c in tree.children[v]:
-                if not tree.good(v, w, c):
+            for c in self.children[v]:
+                if not self.good(v, w, c):
                     continue
-                s = tree.size[c]
-                cap = len(tree.kids_of_size(v, s))
-                for d in tree.kids_of_size(w, s):
+                s = self.size[c]
+                cap = len(self.kids_of_size(v, s))
+                for d in self.kids_of_size(w, s):
                     for kk in range(1, cap + 1):
                         out.append((1, v, w, c, d, kk))
             return tuple(sorted(out))
         if not self._valid_inner(v, w, vh, wh, k):
             return ()
-        s = tree.size[vh]
-        cap = len(tree.kids_of_size(v, s))
+        s = self.size[vh]
+        cap = len(self.kids_of_size(v, s))
         if t == 1:
             first = (0, vh, wh, vh, wh, 0)
             if cap == 1:
@@ -317,71 +328,69 @@ class _OrderGadget(LabelledGraph):
         if cap < 2:
             return ()
         if t == 2:
-            return tuple((0, d, vh, d, vh, 0) for d in tree.kids_of_size(w, s))
+            return tuple((0, d, vh, d, vh, 0) for d in self.kids_of_size(w, s))
         if t == 3:
             return tuple(
                 (0, c, wh, c, wh, 0)
-                for c in tree.kids_of_size(v, s)
-                if not tree_isomorphic(tree, c, vh)
+                for c in self.kids_of_size(v, s)
+                if not self.iso.isomorphic(c, vh)
             )
         return tuple(
             (0, d, vh, d, vh, 0)
-            for d in tree.kids_of_size(w, s)
-            if tree.theta(v, d) == tree.theta(w, d)
+            for d in self.kids_of_size(w, s)
+            if self.theta(v, d) == self.theta(w, d)
         )
 
     def in_degree(self, vx):
         t, v, w, vh, wh, k = vx
-        tree = self.tree
         if t != 0:
             return 1
         x, y = v, w
-        if tree.parent[x] is None or tree.parent[y] is None:
+        if self.parent[x] is None or self.parent[y] is None:
             return 0
         deg = 0
-        s = tree.size[x]
-        if tree.size[y] == s:
+        s = self.size[x]
+        if self.size[y] == s:
             # target of a type-1 edge: (x, y) = (vhat, what)
-            pv, pw = tree.parent[x], tree.parent[y]
-            if tree.profile[pv] == tree.profile[pw] and tree.good(pv, pw, x):
-                deg += len(tree.kids_of_size(pv, s))
+            pv, pw = self.parent[x], self.parent[y]
+            if self.profile[pv] == self.profile[pw] and self.good(pv, pw, x):
+                deg += len(self.kids_of_size(pv, s))
             # targets of types 2 and 4: (x, y) = (wring/wprime, vhat)
-            pv, pw = tree.parent[y], tree.parent[x]
-            if tree.profile[pv] == tree.profile[pw] and tree.good(pv, pw, y):
-                cap = len(tree.kids_of_size(pv, s))
+            pv, pw = self.parent[y], self.parent[x]
+            if self.profile[pv] == self.profile[pw] and self.good(pv, pw, y):
+                cap = len(self.kids_of_size(pv, s))
                 if cap >= 2:
                     deg += cap * cap
-                    if tree.theta(pv, x) == tree.theta(pw, x):
+                    if self.theta(pv, x) == self.theta(pw, x):
                         deg += cap * cap
             # target of type 3: (x, y) = (vring, what)
-            pv, pw = tree.parent[x], tree.parent[y]
-            if tree.profile[pv] == tree.profile[pw]:
-                cap = len(tree.kids_of_size(pv, s))
+            pv, pw = self.parent[x], self.parent[y]
+            if self.profile[pv] == self.profile[pw]:
+                cap = len(self.kids_of_size(pv, s))
                 if cap >= 2:
                     goods = sum(
                         1
-                        for c in tree.kids_of_size(pv, s)
-                        if tree.good(pv, pw, c) and not tree_isomorphic(tree, c, x)
+                        for c in self.kids_of_size(pv, s)
+                        if self.good(pv, pw, c) and not self.iso.isomorphic(c, x)
                     )
                     deg += cap * goods
         return deg
 
     def label_contains(self, vx, m):
         t, v, w, vh, wh, k = vx
-        tree = self.tree
         if t == 0:
             if (vh, wh, k) != (v, w, 0):
                 return False
-            pv, pw = tree.profile[v], tree.profile[w]
+            pv, pw = self.profile[v], self.profile[w]
             if pv < pw:
                 return m == 0
             if pv > pw:
                 return False
-            return 1 <= m <= tree.n
+            return 1 <= m <= self.n
         if not self._valid_inner(v, w, vh, wh, k):
             return False
         if t == 1:
-            cap = len(tree.kids_of_size(v, tree.size[vh]))
+            cap = len(self.kids_of_size(v, self.size[vh]))
             return m == (1 if cap == 1 else 4)
         return m == k
 
@@ -391,13 +400,9 @@ def _gadget_resource(tree: DirectedTree) -> int:
 
 
 def tree_isomorphic(tree: DirectedTree, v: int, w: int) -> bool:
-    """Whether the subtrees rooted at v and w are isomorphic, decided by
-    the query (0, a, b, a, b, 0) on the isomorphism gadget, with a <= b
-    so that both orders of a pair share one memo entry."""
-    a, b = min(v, w), max(v, w)
-    return v == w or x_membership(
-        tree.iso_gadget(), (0, a, b, a, b, 0), _gadget_resource(tree)
-    )
+    """Whether the subtrees rooted at v and w are isomorphic, decided on
+    the isomorphism gadget."""
+    return tree.iso_gadget().isomorphic(v, w)
 
 
 def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
@@ -456,8 +461,7 @@ class _CanonGraph(LabelledGraph):
 
     def __init__(self, tree: DirectedTree):
         super().__init__()
-        self.tree = tree
-        n = tree.n
+        self.n = n = tree.n
         # v -> (block starts ascending, (block end, copies) per block)
         self._blocks = [None] * n
         # v -> ((child, (1 - start per copy of its class, ascending)), ...)
@@ -494,7 +498,7 @@ class _CanonGraph(LabelledGraph):
 
     def out_neighbours(self, vx):
         v, a, b = vx
-        lo, hi = -min(a, b), self.tree.n - max(a, b)
+        lo, hi = -min(a, b), self.n - max(a, b)
         return tuple(
             (c, a + q, b + q) for c, shifts in self._fan[v] for q in shifts if lo <= q <= hi
         )
@@ -503,7 +507,7 @@ class _CanonGraph(LabelledGraph):
         v, a, b = vx
         # one edge per copy whose source tuple stays inside the number
         # sort; copies shifted past n generate no edge
-        return bisect_right(self._starts[v], self.tree.n + 1 - max(a, b))
+        return bisect_right(self._starts[v], self.n + 1 - max(a, b))
 
     def label_min(self, vx):
         """The one count of the label set, or None when it is empty: 0

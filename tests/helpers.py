@@ -12,8 +12,8 @@ from limrec.evaluator import (
     EvalContext, LabelledGraph, _child_resources, x_membership, x_membership_streaming,
 )
 from limrec.intervalcanon import (
-    LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L, clique_preorder,
-    interval_model,
+    Graph, LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L,
+    clique_preorder, interval_model,
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
 from limrec.syntax import (
@@ -143,6 +143,19 @@ def is_interval_graph(G) -> bool:
         return True
     except RecognitionError:
         return False
+
+
+def nested_interval_graph(depth) -> Graph:
+    """The nested family: level 0 is one vertex, and level k + 1 is a path
+    a0 - a1 - x - c1 - c0 with x joined to every vertex of level k.  Each
+    level's inner graph is a module of the next, so the module tree is
+    `depth` levels deep; it has 5 * depth + 1 vertices."""
+    edges = []
+    for level in range(depth):
+        a0, a1, x, c1, c0 = range(5 * level + 1, 5 * level + 6)
+        edges += [(a0, a1), (a1, x), (x, c1), (c1, c0)]
+        edges += [(x, v) for v in range(5 * level + 1)]
+    return Graph(range(5 * depth + 1), edges)
 
 
 @lru_cache(maxsize=None)
@@ -444,7 +457,7 @@ def decomposition_components(G):
     Returned entries are (clique, n, vertex set).  The distinct vertex
     sets are the paper's characterisation of the component vertices of
     the decomposition tree (the P-sets): they equal the `comp_set` values
-    of `build_modular_tree(G)`, which finds them by the module recursion.
+    of `build_modular_tree(G)`, which finds them by the module walk.
     """
     cliques = G.cliques
     spans = G.spans

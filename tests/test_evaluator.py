@@ -218,6 +218,40 @@ def test_engines_agree_on_random_formulas():
 from limrec.structures import Vocabulary
 
 
+def test_nested_recursions_run_on_the_query_engine(monkeypatch):
+    # an lrec inside the edge formula of another runs on the engine of the
+    # query that builds the outer graph, so "both" compares them there too
+    path = Structure(GRAPH_VOCAB, 4, {"E": {(0, 1), (1, 2), (2, 3)}})
+    formula = parse_formula(
+        "[lrec x, y, #p : E(x, y) and [lrec u, v, #q : E(u, v) ; #q = 0](y, #r) ;"
+        " #p = 0](z, #r)"
+    )
+    calls = []
+    streaming = evaluator.x_membership_streaming
+
+    def counting(graph, vertex, resource):
+        calls.append(graph.node)
+        return streaming(graph, vertex, resource)
+
+    monkeypatch.setattr(evaluator, "x_membership_streaming", counting)
+    alpha = {svar("z"): 0, nvar("r"): 4}
+    verdicts = {}
+    for engine in ("memo", "stream", "both"):
+        calls.clear()
+        ctx = EvalContext(path)
+        verdicts[engine] = evaluate(path, alpha, formula, engine=engine, ctx=ctx)
+        nodes = {id(node) for node in calls}
+        assert len(nodes) == (0 if engine == "memo" else 2), engine
+    assert len(set(verdicts.values())) == 1
+    # a context keeps one graph per engine, each compiled for its engine
+    ctx = EvalContext(path)
+    node = _lrec_node(formula)
+    assert ctx.formula_graph(node, alpha, "memo") is not ctx.formula_graph(node, alpha, "both")
+    assert ctx.formula_graph(node, alpha, "both") is ctx.formula_graph(node, alpha, "both")
+
+
+
+
 # --- dtc ------------------------------------------------------------------
 
 

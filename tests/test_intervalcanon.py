@@ -1,7 +1,10 @@
+import ast
 import gc
 import itertools
 import random
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +17,14 @@ from limrec.intervalcanon import (
 )
 from limrec.cli import main
 from limrec.structures import GRAPH_VOCAB, Structure, generate_random_interval_graph
-from limrec.treelogic import coloured_keys
+from limrec.evaluator import x_membership
+from limrec.treelogic import DirectedTree, coloured_keys, tree_canon
 
 from .helpers import (
     clique_witness, decomposition_components, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all,
-    is_interval_graph, is_module, mask_to_edges, possible_ends, reference_asymmetric,
-    reference_canon_L, reference_clique_order, reference_clique_pairs, reference_max_cliques,
-    reference_possible_ends,
+    is_interval_graph, is_module, mask_to_edges, nested_interval_graph, possible_ends,
+    reference_asymmetric, reference_canon_L, reference_clique_order, reference_clique_pairs,
+    reference_max_cliques, reference_possible_ends,
 )
 
 
@@ -620,14 +624,11 @@ def test_spans_are_computed_once_per_graph(monkeypatch):
     assert graphs and len({id(G) for G in graphs}) == len(graphs)
 
 
-def test_subgraph_is_one_shared_graph_per_vertex_set():
+def test_subgraph_is_a_plain_induced_graph():
     g = Graph.from_structure(generate_random_interval_graph(20, seed=1))
-    s, t = g.vertices[:12], g.vertices[3:9]
-    assert g.subgraph(s) is g.subgraph(set(s))
-    assert g.subgraph(s).subgraph(t) is g.subgraph(t)
-    assert g.subgraph(t).subgraph(t) is g.subgraph(t)
-    assert g.subgraph(g.vertices) is g
+    s = g.vertices[:12]
     h = g.subgraph(s)
+    assert h is not g.subgraph(s) and h.vertices == s
     assert h.edges() == {(a, b) for a, b in g.edges() if a in s and b in s}
     assert h.cliques is h.cliques and h.cliques == max_cliques(h)
     path = _band(5, 1)
@@ -636,26 +637,108 @@ def test_subgraph_is_one_shared_graph_per_vertex_set():
 
 
 def test_graphs_are_freed_without_the_cyclic_collector():
-    # no graph refers to itself through its subgraphs, and canonisation
-    # leaves no reference cycle, so the last reference frees everything
-    g = Graph.from_structure(generate_random_interval_graph(40, seed=1))
+    # a graph holds its walk, the walk holds the subgraphs below it and
+    # never the graph itself, and canonisation leaves no reference cycle,
+    # so the last reference frees everything
+    for make in (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)),
+                 lambda: nested_interval_graph(4)):
+        g = make()
+        gc.collect()
+        gc.disable()
+        try:
+            interval_canon(g)
+            graphs = [e.graph for e in g.walk.entries if e.graph is not None]
+            assert graphs
+            refs = [weakref.ref(h) for h in (g, *graphs)]
+            del g, graphs
+            assert [r() for r in refs] == [None] * len(refs)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def test_trees_and_their_gadgets_are_freed_without_the_cyclic_collector():
+    # a tree holds its gadgets and a gadget holds the tree's tables, not
+    # the tree, so reference counting frees them; a held gadget still works
     gc.collect()
     gc.disable()
     try:
-        interval_canon(g)
-        refs = [weakref.ref(h) for h in (g, *g._induced.values())]
-        assert len(refs) > 1
-        del g
-        assert [r() for r in refs] == [None] * len(refs)
+        tree = DirectedTree([None] + [0] * 199)
+        tree_canon(tree)
+        order = tree.order_gadget()
+        refs = [weakref.ref(x) for x in (tree, tree.canon_graph())]
+        iso = weakref.ref(tree.iso_gadget())
+        del tree
+        assert [r() for r in refs] == [None, None]
+        assert x_membership(order, (0, 1, 2, 1, 2, 0), order.resource) is False
+        assert order.iso.isomorphic(1, 2) and iso() is order.iso
+        del order
+        assert iso() is None
         assert gc.collect() == 0
     finally:
         gc.enable()
-    # a subgraph that outlives its root still hands out one graph per set
-    g = Graph.from_structure(generate_random_interval_graph(20, seed=1))
-    h = g.subgraph(g.vertices[:12])
-    del g
-    assert h.subgraph(h.vertices[3:9]) is h.subgraph(h.vertices[3:9])
-    assert h.subgraph(h.vertices) is h
+
+
+def test_module_walk_takes_each_subgraph_once(monkeypatch):
+    taken = []
+    subgraph = Graph.subgraph
+
+    def counting(self, keep):
+        taken.append(frozenset(keep))
+        return subgraph(self, keep)
+
+    monkeypatch.setattr(Graph, "subgraph", counting)
+    for g in (nested_interval_graph(6), graph_from_intervals(MODULAR_SPANS)[0],
+              Graph.from_structure(generate_random_interval_graph(60, seed=5))):
+        taken.clear()
+        interval_canon(g)
+        walk = g.walk
+        assert len(taken) == len(set(taken))
+        assert {e.vertices for e in walk.entries} == set(build_modular_tree(g).comp_set.values())
+        # pre-order: every entry comes before the entries of its modules
+        index = {id(e): i for i, e in enumerate(walk.entries)}
+        for e in walk.entries:
+            assert e.partition is (g if e.graph is None else e.graph).partition
+            assert set(e.modules) == set(e.partition.modules)
+            assert all(index[id(s)] > index[id(e)] for subs in e.modules.values() for s in subs)
+        assert [e.graph is None for e in walk.components] == [
+            len(e.vertices) == g.n for e in walk.components
+        ]
+
+
+def test_no_function_in_intervalcanon_calls_itself():
+    # a function that calls itself costs a Python frame per level of
+    # nesting, and no input may raise RecursionError for being deep
+    module = ast.parse(Path(intervalcanon.__file__).read_text())
+    recursive = []
+    for fn in ast.walk(module):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee == fn.name:
+                    recursive.append(fn.name)
+    assert recursive == []
+
+
+def test_nested_family_canonises_within_fifty_frames():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    g = nested_interval_graph(30)
+    perm = list(range(g.n))
+    random.Random(30).shuffle(perm)
+    twin = _relabel(g, perm)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        model = interval_model(nested_interval_graph(30))
+        canon, twin_canon = interval_canon(g), interval_canon(twin)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(model) == g.n == canon[0]
+    assert canon == twin_canon and len(canon[1]) == len(g.edges())
 
 
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
