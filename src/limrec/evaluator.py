@@ -23,11 +23,11 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, FormulaError, LimrecError
-from .structures import Structure, num_decode, num_encode, quotient_by_equivalence
+from .structures import Structure, Vocabulary, num_decode, num_encode, quotient_by_equivalence
 from .syntax import (
     NUMBER, And, Atom, Count, EqVar, Exists, Forall, Formula, LeqNum, Lrec,
     LrecEq, Not, Or, STRUCT, Var, _children, _contains_dtc, _outer_variables, _rebuild,
-    expand_dtc, free_variables,
+    compatible, expand_dtc, free_variables,
 )
 
 EDGE_MATERIALIZE_THRESHOLD = 10 ** 6
@@ -795,8 +795,6 @@ class Transduction:
     relations: tuple[tuple[str, Formula, tuple[tuple[Var, ...], ...]], ...]
 
     def __post_init__(self):
-        from .syntax import compatible
-
         if not self.u or not compatible(self.u, self.v):
             raise FormulaError("transduction tuples u, v must be compatible")
         for name, _, arg_tuples in self.relations:
@@ -816,8 +814,6 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     their lexicographically least member.  All defining formulae are
     decided by the evaluator.
     """
-    from .structures import Vocabulary
-
     ctx = EvalContext(structure)
     doms = [_domain(structure, var) for var in theta.u]
     domain = list(itertools.product(*doms))

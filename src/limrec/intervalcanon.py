@@ -6,6 +6,11 @@ the module-free quotient L with its two clique orders, the coloured
 modular decomposition tree, and finally a canonical copy assembled
 bottom-up over that tree.
 
+A collapse names every vertex of its quotient by its flat class, the
+frozenset of base vertices it stands for, singletons included; so the
+second collapse's own graph is L.  The classes of a clique order come
+from one ranking: each clique's rank is its number of predecessors.
+
 `module_walk` finds the components of the graph and, recursively, of
 each module's subgraph, once per graph on an explicit stack; the model,
 the tree and the canonical copy are all built from it without recursion,
@@ -220,38 +225,30 @@ def clique_preorder(G: Graph, M) -> CliquePreorder:
                 work.append((e, d2))
                 symmetric |= (d2, e) in pairs
     asymmetric = not any((j, i) in pairs for (i, j) in pairs)
-    classes = []
-    if asymmetric:
-        assigned = [None] * m
-        for i in range(m):
-            if assigned[i] is not None:
-                continue
-            group = [i]
-            assigned[i] = i
-            for j in range(i + 1, m):
-                if assigned[j] is None and (i, j) not in pairs and (j, i) not in pairs:
-                    group.append(j)
-                    assigned[j] = i
-            classes.append(group)
-        # incomparability must be transitive for a strict weak order
-        for group in classes:
-            for a in group:
-                for b in group:
-                    if (a, b) in pairs:
-                        raise RecognitionError(
-                            "clique order is not a strict weak order",
-                            certificate=(cliques[a], cliques[b]),
-                        )
-        classes.sort(
-            key=lambda group: sum(1 for other in range(m) if (other, group[0]) in pairs)
-        )
-        for ga, gb in zip(classes, classes[1:]):
-            if (ga[0], gb[0]) not in pairs:
-                raise RecognitionError(
-                    "incomparability classes are not linearly ordered",
-                    certificate=(cliques[ga[0]], cliques[gb[0]]),
-                )
+    classes = _ranked_classes(cliques, pairs) if asymmetric else []
     return CliquePreorder(cliques, start, pairs, asymmetric, classes)
+
+
+def _ranked_classes(cliques, pairs):
+    """The incomparability classes of the pairs, in order.  Each clique's
+    rank is its number of predecessors, and the pairs are a strict weak
+    order exactly when (i, j) is a pair just when rank[i] < rank[j]; the
+    classes are then the equal-rank groups, members ascending."""
+    m = len(cliques)
+    rank = [0] * m
+    for _, j in pairs:
+        rank[j] += 1
+    for i in range(m):
+        for j in range(m):
+            if i != j and ((i, j) in pairs) != (rank[i] < rank[j]):
+                raise RecognitionError(
+                    "clique order is not a strict weak order",
+                    certificate=(cliques[i], cliques[j]),
+                )
+    groups = {}
+    for i in range(m):
+        groups.setdefault(rank[i], []).append(i)
+    return [groups[r] for r in sorted(groups)]
 
 
 def _possible_ends(G: Graph):
@@ -270,15 +267,10 @@ def _possible_ends(G: Graph):
             yield pre
 
 
-def _merge_class(members):
-    """Flatten a set of vertices (ints or frozensets) into one class vertex."""
-    out = set()
-    for v in members:
-        if isinstance(v, frozenset):
-            out |= v
-        else:
-            out.add(v)
-    return frozenset(out)
+def _flat(v):
+    """A vertex as the frozenset of base vertices it stands for: a class
+    vertex is its own class, a base vertex (an int) the singleton."""
+    return v if isinstance(v, frozenset) else frozenset((v,))
 
 
 def _quotient(G: Graph, vertex_class) -> Graph:
@@ -294,7 +286,7 @@ def _quotient(G: Graph, vertex_class) -> Graph:
 class Collapse:
     graph: Graph
     clique_order: list          # quotient cliques, linearly ordered
-    vertex_class: dict          # original vertex -> quotient vertex
+    vertex_class: dict          # original vertex -> quotient vertex, a flat class
     clique_position: dict       # original clique -> 0-based position
 
 
@@ -311,18 +303,17 @@ def collapse_incomparables(G: Graph, M) -> Collapse:
 
 def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
     """collapse_incomparables for an asymmetric preorder already computed.
-    The quotient keeps the linear clique order as its cliques."""
+    Every quotient vertex, singletons included, is named by its flat
+    class: the frozenset of the base vertices it stands for.  The quotient
+    keeps the linear clique order as its cliques."""
     cliques = pre.cliques
     spans = G.spans
-    vertex_class = {v: v for v in G.vertices}
+    vertex_class = {v: _flat(v) for v in G.vertices}
     for group in pre.classes:
         if len(group) < 2:
             continue
-        union = set()
-        for i in group:
-            union |= cliques[i]
-        s_set = {v for v in union if spans[v] <= len(group)}
-        merged = _merge_class(s_set)
+        s_set = {v for i in group for v in cliques[i] if spans[v] <= len(group)}
+        merged = frozenset().union(*map(_flat, s_set))
         for v in s_set:
             vertex_class[v] = merged
     quotient = _quotient(G, vertex_class)
@@ -348,7 +339,7 @@ class ModularPartition:
     cells: list                 # partition of the max cliques
     modules: list               # the multi-vertex modules, one per big cell
     vertex_class: dict          # vertex -> frozenset class (singletons too)
-    quotient: Graph             # the graph L
+    quotient: Graph             # the graph L, the second collapse's graph
     clique_order: list          # L's max cliques in one linear order
     clique_position: dict       # original clique -> 0-based position
 
@@ -380,15 +371,11 @@ def modular_partition(G: Graph) -> ModularPartition:
         )
     first = _collapse(G, end)
     second = collapse_incomparables(first.graph, first.clique_order[-1])
-    # L is the second quotient with each vertex named by its flat class
-    flat = {x: _merge_class([x]) for x in second.graph.vertices}
-    vertex_class = {v: flat[second.vertex_class[first.vertex_class[v]]] for v in G.vertices}
+    vertex_class = {v: second.vertex_class[x] for v, x in first.vertex_class.items()}
     cells = [[] for _ in second.clique_order]
     clique_position = {}
     for c in cliques:
-        pos = second.clique_position[
-            frozenset(first.vertex_class[v] for v in c)
-        ]
+        pos = second.clique_position[first.clique_order[first.clique_position[c]]]
         cells[pos].append(c)
         clique_position[c] = pos
     if not all(cells):
@@ -406,12 +393,9 @@ def modular_partition(G: Graph) -> ModularPartition:
             "connected apex-free interval graphs have at least three cells",
             certificate=G.vertices,
         )
-    quotient = Graph(
-        flat.values(),
-        ((flat[a], flat[b]) for a in second.graph.vertices for b in second.graph.adj[a]),
+    return ModularPartition(
+        cells, modules, vertex_class, second.graph, second.clique_order, clique_position
     )
-    order = [frozenset(flat[x] for x in image) for image in second.clique_order]
-    return ModularPartition(cells, modules, vertex_class, quotient, order, clique_position)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +548,6 @@ class ColouredTree:
     colours: dict               # node -> tuple of (m, n) pairs
     comp_set: dict = field(default_factory=dict)      # component node -> frozenset
     comp_lcanon: dict = field(default_factory=dict)   # component node -> LCanon
-    comp_apices: dict = field(default_factory=dict)   # component node -> frozenset
     module_record: dict = field(default_factory=dict) # module node -> ModuleRecord
     arr_group: dict = field(default_factory=dict)     # arrangement node -> group tag
 
@@ -598,7 +581,6 @@ def build_modular_tree(G: Graph) -> ColouredTree:
             info = canon_L(H)
             tree.comp_set[node] = entry.vertices
             tree.comp_lcanon[node] = info
-            tree.comp_apices[node] = H.apices()
             tree.colours[node] = tuple(sorted(info.edges))
             groups = {}
             for record in info.modules:
@@ -670,7 +652,7 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
     modules = [m for a in arr_nodes for m in tree.children(a)]
     if not modules:  # module-free, or a complete apex component
         return info.size, set(info.edges)
-    if tree.comp_apices[node]:
+    if info.m == 1:  # an apex component: one cell, and others have three or more
         total = len(comp)
         if len(modules) != 1:
             raise RecognitionError("apex component has more than one module", certificate=comp)
@@ -679,9 +661,9 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
             for j in range(max(i + 1, sub_n + 1), total + 1):
                 edges.add((i, j))
         return total, edges
-    # module-free pipeline component
+    # an apex-free component, ordered by the double collapse
     m = info.m
-    if not info.palindromic or m == 1:
+    if not info.palindromic:
         splices = [(tree.module_record[mod].colour[0], mod) for mod in modules]
         ordered_blocks = [mod for _, mod in sorted(splices)]
     else:
@@ -704,28 +686,19 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
     # replaced vertex per splice position: least canon vertex whose
     # interval is exactly that clique and no other
     intervals = info.intervals
-    replaced = {}
-    for pos, mod in splices:
-        cand = [i for i, iv in enumerate(intervals, 1) if iv == (pos, pos)
-                and i not in replaced.values()]
+    removed = set()
+    for pos, _ in splices:
+        cand = [i for i, iv in enumerate(intervals, 1) if iv == (pos, pos) and i not in removed]
         if not cand:
             raise RecognitionError("no span-one vertex at module position", certificate=pos)
-        replaced[mod] = cand[0]
-    removed = sorted(replaced.values())
-
-    def shift(x):
-        return x - sum(1 for r in removed if r < x)
-
-    adjacency = {i: set() for i in range(1, info.size + 1)}
-    for u, v in info.edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    edges = {
-        (shift(u), shift(v))
-        for u, v in info.edges
-        if u not in removed and v not in removed
-    }
-    offset = info.size - len(removed)
+        removed.add(cand[0])
+    # the kept canon vertices, numbered in order
+    number = {}
+    for i in range(1, info.size + 1):
+        if i not in removed:
+            number[i] = len(number) + 1
+    edges = {(number[u], number[v]) for u, v in info.edges if u in number and v in number}
+    offset = len(number)
     starts = {}
     for mod in ordered_blocks:
         bn, bedges = blocks.pop(mod)
@@ -733,11 +706,13 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
         edges |= {(offset + u, offset + v) for u, v in bedges}
         offset += bn
     # each module's block, numbered after every vertex of L, meets the
-    # neighbours of the vertex it replaces
-    for _, mod in splices:
+    # neighbours of the vertex it replaces: the kept vertices whose
+    # interval holds that vertex's one position
+    for pos, mod in splices:
         start, bn = starts[mod]
-        for x in adjacency[replaced[mod]] - set(removed):
-            edges |= {(shift(x), start + t) for t in range(1, bn + 1)}
+        for x, (l, r) in enumerate(intervals, 1):
+            if l <= pos <= r and x in number:
+                edges |= {(number[x], start + t) for t in range(1, bn + 1)}
     if offset != len(comp):
         raise RecognitionError("assembled canon has wrong vertex count", certificate=comp)
     return offset, edges

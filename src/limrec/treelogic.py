@@ -408,9 +408,10 @@ def tree_isomorphic(tree: DirectedTree, v: int, w: int) -> bool:
 def tree_order_less(tree: DirectedTree, v: int, w: int) -> bool:
     """Strict canonical order on subtrees (profile first, then the
     recursive child comparison), decided through the order gadget."""
-    return v != w and x_membership(
-        tree.order_gadget(), (0, v, w, v, w, 0), _gadget_resource(tree)
-    )
+    if v == w:
+        return False
+    gadget = tree.order_gadget()
+    return x_membership(gadget, (0, v, w, v, w, 0), gadget.resource)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import ast
+import functools
 import gc
 import itertools
 import random
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -213,10 +215,59 @@ def test_preorder_star_incomparable_leaf_cliques():
     other = [cliques.index(c) for c in cliques if c != m]
     a, b = other
     assert (a, b) not in pre.pairs and (b, a) not in pre.pairs
-    # the two leaf cliques collapse into a module of two leaves
+    # the two leaf cliques collapse into a module of two leaves; every
+    # quotient vertex is the frozenset of the vertices it stands for
     col = collapse_incomparables(g, m)
-    merged = [v for v in col.graph.vertices if isinstance(v, frozenset)]
-    assert merged == [frozenset({2, 3})]
+    assert col.graph.vertices == (frozenset({0}), frozenset({1}), frozenset({2, 3}))
+
+
+def _brute_weak_order_classes(m, pairs):
+    """The ordered incomparability classes when `pairs` is a strict weak
+    order on range(m) (< and incomparability both transitive), else None."""
+    def incomparable(a, b):
+        return (a, b) not in pairs and (b, a) not in pairs
+
+    triples = list(itertools.permutations(range(m), 3))
+    if not all((a, c) in pairs for a, b, c in triples if (a, b) in pairs and (b, c) in pairs):
+        return None
+    if not all(incomparable(a, c) for a, b, c in triples
+               if incomparable(a, b) and incomparable(b, c)):
+        return None
+    classes = []
+    for i in range(m):
+        if not any(i in group for group in classes):
+            classes.append([j for j in range(m) if j == i or incomparable(i, j)])
+    return sorted(classes, key=functools.cmp_to_key(
+        lambda x, y: -1 if (x[0], y[0]) in pairs else 1))
+
+
+def test_ranking_accepts_exactly_the_strict_weak_orders():
+    # every asymmetric relation on up to 5 cliques with clique 0 before
+    # all others, as the seeded propagation always has it
+    counts = []
+    for m in range(1, 6):
+        cliques = [frozenset({i}) for i in range(m)]
+        seeded = {(0, j) for j in range(1, m)}
+        free = list(itertools.combinations(range(1, m), 2))
+        weak = total = 0
+        for choice in itertools.product((None, 0, 1), repeat=len(free)):
+            pairs = seeded | {(i, j) if c == 0 else (j, i)
+                              for (i, j), c in zip(free, choice) if c is not None}
+            expected = _brute_weak_order_classes(m, pairs)
+            total += 1
+            if expected is None:
+                with pytest.raises(RecognitionError, match="not a strict weak order"):
+                    intervalcanon._ranked_classes(cliques, pairs)
+            else:
+                weak += 1
+                assert intervalcanon._ranked_classes(cliques, pairs) == expected, pairs
+        counts.append((weak, total))
+    assert counts == [(1, 1), (1, 1), (3, 3), (13, 27), (75, 729)]
+    # 2 is incomparable with 1 and with 3, yet 1 < 3
+    with pytest.raises(RecognitionError):
+        intervalcanon._ranked_classes(
+            [frozenset({i}) for i in range(4)], {(0, 1), (0, 2), (0, 3), (1, 3)}
+        )
 
 
 def test_possible_ends_examples():
@@ -360,8 +411,9 @@ def test_quotients_of_all_ends_isomorphic_exhaustive():
 def test_collapse_identity_when_linear():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     col = collapse_incomparables(g, frozenset({0, 1}))
-    assert col.graph.n == g.n
-    assert [sorted(c, key=str) for c in col.clique_order] == [
+    assert col.vertex_class == {v: frozenset({v}) for v in g.vertices}
+    assert col.graph.vertices == tuple(frozenset({v}) for v in g.vertices)
+    assert [sorted(min(x) for x in c) for c in col.clique_order] == [
         [0, 1], [1, 2], [2, 3],
     ]
 
@@ -741,6 +793,28 @@ def test_nested_family_canonises_within_fifty_frames():
     assert canon == twin_canon and len(canon[1]) == len(g.edges())
 
 
+@pytest.mark.parametrize("graph, counts", [
+    (lambda: nested_interval_graph(30), (89, 30)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2)),
+])
+def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, counts):
+    # exact work counts of one canonisation: Graph.__init__ covers the
+    # input, its subgraphs and the two quotients of each collapse pair
+    # (L is the second quotient, not rebuilt); Graph.apices runs once per
+    # component, in modular_partition
+    g = graph()
+    calls = Counter()
+    for name in ("__init__", "apices"):
+        def counting(self, *args, name=name, original=getattr(Graph, name)):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Graph, name, counting)
+    interval_canon(g)
+    assert (calls["__init__"], calls["apices"]) == counts
+
+
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
     g = Graph.from_structure(generate_random_interval_graph(40, seed=3))
     graphs = {"max_cliques": [], "modular_partition": []}
@@ -1017,16 +1091,17 @@ def test_overlaps_follow_the_cliques_a_collapse_keeps():
 
 
 def test_max_cliques_and_preorder_on_a_collapsed_star():
-    # the quotient mixes int vertices with the class vertex {2, 3}
+    # the quotient's vertices are the singletons {0}, {1} and the class {2, 3}
     star = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
     quotient = collapse_incomparables(star, frozenset({0, 1})).graph
+    a, b, leaves = frozenset({0}), frozenset({1}), frozenset({2, 3})
     cliques = max_cliques(quotient)
-    assert cliques == [frozenset({0, 1}), frozenset({0, frozenset({2, 3})})]
+    assert cliques == [frozenset({a, b}), frozenset({a, leaves})]
     pre = clique_preorder(quotient, cliques[0])
     assert pre.asymmetric and pre.pairs == {(0, 1)}
-    # without vertex 0 the class vertex is a component of its own
-    rest = quotient.subgraph([1, frozenset({2, 3})])
-    assert rest.components() == [frozenset({1}), frozenset({frozenset({2, 3})})]
+    # without vertex {0} the class vertex is a component of its own
+    rest = quotient.subgraph([b, leaves])
+    assert rest.components() == [frozenset({b}), frozenset({leaves})]
     assert rest.components() == sorted(rest.components(), key=_ckey)
     # int-only cliques keep their order
     assert max_cliques(star) == [frozenset({0, 1}), frozenset({0, 2}), frozenset({0, 3})]
