@@ -20,6 +20,7 @@ polynomial in the pairs reached, not logarithmic space.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, FormulaError, LimrecError
@@ -236,9 +237,12 @@ def _guard(ctx: EvalContext, parts, xs, negated: bool = False):
     """A function alpha -> the candidate tuples of values for the distinct
     variables xs, or None when no part of the planned and `parts`
     guards xs.  A guard is the first atom whose arguments include every
-    x in xs, or a number extremum `forall #r #r <= #t` (xs = (#t,)).  With
-    `negated` the parts are those of an or and a guard stands under a not.
-    The candidates include every tuple under which the guard holds."""
+    x in xs, or a number extremum `forall #r #r <= #t` (xs = (#t,)).
+    Failing both, the parts that are guarded universals `forall z (not A
+    or B)` (`_universal`) guard xs together.  With `negated` the parts
+    are those of an or and a guard stands under a not; a guarded
+    universal is then no guard.  The candidates include every tuple
+    under which the guard holds."""
     if len(set(xs)) < len(xs):
         return None
     for part in parts:
@@ -252,7 +256,53 @@ def _guard(ctx: EvalContext, parts, xs, negated: bool = False):
         if pinned is not None and (pinned[0],) == tuple(xs):
             only = ((pinned[1],),)
             return lambda alpha: only
+    if negated:
+        return None
+    universals = [form for form in (_universal(part, xs) for part in parts) if form is not None]
+    return _universal_guard(ctx, universals, xs) if universals else None
+
+
+def _universal(part: Formula, xs):
+    """(z, A, B) when part is `forall z (not A or B)`, in either order of
+    the or, with A an atom that contains z and no variable of xs and B
+    an atom whose arguments include every x in xs.  None otherwise."""
+    if not (isinstance(part, Forall) and type(part.sub) is Or and len(part.sub.parts) == 2):
+        return None
+    z = part.var
+    first, second = part.sub.parts
+    for neg, pos in ((first, second), (second, first)):
+        if isinstance(neg, Not) and isinstance(neg.sub, Atom) and isinstance(pos, Atom):
+            a = neg.sub
+            if z in a.args and not set(xs) & set(a.args) and set(xs) <= set(pos.args):
+                return z, a, pos
     return None
+
+
+def _universal_guard(ctx: EvalContext, universals, xs):
+    """Candidates from the guarded universals (z, A, B): for the first
+    whose A has a witness z0 (the least tuple of A's index), the tuples of
+    B's index with z = z0, else every tuple of the domains of xs.  If
+    `forall z (not A or B)` holds at xs then so does B(xs, z0), since A
+    does not read xs."""
+    guards = [(z, _atom_guard(ctx, a, (z,)), _atom_guard(ctx, b, xs)) for z, a, b in universals]
+    doms = [_domain(ctx.structure, x) for x in xs]
+
+    def cands(alpha):
+        for z, witnesses, rows in guards:
+            found = witnesses(alpha)
+            if found:
+                saved = alpha.get(z, _MISSING)
+                alpha[z] = found[0][0]
+                try:
+                    return rows(alpha)
+                finally:
+                    if saved is _MISSING:
+                        alpha.pop(z, None)
+                    else:
+                        alpha[z] = saved
+        return itertools.product(*doms)
+
+    return cands
 
 
 def _atom_guard(ctx: EvalContext, atom: Atom, xs):
@@ -264,17 +314,31 @@ def _atom_guard(ctx: EvalContext, atom: Atom, xs):
     key = (atom.rel, tuple(xs.index(a) if a in xs else -1 for a in args))
     index = ctx._index.get(key)
     if index is None:
-        first = [args.index(x) for x in xs]
+        tuples = ctx.structure.relations[atom.rel]
+        # (later, first) positions of each variable of xs that repeats
+        repeats = [(i, args.index(a)) for i, a in enumerate(args) if a in xs and args.index(a) < i]
+        if repeats:
+            tuples = [t for t in tuples if all(t[i] == t[j] for i, j in repeats)]
+        key_of, row_of = _projection(bound), _projection([args.index(x) for x in xs])
         rows: dict = {}
-        for t in ctx.structure.relations[atom.rel]:
-            if all(t[i] == t[first[xs.index(a)]] for i, a in enumerate(args) if a in xs):
-                rows.setdefault(tuple(t[i] for i in bound), []).append(tuple(t[i] for i in first))
+        for t in tuples:
+            rows.setdefault(key_of(t), []).append(row_of(t))
         index = ctx._index[key] = {k: tuple(sorted(v)) for k, v in rows.items()}
     if len(bound) == 1:
         b0 = args[bound[0]]
         return lambda alpha: index.get((alpha[b0],), ())
     at = [args[i] for i in bound]
     return lambda alpha: index.get(tuple(alpha[a] for a in at), ())
+
+
+def _projection(positions):
+    """A function t -> the tuple of t's values at `positions`."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda t: (t[p],)
+    if not positions:
+        return lambda t: ()
+    return operator.itemgetter(*positions)
 
 
 def _candidates(ctx: EvalContext, parts, xs, negated: bool = False):
@@ -462,11 +526,12 @@ class FormulaGraph(LabelledGraph):
     reflexive-symmetric-transitive closure of the phi_= pairs, formed
     when the graph is made; for lrec single tuples.  A formula over u, v
     is tested on a pair (a, b) only when b is a candidate target of a:
-    the tuples of its guard (`_guard` over v, with u bound) when an
-    and-part of the planned formula is an atom covering v, else every
-    tuple.  A vertex's out-neighbours (the classes of the candidate
-    targets of its members that pass phi_edge, self-loops kept) and its
-    label set (the union of its members') are computed when first asked.
+    the tuples of its guard (`_guard` over v, with u bound) when the
+    planned formula has one (an and-part that is an atom covering v, or
+    guarded universals), else every tuple.  A vertex's out-neighbours
+    (the classes of the candidate targets of its members that pass
+    phi_edge, self-loops kept) and its label set (the union of its
+    members') are computed when first asked.
     In-degrees are counted in one sweep over all out-neighbours at the
     first in_degree call, except in an lrec graph whose squared domain
     size exceeds the context threshold: there each vertex counts its
@@ -785,7 +850,9 @@ class Transduction:
     `u` and `v` are compatible variable tuples; theta_v defines the new
     universe, theta_approx generates the glueing equivalence, and each
     relation is given as (formula, argument tuples), one tuple per
-    argument position, each compatible with u.
+    argument position, each compatible with u.  theta_v reads only u,
+    theta_approx only u and v, and a relation formula only its argument
+    variables.
     """
 
     u: tuple[Var, ...]
@@ -803,6 +870,19 @@ class Transduction:
                     raise FormulaError(
                         f"argument tuple of {name} is incompatible with u"
                     )
+        _check_declared(self.theta_v, self.u, "theta_v")
+        _check_declared(self.theta_approx, self.u + self.v, "theta_approx")
+        for name, formula, arg_tuples in self.relations:
+            _check_declared(formula, sum(arg_tuples, ()), f"the formula of {name}")
+
+
+def _check_declared(formula: Formula, declared, what: str):
+    extra = sorted(free_variables(formula) - set(declared), key=lambda v: (v.name, v.sort))
+    if extra:
+        names = ", ".join(map(repr, extra))
+        raise FormulaError(
+            f"undeclared free variable{'s' if len(extra) > 1 else ''} {names} in {what}"
+        )
 
 
 def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
@@ -812,7 +892,11 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     so chains through tuples outside theta_v still glue; the output
     universe is the set of classes of theta_v tuples, renumbered by
     their lexicographically least member.  All defining formulae are
-    decided by the evaluator.
+    decided by the evaluator.  As in an lreceq closure, theta_approx is
+    tested on a pair (a, b) only when b is a candidate of its guard over
+    v with u bound to a (every tuple when u and v share a variable), and
+    a relation formula only on the candidates of its guard over its
+    argument variables.
     """
     ctx = EvalContext(structure)
     doms = [_domain(structure, var) for var in theta.u]
@@ -828,9 +912,13 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     if not v_tuples:
         raise DomainError("transduction undefined: empty universe formula")
     approx_fn = _compile(ctx, theta.theta_approx, "memo")
+    shared = set(theta.u) & set(theta.v)
+    approx_targets = _candidates(
+        ctx, () if shared else _parts(_plan(theta.theta_approx), And), theta.v
+    )
     classes = _closure_classes(
         domain,
-        lambda a: domain,
+        lambda a: holds(approx_targets, zip(theta.u, a)),
         lambda a, b: holds(approx_fn, [*zip(theta.u, a), *zip(theta.v, b)]),
     )
     in_universe = set(v_tuples)
@@ -842,14 +930,11 @@ def apply_transduction(theta: Transduction, structure: Structure) -> Structure:
     relations = {}
     for name, formula, arg_tuples in theta.relations:
         # rows are values of all argument variables in order; a guard of
-        # the formula over them gives the candidate rows, unless the formula
-        # also reads other variables
+        # the formula over them gives the candidate rows
         xs = tuple(var for arg_vars in arg_tuples for var in arg_vars)
         ends = list(itertools.accumulate(len(arg_vars) for arg_vars in arg_tuples))
         fn = _compile(ctx, formula, "memo")
-        guard = None
-        if free_variables(formula) <= set(xs):
-            guard = _guard(ctx, _parts(_plan(formula), And), xs)
+        guard = _guard(ctx, _parts(_plan(formula), And), xs)
         if guard is None:
             rows = (sum(combo, ()) for combo in itertools.product(v_tuples, repeat=len(arg_tuples)))
         else:

@@ -520,6 +520,27 @@ def test_transduction_validates_tuples():
         )
 
 
+@pytest.mark.parametrize("field, formula", [
+    ("theta_v", "E(x, w)"),
+    ("theta_approx", "E(x, y) and E(y, w)"),
+    ("relations", "E(x, y) and P(w)"),
+])
+def test_transduction_rejects_undeclared_free_variables(field, formula):
+    from limrec.errors import FormulaError
+
+    x, y = svar("x"), svar("y")
+    fields = dict(
+        u=(x,), v=(y,), theta_v=EqVar(x, x), theta_approx=EqVar(x, y),
+        relations=(("E", Atom("E", (x, y)), ((x,), (y,))),),
+    )
+    if field == "relations":
+        fields[field] = (("E", parse_formula(formula), ((x,), (y,))),)
+    else:
+        fields[field] = parse_formula(formula)
+    with pytest.raises(FormulaError, match="undeclared free variable w in"):
+        Transduction(**fields)
+
+
 def test_atom_with_the_wrong_argument_count_is_rejected():
     structure = Structure(GRAPH_VOCAB, 2, {"E": {(0, 1)}})
     x = svar("x")
@@ -1082,6 +1103,17 @@ GUARD_SHAPES = [
     "[dtc x, y : E(x, y)](z, w)",
     "[lreceq x, y, #p : E(x, y) ; not x = x ; x = w](z, #r)",
     "[lreceq x, y, #p : R(x, y, w) ; E(x, y) ; P(x) and not #p = 0](z, #r)",
+    # guarded universals `forall z (not A or B)`: B(y, z0) at a witness z0 of A
+    "exists y (forall z (not E(x, z) or E(y, z)) and P(y))",
+    "exists y forall z (not E(z, x) or R(z, y, w))",
+    "exists y forall z (E(y, z) or not E(z, x))",
+    "exists y (forall z (not P(z) or E(y, z)) and not P(y))",
+    "exists y forall z (not E(y, z) or E(z, y))",
+    "count(y ; forall z (not E(x, z) or E(y, z) or z = w)) = #p",
+    "exists y (forall z (not E(x, z) or E(y, z)) and not E(z, y))",
+    "count(y ; forall z (not E(x, z) or E(y, z))) = #p",
+    "forall y (forall z (not E(x, z) or E(y, z)) or P(y))",
+    "[lreceq x, y, #p : E(x, y) ; forall z (not E(x, z) or E(y, z)) ; P(x)](w, #r)",
 ]
 
 
@@ -1111,28 +1143,38 @@ def test_guarded_transduction_matches_unguarded():
     x, y = svar("x"), svar("y")
     vocab = Vocabulary((("E", 2), ("P", 1)))
     rng = random.Random(3)
-    for n in (1, 2, 3, 4):
+    structures = []
+    for n in (1, 2, 3, 4, 5, 6):
         edges = {(a, b) for a in range(n) for b in range(n) if rng.random() < 0.4}
         marked = {(a,) for a in range(n) if rng.random() < 0.5}
-        structure = Structure(vocab, n, {"E": edges, "P": marked})
+        structures.append(Structure(vocab, n, {"E": edges, "P": marked}))
+    # isolated vertices, which have no witness: 3 and 4, then every vertex
+    structures.append(Structure(vocab, 5, {"E": {(0, 1), (1, 2), (2, 1)}, "P": {(3,)}}))
+    structures.append(Structure(vocab, 3, {"E": set(), "P": {(0,), (2,)}}))
+    for approx in (
+        parse_formula("E(x, y) and E(y, x)"),
+        layer_transduction().theta_approx,
+        parse_formula("forall z (not E(x, z) or E(y, z))"),
+    ):
         theta = Transduction(
             u=(x,), v=(y,),
             theta_v=parse_formula("P(x) or exists y E(x, y)"),
-            theta_approx=parse_formula("E(x, y) and E(y, x)"),
+            theta_approx=approx,
             relations=(
                 ("E", parse_formula("E(x, y) and not x = y"), ((x,), (y,))),
                 ("L", parse_formula("E(x, x)"), ((x,),)),
                 ("Q", parse_formula("exists y E(x, y)"), ((x,),)),
             ),
         )
-        try:
-            guarded = apply_transduction(theta, structure)
-        except DomainError:
-            with _unguarded(), pytest.raises(DomainError):
-                apply_transduction(theta, structure)
-            continue
-        with _unguarded():
-            assert apply_transduction(theta, structure) == guarded
+        for structure in structures:
+            try:
+                guarded = apply_transduction(theta, structure)
+            except DomainError:
+                with _unguarded(), pytest.raises(DomainError):
+                    apply_transduction(theta, structure)
+                continue
+            with _unguarded():
+                assert apply_transduction(theta, structure) == guarded, (pretty(approx), structure)
 
 
 def _counting_compile(calls):
@@ -1182,6 +1224,19 @@ def test_lreceq_closure_tests_only_guarded_pairs():
             alpha = {svar("s"): s, svar("t"): t, nvar("r"): 1}
             assert evaluate(structure, alpha, formula, ctx=ctx) == (comp[s] == comp[t])
     assert 0 < calls[formula.phi_eq] <= 2 * len(edges) + n
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_transduction_closure_tests_only_guarded_pairs(n):
+    # The layer glue's guarded universals give each vertex the vertices of
+    # its own layer as candidates, not all 2n^2 vertices.
+    g = generate_layered_graph(n)
+    theta = layer_transduction()
+    calls = collections.Counter()
+    with _counting_compile(calls):
+        out = apply_transduction(theta, g)
+    assert _is_two_disjoint_paths(out, n)
+    assert 0 < calls[theta.theta_approx] <= g.universe_size
 
 
 def test_lreceq_edges_are_tested_only_from_the_queried_class():
