@@ -490,16 +490,17 @@ class LabelledGraph:
     Subclasses provide out_neighbours (sorted ascending), in_degree, and
     label membership.  `memo` caches (vertex, resource) verdicts.
 
-    label_min(vertex) is a lower bound on the least count in the label
-    set, or None when the set is empty.  The memo engine asks it before
-    anything else about a vertex: on None it decides the vertex without
-    building its out-neighbours, and when the bound exceeds the
-    out-degree it decides the vertex without visiting its children;
-    either way the vertex is decided where it is reached, without a
-    stack frame.  The default answers 0 (no pruning).  A subclass may
-    override it with a cheap closed form that never exceeds the least
-    count in the set and answers None only for an empty set; the
-    streaming engine never asks it."""
+    label_bounds(vertex) is None when the label set is empty, else
+    (lo, hi) with every count of the set in [lo, hi].  A class whose
+    sets are exactly those intervals says so by `label_bounds_exact`.
+    The memo engine asks the bounds before anything else about a
+    vertex, and settles the vertex as soon as the children left cannot
+    change its verdict (see `x_membership`).  The default answers
+    (0, inf), not exact, which settles nothing early.  A subclass may
+    override it with a cheap closed form; the streaming engine never
+    asks it."""
+
+    label_bounds_exact = False
 
     def __init__(self):
         self.memo: dict = {}
@@ -513,8 +514,11 @@ class LabelledGraph:
     def label_contains(self, vertex, count: int) -> bool:
         raise NotImplementedError
 
-    def label_min(self, vertex) -> int | None:
-        return 0
+    def label_bounds(self, vertex) -> tuple | None:
+        return _UNBOUNDED
+
+
+_UNBOUNDED = (0, float("inf"))
 
 
 class FormulaGraph(LabelledGraph):
@@ -711,43 +715,70 @@ def x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     X is not monotone in the resource, so the memo key is the exact
     pair.  Child resources floor((l-1)/in_degree) are strictly smaller,
     which grades the recursion; an explicit stack avoids Python's
-    recursion limit on long in-degree-1 chains.  A vertex is decided
-    False as soon as it is reached, without a stack frame, when its
-    resource is 0, when its label set is empty (`graph.label_min` is
-    None, asked before its out-neighbours are built), or when its least
-    count exceeds its out-degree.  Only a vertex whose children must be
-    walked gets a frame, and the in-degrees and resources of its
-    children are checked before any of them is visited.
+    recursion limit on long in-degree-1 chains.
+
+    A vertex is settled as soon as the children left cannot change its
+    verdict.  With `graph.label_bounds` (lo, hi), count children
+    accepted so far and left children not yet visited, it is False when
+    count > hi or count + left < lo, and, for a graph whose bounds are
+    exact, True when lo <= count and count + left <= hi.  A vertex
+    reached with resource 0 or an empty label set (bounds None, asked
+    before its out-neighbours are built) is False, and so is decided
+    where it is reached, without a stack frame, as is a vertex that the
+    rule settles before its first child.  Only a vertex whose children
+    must be walked gets a frame; the in-degrees and resources of its
+    children are checked before any of them is visited, the walk stops
+    at the first child that settles it, and `label_contains` is asked
+    only when every child is walked and none settled it.
     """
     memo = graph.memo
     key = (vertex, resource)
     if key in memo:
         return memo[key]
-    # frame: [vertex, resource, children, child_resources, index, count];
-    # the bottom frame holds the query as its one child and records nothing
-    stack = [[None, None, (vertex,), (resource,), 0, 0]]
+    exact = graph.label_bounds_exact
+    # frame: [vertex, resource, children, child_resources, index, count, lo, hi];
+    # the bottom frame holds the query as its one child and records nothing:
+    # its bounds (1, -1) settle it after that child, whatever the verdict
+    stack = [[None, None, (vertex,), (resource,), 0, 0, 1, -1]]
     while True:
         frame = stack[-1]
-        children, resources, i, count = frame[2], frame[3], frame[4], frame[5]
+        _, _, children, resources, i, count, lo, hi = frame
         while i < len(children):
             ckey = (children[i], resources[i])
             verdict = memo.get(ckey)
             if verdict is None:
                 v, ell = ckey
-                lo = None if ell <= 0 else graph.label_min(v)
-                grand = () if lo is None else graph.out_neighbours(v)
-                if lo is not None and lo <= len(grand):
-                    frame[4], frame[5] = i, count
-                    stack.append([v, ell, grand, _child_resources(graph, grand, ell), 0, 0])
-                    break
-                memo[ckey] = verdict = False
+                bounds = None if ell <= 0 else graph.label_bounds(v)
+                verdict = False
+                if bounds is not None:
+                    grand = graph.out_neighbours(v)
+                    vlo, vhi = bounds
+                    if exact and vlo <= 0 and len(grand) <= vhi:
+                        verdict = True
+                    elif len(grand) >= vlo:
+                        frame[4], frame[5] = i, count
+                        stack.append(
+                            [v, ell, grand, _child_resources(graph, grand, ell), 0, 0, vlo, vhi]
+                        )
+                        break
+                memo[ckey] = verdict
             i += 1
             if verdict:
                 count += 1
+                if count > hi:
+                    verdict = False
+                    break
+            elif count + len(children) - i < lo:
+                break
+            if exact and lo <= count and count + len(children) - i <= hi:
+                verdict = True
+                break
         else:
+            verdict = graph.label_contains(frame[0], count)
+        if stack[-1] is frame:
             if len(stack) == 1:
                 return memo[key]
-            memo[(frame[0], frame[1])] = graph.label_contains(frame[0], count)
+            memo[(frame[0], frame[1])] = verdict
             stack.pop()
 
 

@@ -5,10 +5,12 @@ Boolean circuit evaluation.
 The recursion graphs ("gadgets") live over the tuple space
 N(T) x V(T)^4 x N(T) and are queried through the generic engines; they
 are built directly as labelled graphs with analytic out-neighbour,
-in-degree and label functions, never materialized.  Trees of every size
-go through the gadgets: a vertex's type is a plain int that the engines
-never check against the number sort, so the paper's n >= 4 (type 4 must
-be a number of N(T)) does not apply.
+in-degree and label functions, never materialized.  Every label set is
+one count or an interval, which each gadget gives as exact bounds, so
+the memo engine stops a vertex's children once its count is settled.
+Trees of every size go through the gadgets: a vertex's type is a plain
+int that the engines never check against the number sort, so the
+paper's n >= 4 (type 4 must be a number of N(T)) does not apply.
 
 A `DirectedTree` holds everything derived from it: the subtree sizes,
 the children by size, the profiles, and one of each gadget, built on
@@ -23,7 +25,7 @@ callbacks is a lookup.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .errors import DomainError, LimrecError, ParseError, RecognitionError
 from .evaluator import LabelledGraph, evaluate, x_membership
@@ -132,7 +134,10 @@ class DirectedTree:
 
 class _TreeGadget(LabelledGraph):
     """A recursion graph over a tree's tuple space.  It reads the tree's
-    tables and holds no reference to the tree."""
+    tables and holds no reference to the tree.  Every label set is one
+    count or an interval, so its bounds are exact."""
+
+    label_bounds_exact = True
 
     def __init__(self, tree: DirectedTree):
         super().__init__()
@@ -223,21 +228,26 @@ class _IsoGadget(_TreeGadget):
             deg += 2 * cap * cap
         return deg
 
-    def label_contains(self, vx, m):
+    def label_bounds(self, vx):
+        """{#children} at type 0, [1, n] at type 1, {1} or {3} at type 2
+        and {k} at types 3 and 4; empty for an easy pair."""
         t, v, w, vh, wh, k = vx
         if t == 0:
             if (vh, wh, k) != (v, w, 0) or self.easy(v, w):
-                return False
-            return m == len(self.children[v])
+                return None
+            m = len(self.children[v])
+            return m, m
         if self.easy(v, w):
-            return False
+            return None
         if t == 1:
-            return 1 <= m <= self.n
-        s = self.size[vh]
-        cap = len(self.kids_of_size(v, s))
+            return 1, self.n
         if t == 2:
-            return m == (1 if cap == 1 else 3)
-        return m == k
+            m = 1 if len(self.kids_of_size(v, self.size[vh])) == 1 else 3
+            return m, m
+        return k, k
+
+    def label_contains(self, vx, m):
+        return _within(self.label_bounds(vx), m)
 
 
 class _OrderGadget(_TreeGadget):
@@ -376,23 +386,32 @@ class _OrderGadget(_TreeGadget):
                     deg += cap * goods
         return deg
 
-    def label_contains(self, vx, m):
+    def label_bounds(self, vx):
+        """At type 0 {0} when the profile of v is smaller, [1, n] when the
+        profiles are equal, else empty; {1} or {4} at type 1 and {k} at
+        types 2-4 of a valid inner vertex."""
         t, v, w, vh, wh, k = vx
         if t == 0:
             if (vh, wh, k) != (v, w, 0):
-                return False
+                return None
             pv, pw = self.profile[v], self.profile[w]
             if pv < pw:
-                return m == 0
-            if pv > pw:
-                return False
-            return 1 <= m <= self.n
+                return 0, 0
+            return (1, self.n) if pv == pw else None
         if not self._valid_inner(v, w, vh, wh, k):
-            return False
+            return None
         if t == 1:
-            cap = len(self.kids_of_size(v, self.size[vh]))
-            return m == (1 if cap == 1 else 4)
-        return m == k
+            m = 1 if len(self.kids_of_size(v, self.size[vh])) == 1 else 4
+            return m, m
+        return k, k
+
+    def label_contains(self, vx, m):
+        return _within(self.label_bounds(vx), m)
+
+
+def _within(bounds, m) -> bool:
+    """Whether count m lies in the exact bounds of a label set."""
+    return bounds is not None and bounds[0] <= m <= bounds[1]
 
 
 def _gadget_resource(tree: DirectedTree) -> int:
@@ -457,8 +476,11 @@ class _CanonGraph(LabelledGraph):
     parallel edge per isomorphic sibling, and the label demands that all
     of them accept.  The blocks of every vertex are laid out once, when
     the graph is built, so each callback is a lookup: a label set holds
-    one count or none, found by one bisect on the block starts.
+    one count or none, found by one bisect on the block starts, and the
+    out-neighbours of a child are two bisects on its shifts.
     """
+
+    label_bounds_exact = True
 
     def __init__(self, tree: DirectedTree):
         super().__init__()
@@ -501,7 +523,9 @@ class _CanonGraph(LabelledGraph):
         v, a, b = vx
         lo, hi = -min(a, b), self.n - max(a, b)
         return tuple(
-            (c, a + q, b + q) for c, shifts in self._fan[v] for q in shifts if lo <= q <= hi
+            (c, a + q, b + q)
+            for c, shifts in self._fan[v]
+            for q in shifts[bisect_left(shifts, lo):bisect_right(shifts, hi)]
         )
 
     def in_degree(self, vx):
@@ -510,22 +534,23 @@ class _CanonGraph(LabelledGraph):
         # sort; copies shifted past n generate no edge
         return bisect_right(self._starts[v], self.n + 1 - max(a, b))
 
-    def label_min(self, vx):
-        """The one count of the label set, or None when it is empty: 0
-        when a == 1 numbers v itself and b starts a copy, and the number
-        of copies when a and b lie in one copy's block (all must accept)."""
+    def label_bounds(self, vx):
+        """The one count m of the label set as (m, m), or None when the
+        set is empty: 0 when a == 1 numbers v itself and b starts a copy,
+        and the number of copies when a and b lie in one copy's block (all
+        must accept)."""
         v, a, b = vx
         starts, blocks = self._blocks[v]
         i = bisect_right(starts, b if a == 1 else a) - 1
         if i < 0:
             return None
         if a == 1:
-            return 0 if starts[i] == b else None
+            return (0, 0) if starts[i] == b else None
         end, copies = blocks[i]
-        return copies if starts[i] <= b < end and a < end else None
+        return (copies, copies) if starts[i] <= b < end and a < end else None
 
     def label_contains(self, vx, m):
-        return self.label_min(vx) == m
+        return _within(self.label_bounds(vx), m)
 
 
 def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
@@ -533,11 +558,14 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
     numbered 1 and every subtree numbered by preorder position.  Isomorphic
     trees yield identical edge tuples.
 
-    In a preorder numbering every b > 1 has exactly one parent a < b, so
-    for each b the edge queries (root, a, b) are asked for a = b - 1,
-    b - 2, ... and stop at the first accepted one.  An early stop cannot
-    see a second, spurious edge into b, so the copy is checked instead:
-    every b > 1 has a parent, the copy is numbered in preorder, and it is
+    In a preorder numbering every b > 1 has exactly one parent a < b, and
+    it lies on the rightmost path of the copy of 1..b - 1: b - 1 or one of
+    its ancestors.  So for each b the edge queries (root, a, b) are asked
+    for a = b - 1, parent[a], ... up that path and stop at the first
+    accepted one.  Each rejected a leaves the rightmost path for good, so
+    the copy takes at most 2n - 3 queries.  An early stop cannot see a
+    second, spurious edge into b, so the copy is checked instead: every
+    b > 1 has a parent, the copy is numbered in preorder, and it is
     isomorphic to the input."""
     n = tree.n
     if n == 1:
@@ -545,12 +573,12 @@ def tree_canon(tree: DirectedTree) -> tuple[tuple[int, int], ...]:
     graph = tree.canon_graph()
     parent = [None, None]  # parent[b] in the copy, for b in [1, n]
     for b in range(2, n + 1):
-        for a in range(b - 1, 0, -1):
-            if x_membership(graph, (tree.root, a, b), n):
-                parent.append(a)
-                break
-        else:
-            raise LimrecError(f"canonical copy gives vertex {b} no parent")
+        a = b - 1
+        while not x_membership(graph, (tree.root, a, b), n):
+            a = parent[a]
+            if a is None:
+                raise LimrecError(f"canonical copy gives vertex {b} no parent")
+        parent.append(a)
     _check_canonical_copy(tree, parent)
     return tuple(sorted((parent[b], b) for b in range(2, n + 1)))
 

@@ -843,8 +843,10 @@ def reference_tokenize(text):
 
 class ReferenceCanonGraph(LabelledGraph):
     """The canon graph as it was before its tables were built up front:
-    a lazy per-vertex layout, a label generator shared by label_min and
+    a lazy per-vertex layout, a label generator shared by label_bounds and
     label_contains, sorted out-neighbours and a bisect in-degree."""
+
+    label_bounds_exact = True
 
     def __init__(self, tree: DirectedTree):
         super().__init__()
@@ -914,8 +916,9 @@ class ReferenceCanonGraph(LabelledGraph):
     def label_contains(self, vx, m):
         return m in self.label_counts(vx)
 
-    def label_min(self, vx):
-        return min(self.label_counts(vx), default=None)
+    def label_bounds(self, vx):
+        counts = list(self.label_counts(vx))
+        return (min(counts), max(counts)) if counts else None
 
 
 def reference_tree_canon(tree: DirectedTree) -> tuple:
@@ -936,15 +939,30 @@ def reference_tree_canon(tree: DirectedTree) -> tuple:
     return tuple(edges)
 
 
+def _settled(count, left, bounds, exact):
+    """The memo engine's settle rule: the verdict of a vertex with label
+    bounds (lo, hi), count children accepted and left not yet visited,
+    once the children left cannot change it; else None."""
+    lo, hi = bounds
+    if count > hi or count + left < lo:
+        return False
+    if exact and lo <= count and count + left <= hi:
+        return True
+    return None
+
+
 def reference_x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
     """The memo engine with one stack frame for every vertex it reaches,
-    as it was before vertices needing no children were decided at once."""
+    as it was before vertices needing no children were decided at once.
+    It settles a vertex by the same rule, checked when the frame starts
+    and after each child."""
     memo = graph.memo
     key = (vertex, resource)
     if key in memo:
         return memo[key]
-    # frame: [vertex, resource, children, child_resources, index, count]
-    stack = [[vertex, resource, None, None, 0, 0]]
+    exact = graph.label_bounds_exact
+    # frame: [vertex, resource, children, child_resources, index, count, bounds]
+    stack = [[vertex, resource, None, None, 0, 0, None]]
     while stack:
         frame = stack[-1]
         v, ell = frame[0], frame[1]
@@ -957,29 +975,32 @@ def reference_x_membership(graph: LabelledGraph, vertex, resource: int) -> bool:
             stack.pop()
             continue
         if frame[2] is None:
-            lo = graph.label_min(v)
-            children = () if lo is None else graph.out_neighbours(v)
-            if lo is None or lo > len(children):
-                memo[fkey] = False
+            bounds = graph.label_bounds(v)
+            children = () if bounds is None else graph.out_neighbours(v)
+            verdict = False if bounds is None else _settled(0, len(children), bounds, exact)
+            if verdict is not None:
+                memo[fkey] = verdict
                 stack.pop()
                 continue
             frame[2] = children
             frame[3] = _child_resources(graph, children, ell)
-        advanced = False
+            frame[6] = bounds
         while frame[4] < len(frame[2]):
             ckey = (frame[2][frame[4]], frame[3][frame[4]])
-            verdict = memo.get(ckey)
-            if verdict is None:
-                stack.append([ckey[0], ckey[1], None, None, 0, 0])
-                advanced = True
+            if ckey not in memo:
+                stack.append([ckey[0], ckey[1], None, None, 0, 0, None])
                 break
             frame[4] += 1
-            if verdict:
+            if memo[ckey]:
                 frame[5] += 1
-        if advanced:
-            continue
-        memo[fkey] = graph.label_contains(v, frame[5])
-        stack.pop()
+            verdict = _settled(frame[5], len(frame[2]) - frame[4], frame[6], exact)
+            if verdict is not None:
+                break
+        else:
+            verdict = graph.label_contains(v, frame[5])
+        if stack[-1] is frame:
+            memo[fkey] = verdict
+            stack.pop()
     return memo[key]
 
 
@@ -1111,11 +1132,13 @@ def streaming_iso_query_peak(n):
 
 
 class RecordingGraph(LabelledGraph):
-    """Delegates every callback to `inner` and logs it; has its own memo."""
+    """Delegates every callback to `inner` and logs it; has its own memo
+    and the exactness of inner's label bounds."""
 
     def __init__(self, inner: LabelledGraph):
         super().__init__()
         self.inner = inner
+        self.label_bounds_exact = inner.label_bounds_exact
         self.calls = []
 
     def out_neighbours(self, vertex):
@@ -1130,6 +1153,24 @@ class RecordingGraph(LabelledGraph):
         self.calls.append(("label_contains", vertex, count))
         return self.inner.label_contains(vertex, count)
 
-    def label_min(self, vertex):
-        self.calls.append(("label_min", vertex))
-        return self.inner.label_min(vertex)
+    def label_bounds(self, vertex):
+        self.calls.append(("label_bounds", vertex))
+        return self.inner.label_bounds(vertex)
+
+
+class UnprunedGraph(LabelledGraph):
+    """Delegates the edges and labels to `inner` but keeps the default
+    label bounds, so the memo engine walks every child; has its own memo."""
+
+    def __init__(self, inner: LabelledGraph):
+        super().__init__()
+        self.inner = inner
+
+    def out_neighbours(self, vertex):
+        return self.inner.out_neighbours(vertex)
+
+    def in_degree(self, vertex):
+        return self.inner.in_degree(vertex)
+
+    def label_contains(self, vertex, count):
+        return self.inner.label_contains(vertex, count)

@@ -610,8 +610,8 @@ class _PrunedGraph(LabelledGraph):
     def label_contains(self, vertex, count):
         raise AssertionError(f"label_contains({vertex!r}, {count}) asked")
 
-    def label_min(self, vertex):
-        return {0: None, 1: 5}[vertex]
+    def label_bounds(self, vertex):
+        return {0: None, 1: (5, 9)}[vertex]
 
 
 def test_memo_engine_decides_an_empty_label_without_building_edges():
@@ -624,6 +624,53 @@ def test_memo_engine_skips_children_when_the_least_count_exceeds_the_out_degree(
     graph = _PrunedGraph()
     assert x_membership(graph, 1, 5) is False
     assert graph.memo == {(1, 5): False}
+
+
+class _SettleGraph(LabelledGraph):
+    """Vertex 0 has the given label bounds and children 1, 2 and 3 of
+    in-degree 1.  Child 1 is a leaf with label {0} when `first`, else with
+    an empty label; nothing may be asked about 2 or 3."""
+
+    def __init__(self, bounds, first):
+        super().__init__()
+        self.bounds, self.first = bounds, first
+
+    def out_neighbours(self, vertex):
+        return {0: (1, 2, 3), 1: ()}[vertex]
+
+    def in_degree(self, vertex):
+        return 1
+
+    def label_contains(self, vertex, count):
+        if vertex != 1:
+            raise AssertionError(f"label_contains({vertex!r}, {count}) asked")
+        return count == 0
+
+    def label_bounds(self, vertex):
+        if vertex not in (0, 1):
+            raise AssertionError(f"label_bounds({vertex!r}) asked")
+        if vertex == 0:
+            return self.bounds
+        return (0, 0) if self.first else None
+
+
+class _ExactSettleGraph(_SettleGraph):
+    label_bounds_exact = True
+
+
+@pytest.mark.parametrize("graph, verdict, memo", [
+    # an accepted child passes hi = 0
+    (_SettleGraph((0, 0), True), False, {(0, 5): False, (1, 4): True}),
+    # a rejected child leaves 2 < lo = 3 to count
+    (_SettleGraph((3, 5), False), False, {(0, 5): False, (1, 4): False}),
+    # an accepted child reaches lo = 1 and 1 + 2 children left stay within hi
+    (_ExactSettleGraph((1, 3), True), True, {(0, 5): True, (1, 4): True}),
+    # any count of 3 children lies in [0, 3]: settled where it is reached
+    (_ExactSettleGraph((0, 3), True), True, {(0, 5): True}),
+])
+def test_memo_engine_stops_when_the_children_left_cannot_change_the_verdict(graph, verdict, memo):
+    assert x_membership(graph, 0, 5) is verdict
+    assert graph.memo == memo
 
 
 def _assert_engines_ask_alike(graph, queries):
@@ -645,6 +692,14 @@ def test_memo_engine_asks_the_reference_callbacks_on_canon_graphs():
         top = range(1, tree.n + 1)
         queries = [((tree.root, a, b), tree.n) for a in top for b in top]
         _assert_engines_ask_alike(tree.canon_graph(), queries)
+
+
+def test_memo_engine_asks_the_reference_callbacks_on_tree_gadgets():
+    for tree in _canon_graph_trees():
+        pairs = itertools.product(range(tree.n), repeat=2)
+        queries = [((0, v, w, v, w, 0), tree.iso_gadget().resource) for v, w in pairs]
+        _assert_engines_ask_alike(tree.iso_gadget(), queries)
+        _assert_engines_ask_alike(tree.order_gadget(), queries)
 
 
 @pytest.mark.parametrize("circuit", [not_chain(30), generate_random_circuit(30, seed=2)])

@@ -1,24 +1,26 @@
+import itertools
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from limrec import treelogic
 from limrec.errors import DomainError, LimrecError, RecognitionError
 from limrec.evaluator import x_membership
 from limrec.structures import (
     Structure, generate_random_circuit, generate_random_tree,
 )
 from limrec.treelogic import (
-    DirectedTree, check_path_property, circuit_value, coloured_keys, tree_canon,
-    tree_isomorphic, tree_order_less,
+    DirectedTree, _CanonGraph, _check_canonical_copy, check_path_property, circuit_value,
+    coloured_keys, tree_canon, tree_isomorphic, tree_order_less,
 )
 
 from .helpers import (
-    ReferenceCanonGraph, all_trees, build_iso_gadget, build_order_gadget, canon_edges_to_tree,
-    circuit_value_oracle, coloured_canonical_form, not_chain, permute_tree, profile,
-    random_permutation, reference_dense_profile, reference_tree_canon, streaming_like_reference,
-    subtree_string, tree_canon_oracle, tree_shapes, tree_to_structure,
+    ReferenceCanonGraph, UnprunedGraph, all_trees, build_iso_gadget, build_order_gadget,
+    canon_edges_to_tree, circuit_value_oracle, coloured_canonical_form, not_chain, permute_tree,
+    profile, random_permutation, reference_dense_profile, reference_tree_canon,
+    streaming_like_reference, subtree_string, tree_canon_oracle, tree_shapes, tree_to_structure,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -176,15 +178,71 @@ def test_canon_graph_in_degrees_match_edge_scan():
             assert graph.in_degree(vx) == indeg.get(vx, 0), (tree.parent, vx)
 
 
-def test_canon_graph_label_min_is_exact():
-    # label_min(vx) is the least count in the label set, or None when it
-    # is empty; a label count never exceeds n, so counts up to n + 1 cover
-    # every count the engines can ask about
-    for tree in _canon_graph_trees():
-        graph = tree.canon_graph()
-        for vx in _canon_graph_space(tree):
-            least = next((m for m in range(tree.n + 2) if graph.label_contains(vx, m)), None)
-            assert graph.label_min(vx) == least, (tree.parent, vx)
+def _gadget_space(tree):
+    """Every tuple (t, v, w, vh, wh, k) of a gadget's space, t in [0, 4]
+    and k in [0, n]."""
+    vertices = range(tree.n)
+    return [
+        (t, v, w, vh, wh, k)
+        for t in range(5)
+        for v, w, vh, wh in itertools.product(vertices, repeat=4)
+        for k in range(tree.n + 1)
+    ]
+
+
+def test_gadget_label_bounds_are_exact():
+    # the gadgets declare their bounds exact: label_contains holds on
+    # exactly the counts of [lo, hi], and on none when the bounds are None.
+    # The counts asked run from 0 to n + 1, or one past hi when that is
+    # larger (a tuple no query reaches may have a count above n)
+    cases = [(tree.canon_graph(), _canon_graph_space(tree)) for tree in _canon_graph_trees()]
+    for tree in all_trees(6):
+        space = _gadget_space(tree)
+        cases += [(tree.iso_gadget(), space), (tree.order_gadget(), space)]
+    for graph, space in cases:
+        assert graph.label_bounds_exact
+        for vx in space:
+            bounds = graph.label_bounds(vx)
+            lo, hi = (graph.n + 2, graph.n + 1) if bounds is None else bounds
+            counts = [m for m in range(max(graph.n, hi) + 2) if graph.label_contains(vx, m)]
+            assert counts == list(range(lo, hi + 1)), (type(graph).__name__, vx, bounds)
+
+
+def _resource_grid(tree, v):
+    """The gadget resource and the grid of
+    test_iso_soundness_and_completeness_sampled_resources."""
+    threshold = tree.size[v] ** 5
+    grid = {1, 2, 3, 7, 31, threshold // 2, threshold, threshold + 5}
+    return sorted(grid | {tree.iso_gadget().resource})
+
+
+def test_pruned_memo_engine_matches_streaming_on_tree_gadgets():
+    # the memo engine settles a vertex once the children left cannot change
+    # its verdict, the streaming engine walks the whole unravelling: X is
+    # the same relation
+    for tree in all_trees(6):
+        for v, w in itertools.product(range(tree.n), repeat=2):
+            query = (0, v, w, v, w, 0)
+            for gadget in (tree.iso_gadget(), tree.order_gadget()):
+                for ell in _resource_grid(tree, v):
+                    assert x_membership(gadget, query, ell) == streaming_like_reference(
+                        gadget, query, ell
+                    ), (type(gadget).__name__, tree.parent, v, w, ell)
+
+
+def test_memo_entries_match_an_unpruned_run():
+    # every verdict the engine records for a vertex it settled early, or
+    # reached through one, is the verdict of a walk over all children
+    for tree in all_trees(7):
+        tree_canon(tree)
+        for v, w in itertools.product(range(tree.n), repeat=2):
+            tree_isomorphic(tree, v, w)
+            tree_order_less(tree, v, w)
+        for graph in (tree.iso_gadget(), tree.order_gadget(), tree.canon_graph()):
+            unpruned = UnprunedGraph(graph)
+            for (vx, ell), verdict in list(graph.memo.items()):
+                assert x_membership(unpruned, vx, ell) == verdict, (
+                    type(graph).__name__, tree.parent, vx, ell)
 
 
 def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
@@ -202,7 +260,7 @@ def test_pruned_memo_engine_matches_streaming_on_canon_graphs():
 
 
 def test_tree_canon_memo_skips_hopeless_vertices():
-    # without the label_min pruning and the a < b sweep this tree left
+    # without the label bounds pruning and the a < b sweep this tree left
     # 351,126 entries in the canon graph's memo
     tree = DirectedTree.from_structure(generate_random_tree(100, seed=0))
     canon = tree_canon(tree)
@@ -218,7 +276,7 @@ def test_canon_graph_tables_match_the_lazy_reference():
         for vx in _canon_graph_space(tree):
             assert graph.out_neighbours(vx) == ref.out_neighbours(vx), (tree.parent, vx)
             assert graph.in_degree(vx) == ref.in_degree(vx), (tree.parent, vx)
-            assert graph.label_min(vx) == ref.label_min(vx), (tree.parent, vx)
+            assert graph.label_bounds(vx) == ref.label_bounds(vx), (tree.parent, vx)
             for m in range(tree.n + 2):
                 assert graph.label_contains(vx, m) == ref.label_contains(vx, m), (
                     tree.parent, vx, m)
@@ -227,22 +285,25 @@ def test_canon_graph_tables_match_the_lazy_reference():
 
 def test_canon_graph_memo_matches_the_lazy_reference():
     # the reference graph, asked the queries tree_canon asks (for each b,
-    # a = b - 1, b - 2, ... up to the first accepted one), memoizes the
+    # a = b - 1, parent[a], ... up to the first accepted one), memoizes the
     # same verdicts for the same tuples
     for tree in all_trees(7):
         tree_canon(tree)
         ref = ReferenceCanonGraph(tree)
+        parent = [None, None]
         for b in range(2, tree.n + 1):
-            for a in range(b - 1, 0, -1):
-                if x_membership(ref, (tree.root, a, b), tree.n):
-                    break
+            a = b - 1
+            while not x_membership(ref, (tree.root, a, b), tree.n):
+                a = parent[a]
+            parent.append(a)
         assert tree.canon_graph().memo == ref.memo, tree.parent
 
 
 @pytest.mark.parametrize("parents, counts", [
-    (None, (27, 146, 3_504)),
+    (None, (27, 146, 2_353)),
     ([None] + list(range(39)), (0, 0, 819)),
-    ([None] + [0] * 29, (28, 28, 1_276)),
+    ([None] + [0] * 29, (28, 28, 898)),
+    ([None] + [(v - 1) // 2 for v in range(1, 47)], (1_246, 24, 577)),
 ])
 def test_tree_canon_memo_sizes_are_pinned(parents, counts):
     # exact work counts that do not move with machine load: a change to
@@ -405,7 +466,7 @@ def _flip_canon_verdict(tree, a, b):
 
 @pytest.mark.parametrize("flip, message", [
     ((1, 3), "gives vertex 3 no parent"),  # (2, 3) and (1, 3) both rejected
-    ((2, 4), "not numbered in preorder"),  # 4 under 2, then 3 under 1
+    ((1, 4), "gives vertex 4 no parent"),  # (3, 4), then (1, 4): 2 is off the path
     ((2, 3), "not isomorphic"),  # 3 under 2: a preorder copy, not a star
 ])
 def test_tree_canon_rejects_a_corrupted_copy(flip, message):
@@ -414,6 +475,29 @@ def test_tree_canon_rejects_a_corrupted_copy(flip, message):
     _flip_canon_verdict(star, *flip)
     with pytest.raises(LimrecError, match=message):
         tree_canon(star)
+
+
+def test_canonical_copy_check_rejects_a_numbering_out_of_preorder():
+    # the walk up the rightmost path only builds copies in preorder, so
+    # the check is called on 1 -> 2 -> 4, 1 -> 3 directly
+    with pytest.raises(LimrecError, match="not numbered in preorder"):
+        _check_canonical_copy(DirectedTree([None, 0, 0, 0]), [None, None, 1, 1, 2])
+
+
+def test_tree_canon_asks_at_most_2n_minus_3_edge_queries(monkeypatch):
+    # each rejected a leaves the copy's rightmost path for good
+    queries = []
+
+    def counting(graph, vertex, resource):
+        if isinstance(graph, _CanonGraph):
+            queries.append(vertex)
+        return x_membership(graph, vertex, resource)
+
+    monkeypatch.setattr(treelogic, "x_membership", counting)
+    for tree in [*all_trees(9), *_bench_trees()]:
+        queries.clear()
+        tree_canon(tree)
+        assert len(queries) <= max(0, 2 * tree.n - 3), tree.parent
 
 
 def test_tree_canon_structure_roundtrip():
