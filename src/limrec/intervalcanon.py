@@ -224,7 +224,9 @@ def clique_preorder(G: Graph, M) -> CliquePreorder:
                 pairs.add((e, d2))
                 work.append((e, d2))
                 symmetric |= (d2, e) in pairs
-    asymmetric = not any((j, i) in pairs for (i, j) in pairs)
+    # no rescan: a symmetric pair is flagged when its second member is
+    # added, and the seeds (start, j) hold no reverse of one another
+    asymmetric = not symmetric
     classes = _ranked_classes(cliques, pairs) if asymmetric else []
     return CliquePreorder(cliques, start, pairs, asymmetric, classes)
 

@@ -14,6 +14,7 @@ import re
 import threading
 import weakref
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import repeat
 
 from .errors import FormulaError, ParseError
@@ -362,21 +363,25 @@ def expand_dtc(f: Formula) -> Formula:
     [dtc u,v psi](s,t) becomes  exists r [lrec v,u,p : phiE ; phiC](t, r)
     with phiE(v,u) keeping only reversed deterministic edges of psi and
     phiC(v,p) = (v=s or (not v=s and not p=0)).  Fresh p,r have length
-    |u|; introduced implications are spelled with not/or.
+    |u|; introduced implications are spelled with not/or.  phiC binds v,
+    so a v that shares a variable with s is renamed first.
     """
     fresh = _Fresh(f)
 
     def walk(g: Formula, _binders=()) -> Formula:
         if isinstance(g, Dtc):
-            psi = walk(g.sub)
-            vprime = fresh.tuple_like(g.v, "_w")
+            psi, v = walk(g.sub), g.v
+            if not set(v).isdisjoint(g.s):
+                v = fresh.tuple_like(g.v, "_v")
+                psi = substitute(psi, dict(zip(g.v, v)))
+            vprime = fresh.tuple_like(v, "_w")
             p = tuple(fresh.var(NUMBER, "_p") for _ in g.u)
             r = tuple(fresh.var(NUMBER, "_r") for _ in g.u)
-            psi_prime = substitute(psi, dict(zip(g.v, vprime)))
-            phi_edge = And((psi, _forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, g.v))))))
+            psi_prime = substitute(psi, dict(zip(v, vprime)))
+            phi_edge = And((psi, _forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, v))))))
             p_zero = and_all(is_zero(pi, fresh) for pi in p)
-            phi_label = Or((eq_tuple(g.v, g.s), And((Not(eq_tuple(g.v, g.s)), Not(p_zero)))))
-            node = Lrec(g.v, g.u, p, phi_edge, phi_label, g.t, r)
+            phi_label = Or((eq_tuple(v, g.s), And((Not(eq_tuple(v, g.s)), Not(p_zero)))))
+            node = Lrec(v, g.u, p, phi_edge, phi_label, g.t, r)
             out: Formula = node
             for ri in reversed(r):
                 out = Exists(ri, out)
@@ -397,7 +402,18 @@ def _forall_all(vars_, body):
 # Concrete syntax
 
 
-_KEYWORDS = {"not", "and", "or", "exists", "forall", "count", "lrec", "lreceq", "dtc"}
+def _bracket(cls):
+    """(cls, binder fields, formula fields, argument fields) of a bracket
+    operator: its text is `[kw binder-tuples : formulas](argument-tuples)`,
+    with the subformulas' binder fields in order of first use and the
+    node's own variable fields as arguments."""
+    own, subs = _BINDERS[cls]
+    binders = tuple(dict.fromkeys(b for _, fields in subs for b in fields))
+    return cls, binders, tuple(name for name, _ in subs), own
+
+
+_BRACKETS = {cls.__name__.lower(): _bracket(cls) for cls in (Lrec, LrecEq, Dtc)}
+_KEYWORDS = {"not", "and", "or", "exists", "forall", "count", *_BRACKETS}
 # one alternative per lexeme class, tried in order: a newline, a run of other
 # whitespace, a symbol (longest first), a run of word characters (`\w` is
 # exactly str.isalnum() or "_", `\s` exactly str.isspace()), anything else
@@ -443,24 +459,19 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-class _Lit:
-    """Placeholder for a numeric literal inside an atomic formula; removed
-    before the parser returns."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
 class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.fresh_counter = 0
+        # a literal's name avoids every identifier of the text
+        self.fresh = _Fresh()
+        self.fresh.used.update(tok.text for tok in self.toks if tok.kind == "ident")
+        # (variable, forcing formulas) of each literal read in the open atoms
+        self.forcings = []
 
-    def peek(self, ahead=0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Token:
+        # `next` never moves past the closing eof token
+        return self.toks[self.pos]
 
     def next(self) -> _Token:
         tok = self.toks[self.pos]
@@ -478,6 +489,22 @@ class _Parser:
         tok = self.peek()
         raise ParseError(msg, tok.line, tok.col)
 
+    def parse_list(self, item, sep, count=None) -> list:
+        """item {sep item}; exactly `count` items when it is given."""
+        items = [item()]
+        while len(items) != count and (count or self.peek().kind == sep):
+            self.expect(sep)
+            items.append(item())
+        return items
+
+    def parse_tuple(self, item) -> tuple:
+        if self.peek().kind == "(":
+            self.next()
+            items = self.parse_list(item, ",")
+            self.expect(")")
+            return tuple(items)
+        return (item(),)
+
     # precedence: <-> < -> < or < and < not/quantifier < atom
     def parse_formula(self) -> Formula:
         left = self.parse_imp()
@@ -488,26 +515,16 @@ class _Parser:
         return left
 
     def parse_imp(self) -> Formula:
-        left = self.parse_or()
+        # an or-list of and-lists, the inner list read through a partial:
+        # it costs no Python frame, and the frames per nesting level bound
+        # the depth of parentheses that parses
+        disjuncts = self.parse_list(partial(self.parse_list, self.parse_prefix, "and"), "or")
+        left = _junction(Or, [_junction(And, parts) for parts in disjuncts])
         if self.peek().kind == "->":
             self.next()
             right = self.parse_imp()
             return Or((Not(left), right))
         return left
-
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.peek().kind == "or":
-            self.next()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_prefix()]
-        while self.peek().kind == "and":
-            self.next()
-            parts.append(self.parse_prefix())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_prefix(self) -> Formula:
         tok = self.peek()
@@ -532,33 +549,23 @@ class _Parser:
             return Var(tok.text, STRUCT)
         self.error(f"expected a variable, found {tok.text!r}")
 
-    def parse_term(self):
+    def parse_term(self) -> Var:
+        """A variable, or a literal read as a fresh number variable whose
+        forcing formulas wait for the enclosing atom to close."""
         tok = self.peek()
-        if tok.kind == "numlit":
-            self.next()
-            if tok.text not in ("0", "1"):
-                raise ParseError("only the constants 0 and 1 are allowed", tok.line, tok.col)
-            return _Lit(int(tok.text))
-        return self.parse_var()
-
-    def parse_term_tuple(self) -> tuple:
-        if self.peek().kind == "(":
-            self.next()
-            items = [self.parse_term()]
-            while self.peek().kind == ",":
-                self.next()
-                items.append(self.parse_term())
-            self.expect(")")
-            return tuple(items)
-        return (self.parse_term(),)
-
-    def parse_var_tuple(self) -> tuple[Var, ...]:
-        tok = self.peek()
-        tup = self.parse_term_tuple()
-        for item in tup:
-            if isinstance(item, _Lit):
-                raise ParseError("constants are not allowed in binder tuples", tok.line, tok.col)
-        return tup
+        if tok.kind != "numlit":
+            return self.parse_var()
+        self.next()
+        if tok.text not in ("0", "1"):
+            raise ParseError("only the constants 0 and 1 are allowed", tok.line, tok.col)
+        z, q = self.fresh.var(NUMBER, "_c"), self.fresh.var(NUMBER, "_c")
+        force = (Forall(q, LeqNum(z, q)),)
+        if tok.text == "1":
+            q2 = self.fresh.var(NUMBER, "_c")
+            # z is the least non-zero number, i.e. 1
+            force = (Not(force[0]), Forall(q, Or((Forall(q2, LeqNum(q, q2)), LeqNum(z, q)))))
+        self.forcings.append((z, force))
+        return z
 
     def parse_atom(self) -> Formula:
         tok = self.peek()
@@ -567,122 +574,66 @@ class _Parser:
             f = self.parse_formula()
             self.expect(")")
             return f
+        if tok.kind == "ident" and self.toks[self.pos + 1].kind == "(":
+            rel = self.next().text
+            self.expect("(")
+            args = self.parse_list(self.parse_var, ",")
+            self.expect(")")
+            return Atom(rel, tuple(args))
+        mark = len(self.forcings)
         if tok.kind == "[":
-            return self.parse_bracket()
-        if tok.kind == "count":
+            out = self.parse_bracket()
+        elif tok.kind == "count":
             self.next()
             self.expect("(")
-            uvars = [self.parse_var()]
-            while self.peek().kind == ",":
-                self.next()
-                uvars.append(self.parse_var())
+            uvars = self.parse_list(self.parse_var, ",")
             self.expect(";")
             sub = self.parse_formula()
             self.expect(")")
             self.expect("=")
-            ptup = self.parse_term_tuple()
-            return self.finish_atom(
-                lambda terms: Count(tuple(uvars), sub, terms[0]), [ptup], tok, number_only=True
-            )
-        if tok.kind == "ident" and self.peek(1).kind == "(":
-            rel = self.next().text
-            self.expect("(")
-            args = [self.parse_var()]
-            while self.peek().kind == ",":
-                self.next()
-                args.append(self.parse_var())
-            self.expect(")")
-            return Atom(rel, tuple(args))
-        # comparison between terms
-        left = self.parse_term()
-        op = self.next()
-        if op.kind not in ("=", "<="):
-            raise ParseError(f"expected '=' or '<=', found {op.text!r}", op.line, op.col)
-        right = self.parse_term()
-
-        def build(terms):
-            (lhs,), (rhs,) = terms
-            if op.kind == "<=":
-                return LeqNum(lhs, rhs)
-            return EqVar(lhs, rhs)
-
-        number_only = op.kind == "<=" or any(
-            isinstance(t, _Lit) or t.sort == NUMBER for t in (left, right)
-        )
-        return self.finish_atom(build, [(left,), (right,)], tok, number_only=number_only)
+            pvars = self.parse_tuple(self.parse_term)
+            _require_numbers(pvars, tok)
+            out = Count(tuple(uvars), sub, pvars)
+        else:
+            # comparison between terms
+            left = self.parse_term()
+            op = self.next()
+            if op.kind not in ("=", "<="):
+                raise ParseError(f"expected '=' or '<=', found {op.text!r}", op.line, op.col)
+            right = self.parse_term()
+            if op.kind == "<=" or NUMBER in (left.sort, right.sort):
+                _require_numbers((left, right), tok)
+            out = LeqNum(left, right) if op.kind == "<=" else EqVar(left, right)
+        # the atom closes: wrap it in the forcing existentials of its literals
+        for z, force in reversed(self.forcings[mark:]):
+            out = Exists(z, And((*force, out)))
+        del self.forcings[mark:]
+        return out
 
     def parse_bracket(self) -> Formula:
-        open_tok = self.expect("[")
-        kind = self.next()
-        if kind.kind not in ("lrec", "lreceq", "dtc"):
-            raise ParseError(f"expected lrec, lreceq or dtc, found {kind.text!r}", kind.line, kind.col)
-        u = self.parse_var_tuple()
-        self.expect(",")
-        v = self.parse_var_tuple()
-        p = None
-        if kind.kind in ("lrec", "lreceq"):
-            self.expect(",")
-            p = self.parse_var_tuple()
+        self.expect("[")
+        kw = self.next()
+        if kw.kind not in _BRACKETS:
+            raise ParseError(f"expected lrec, lreceq or dtc, found {kw.text!r}", kw.line, kw.col)
+        cls, binders, formulas, args = _BRACKETS[kw.kind]
+        fields = self.parse_list(partial(self.parse_tuple, self.parse_var), ",", len(binders))
         self.expect(":")
-        first = self.parse_formula()
-        second = third = None
-        if kind.kind in ("lrec", "lreceq"):
-            self.expect(";")
-            second = self.parse_formula()
-        if kind.kind == "lreceq":
-            self.expect(";")
-            third = self.parse_formula()
+        fields += self.parse_list(self.parse_formula, ";", len(formulas))
         self.expect("]")
         self.expect("(")
-        wtup = self.parse_term_tuple()
-        self.expect(",")
-        rtup = self.parse_term_tuple()
+        fields += self.parse_list(partial(self.parse_tuple, self.parse_term), ",", len(args))
         self.expect(")")
+        return cls(**dict(zip(binders + formulas + args, fields)))
 
-        if kind.kind == "lrec":
-            build = lambda terms: Lrec(u, v, p, first, second, terms[0], terms[1])
-        elif kind.kind == "lreceq":
-            build = lambda terms: LrecEq(u, v, p, first, second, third, terms[0], terms[1])
-        else:
-            build = lambda terms: Dtc(u, v, first, terms[0], terms[1])
-        return self.finish_atom(build, [wtup, rtup], open_tok, number_only=None)
 
-    def finish_atom(self, build, term_tuples, tok, number_only):
-        """Replace literal terms with fresh forced number variables and wrap
-        the built atom in the forcing existentials."""
-        forcings = []
-        clean = []
-        for tup in term_tuples:
-            row = []
-            for term in tup:
-                if isinstance(term, _Lit):
-                    z = Var(f"_c{self.fresh_counter}", NUMBER)
-                    self.fresh_counter += 1
-                    q = Var(f"_c{self.fresh_counter}", NUMBER)
-                    self.fresh_counter += 1
-                    if term.value == 0:
-                        force = (Forall(q, LeqNum(z, q)),)
-                    else:
-                        q2 = Var(f"_c{self.fresh_counter}", NUMBER)
-                        self.fresh_counter += 1
-                        # z is the least non-zero number, i.e. 1
-                        force = (
-                            Not(Forall(q, LeqNum(z, q))),
-                            Forall(q, Or((Forall(q2, LeqNum(q, q2)), LeqNum(z, q)))),
-                        )
-                    forcings.append((z, force))
-                    row.append(z)
-                else:
-                    if number_only and term.sort != NUMBER:
-                        raise ParseError(
-                            f"expected a number variable, found {term!r}", tok.line, tok.col
-                        )
-                    row.append(term)
-            clean.append(tuple(row))
-        out = build(clean)
-        for z, force in reversed(forcings):
-            out = Exists(z, And((*force, out)))
-        return out
+def _junction(kind, parts):
+    return parts[0] if len(parts) == 1 else kind(tuple(parts))
+
+
+def _require_numbers(terms, tok):
+    for term in terms:
+        if term.sort != NUMBER:
+            raise ParseError(f"expected a number variable, found {term!r}", tok.line, tok.col)
 
 
 def parse_formula(text: str) -> Formula:
@@ -728,24 +679,13 @@ def pretty(f: Formula) -> str:
             "count(" + ", ".join(repr(v) for v in f.uvars) + " ; " + body + ") = "
             + _tuple_str(f.pvars)
         )
-    if isinstance(f, Lrec):
+    kw = type(f).__name__.lower()
+    if kw in _BRACKETS:
+        _, binders, formulas, args = _BRACKETS[kw]
         return (
-            "[lrec " + ", ".join(_tuple_str(t) for t in (f.u, f.v, f.p))
-            + " : " + pretty(f.phi_edge) + " ; " + pretty(f.phi_label)
-            + "](" + _tuple_str(f.w) + ", " + _tuple_str(f.r) + ")"
-        )
-    if isinstance(f, LrecEq):
-        return (
-            "[lreceq " + ", ".join(_tuple_str(t) for t in (f.u, f.v, f.p))
-            + " : " + pretty(f.phi_eq) + " ; " + pretty(f.phi_edge)
-            + " ; " + pretty(f.phi_label)
-            + "](" + _tuple_str(f.w) + ", " + _tuple_str(f.r) + ")"
-        )
-    if isinstance(f, Dtc):
-        return (
-            "[dtc " + ", ".join(_tuple_str(t) for t in (f.u, f.v))
-            + " : " + pretty(f.sub)
-            + "](" + _tuple_str(f.s) + ", " + _tuple_str(f.t) + ")"
+            f"[{kw} " + ", ".join(_tuple_str(getattr(f, b)) for b in binders)
+            + " : " + " ; ".join(pretty(getattr(f, name)) for name in formulas)
+            + "](" + ", ".join(_tuple_str(getattr(f, a)) for a in args) + ")"
         )
     if isinstance(f, Not):
         return "not " + _pretty_tight(f.sub)

@@ -764,15 +764,19 @@ def reference_expand_dtc(f):
                 g.u, g.v, g.p, walk(g.phi_eq), walk(g.phi_edge), walk(g.phi_label), g.w, g.r
             )
         if isinstance(g, Dtc):
-            psi = walk(g.sub)
-            vprime = tuple(fresh.var(v.sort, "_w") for v in g.v)
+            psi, v = walk(g.sub), g.v
+            # the label formula binds v, so a v meeting s is renamed
+            if set(v) & set(g.s):
+                v = tuple(fresh.var(x.sort, "_v") for x in g.v)
+                psi = reference_substitute(psi, dict(zip(g.v, v)))
+            vprime = tuple(fresh.var(x.sort, "_w") for x in v)
             p = tuple(fresh.var(NUMBER, "_p") for _ in g.u)
             r = tuple(fresh.var(NUMBER, "_r") for _ in g.u)
-            psi_prime = reference_substitute(psi, dict(zip(g.v, vprime)))
-            phi_edge = And((psi, forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, g.v))))))
+            psi_prime = reference_substitute(psi, dict(zip(v, vprime)))
+            phi_edge = And((psi, forall_all(vprime, Or((Not(psi_prime), eq_tuple(vprime, v))))))
             p_zero = and_all(is_zero(pi, fresh) for pi in p)
-            phi_label = Or((eq_tuple(g.v, g.s), And((Not(eq_tuple(g.v, g.s)), Not(p_zero)))))
-            out = Lrec(g.v, g.u, p, phi_edge, phi_label, g.t, r)
+            phi_label = Or((eq_tuple(v, g.s), And((Not(eq_tuple(v, g.s)), Not(p_zero)))))
+            out = Lrec(v, g.u, p, phi_edge, phi_label, g.t, r)
             for ri in reversed(r):
                 out = Exists(ri, out)
             return out

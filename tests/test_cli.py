@@ -71,6 +71,17 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_a_literal_does_not_capture_a_variable_of_the_formula(capsys, tmp_path):
+    # the literal's own fresh variable avoids the name _c0
+    struct = tmp_path / "s.struct"
+    struct.write_text("vocab E/2\nuniverse 2\n")
+    formula = tmp_path / "f.formula"
+    formula.write_text("#_c0 = 0\n")
+    for value, code in (("2", 1), ("0", 0)):
+        got = run(capsys, "eval", str(struct), str(formula), "--bind", f"_c0={value}")
+        assert got == (code, ["true\n", "false\n"][code], "")
+
+
 def test_canon_tree_path(capsys, tmp_path):
     f = tmp_path / "tree.txt"
     f.write_text("parents -1 0 1\n")

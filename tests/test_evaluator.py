@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -842,7 +843,7 @@ def test_every_library_name_is_called_documented_or_traced():
 # metrics read 0; mending one of those metrics takes its name off this set
 ORPHANED_TRACER_HOOKS = {
     "EvalContext.quotient_graph", "QuotientGraph", "possible_ends", "coloured_compare",
-    "decomposition_components",
+    "decomposition_components", "unravel",
 }
 
 
@@ -866,6 +867,22 @@ def test_tracer_hooks_name_library_code():
             missing.add(f"{cls_name}.{attr}")
     functions = [("intervalcanon", f) for f in tracing.INTERVAL_PHASES]
     functions += [("treelogic", f) for f in tracing.TREE_FUNCTIONS]
+    # the span names Tracer._hooks compares against: its string constants
+    # naming a module's function or method, and one per vertex-set key
+    hooks = ast.parse(textwrap.dedent(inspect.getsource(tracing.Tracer._hooks)))
+    hooked = {
+        node.value for node in ast.walk(hooks)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.fullmatch(r"\w+(\.\w+)+", node.value) and node.value.split(".")[0] in modules
+    }
+    hooked |= {f"intervalcanon.{key}" for key in tracing.Tracer(None).vertex_sets}
+    assert len(hooked) == 5
+    for name in hooked:
+        m, *attrs = name.split(".")
+        if len(attrs) == 1:
+            functions.append((m, attrs[0]))
+        else:
+            methods += ((m, *attrs),)
     for m, name in functions:
         fn = vars(modules[m]).get(name)
         if not (inspect.isfunction(fn) and fn.__module__ == modules[m].__name__):

@@ -1,10 +1,14 @@
 import copy
 import gc
+import itertools
+import json
 import pickle
+import re
 import sys
 import threading
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 
 from limrec import syntax
 from limrec.errors import FormulaError, ParseError
+from limrec.evaluator import evaluate
+from limrec.structures import GRAPH_VOCAB, Structure
 from limrec.syntax import (
     And, Atom, Count, Dtc, EqVar, Exists, Forall, LeqNum, Lrec, LrecEq, Not,
     NUMBER, STRUCT, Or, Var, _all_names, _contains_dtc, _tokenize, expand_dtc,
@@ -192,6 +198,62 @@ def test_literal_desugaring():
     assert free_variables(g) == {nvar("p")}
 
 
+# A literal next to an identifier spelled like a literal's name: each text
+# means what its twin with `_c<k>` renamed to the k-th letter means.
+CAPTURE_CASES = [
+    "#_c0 = 0",
+    "#_c1 = 1",
+    "[lrec x, y, #_c0 : E(x, y) ; #_c0 = 1](z, #r)",
+    "[lrec x, y, #p : E(x, y) ; #p <= #_c0](z, (#_c1, 1))",
+    "[dtc (x, #_c0), (y, #_c1) : E(x, y) and #_c0 <= #_c1]((s, 0), (t, #_c2))",
+    "count(x ; E(x, _c0)) = (#_c1, 1)",
+    "count(x ; E(x, x)) = (0, #_c0) and #_c2 = 1",
+]
+
+
+def _twin_name(name):
+    return re.sub(r"^_c(\d+)$", lambda m: "abc"[int(m[1])], name)
+
+
+@pytest.mark.parametrize("text", CAPTURE_CASES)
+def test_literals_capture_no_variable_of_the_text(text):
+    f = parse_formula(text)
+    twin = parse_formula(re.sub(r"_c(\d+)", lambda m: _twin_name(m[0]), text))
+    _assert_means_like(f, twin, {v: Var(_twin_name(v.name), v.sort) for v in free_variables(f)})
+
+
+def test_dtc_rewrite_renames_a_binder_that_meets_the_source():
+    # the rewrite's label formula binds v, which here is also the source s
+    f = parse_formula("[dtc x, y : E(x, x)](y, x)")
+    assert free_variables(expand_dtc(f)) == free_variables(f) == {svar("x"), svar("y")}
+    twin = parse_formula("[dtc x, v : E(x, x)](y, x)")
+    _assert_means_like(f, twin, {v: v for v in free_variables(f)})
+
+
+def _assert_means_like(f, twin, rename):
+    """f under each assignment is twin under the renamed one, on every
+    graph of at most 2 elements; `rename` maps f's free variables onto
+    twin's."""
+    assert set(rename.values()) == free_variables(twin)
+    free = sorted(rename, key=repr)
+    for n in (1, 2):
+        pairs = list(itertools.product(range(n), repeat=2))
+        for bits in range(2 ** len(pairs)):
+            edges = {pair for i, pair in enumerate(pairs) if bits >> i & 1}
+            structure = Structure(GRAPH_VOCAB, n, {"E": edges})
+            domains = [range(n if v.sort == STRUCT else n + 1) for v in free]
+            for row in itertools.product(*domains):
+                alpha = dict(zip(free, row))
+                want = evaluate(structure, {rename[v]: a for v, a in alpha.items()}, twin)
+                assert evaluate(structure, alpha, f, "both") == want, (n, edges, alpha)
+
+
+def test_a_literal_in_a_binder_tuple_is_not_a_variable():
+    for text in ("[lrec x, 0, #p : E(x, y) ; #p = #p](z, #r)", "E(x, 0)"):
+        with pytest.raises(ParseError, match="expected a variable, found '0'"):
+            parse_formula(text)
+
+
 def test_implication_desugar():
     f = parse_formula("P(x) -> Q(x)")
     assert f == Or((Not(Atom("P", (svar("x"),))), Atom("Q", (svar("x"),))))
@@ -217,6 +279,19 @@ def test_pretty_roundtrip_examples():
         assert parse_formula(pretty(f)) == f
 
 
+# (repr of the AST, pretty text) of the bench formulas, the README
+# examples, the round-trip examples above and texts with two literals in
+# one atom, recorded before the bracket syntax was derived from the binder
+# table and literals were named from `_Fresh`
+PINS = json.loads((Path(__file__).parent / "data" / "syntax_pins.json").read_text())
+
+
+@pytest.mark.parametrize("text", sorted(PINS))
+def test_parse_and_pretty_match_the_pins(text):
+    f = parse_formula(text)
+    assert [repr(f), pretty(f)] == PINS[text]
+
+
 def test_and_or_are_flat():
     p, q, r = (Atom(name, (svar("x"),)) for name in "PQR")
     assert parse_formula("P(x) and Q(x) and R(x)") == And((p, q, r))
@@ -234,8 +309,8 @@ def test_and_or_are_flat():
 
 # --- property: parse . pretty is the identity on random ASTs -------------
 
-_svars = st.sampled_from([svar(n) for n in "xyzw"])
-_nvars = st.sampled_from([nvar(n) for n in "pqrs"])
+_POOLS = {STRUCT: [svar(n) for n in "xyzw"], NUMBER: [nvar(n) for n in "pqrs"]}
+_svars, _nvars = st.sampled_from(_POOLS[STRUCT]), st.sampled_from(_POOLS[NUMBER])
 
 
 def _part_tuples(children, kind):
@@ -244,6 +319,39 @@ def _part_tuples(children, kind):
     own_kind = st.builds(kind, st.lists(children, min_size=2, max_size=3).map(tuple))
     part = st.one_of(children, own_kind)
     return st.lists(part, min_size=2, max_size=4).map(tuple)
+
+
+@st.composite
+def _distinct(draw, sorts, avoid=()):
+    """A tuple of distinct variables of the given sorts, none in `avoid`."""
+    out = ()
+    for sort in sorts:
+        out += (draw(st.sampled_from([v for v in _POOLS[sort] if v not in avoid + out])),)
+    return out
+
+
+def _of_sorts(sorts):
+    return st.tuples(*(st.sampled_from(_POOLS[sort]) for sort in sorts))
+
+
+_sorts = st.lists(st.sampled_from((STRUCT, NUMBER)), min_size=1, max_size=2).map(tuple)
+_numbers = st.lists(_nvars, min_size=1, max_size=2).map(tuple)
+
+
+@st.composite
+def _bracket(draw, children):
+    """An lrec, lreceq or dtc node over compatible 1- or 2-tuples: each
+    binder tuple holds distinct variables, and u shares none with v or p."""
+    sorts = draw(_sorts)
+    u = draw(_distinct(sorts))
+    v = draw(_distinct(sorts, avoid=u))
+    w = draw(_of_sorts(sorts))
+    kind = draw(st.sampled_from((Lrec, LrecEq, Dtc)))
+    if kind is Dtc:
+        return Dtc(u, v, draw(children), w, draw(_of_sorts(sorts)))
+    p = draw(_distinct((NUMBER,) * draw(st.integers(1, 2)), avoid=u))
+    subs = [draw(children) for _ in range(3 if kind is LrecEq else 2)]
+    return kind(u, v, p, *subs, w, draw(_numbers))
 
 
 def _formulas():
@@ -262,23 +370,8 @@ def _formulas():
             st.builds(Or, _part_tuples(children, Or)),
             st.builds(Exists, st.one_of(_svars, _nvars), children),
             st.builds(Forall, st.one_of(_svars, _nvars), children),
-            st.builds(
-                lambda u, sub, p: Count((u,), sub, (p,)), _svars, children, _nvars
-            ),
-            st.builds(
-                lambda e, c, w, r: Lrec((svar("x"),), (svar("y"),), (nvar("p"),), e, c, (w,), (r,)),
-                children, children, _svars, _nvars,
-            ),
-            st.builds(
-                lambda q, e, c: LrecEq(
-                    (svar("x"),), (svar("y"),), (nvar("p"),), q, e, c, (svar("z"),), (nvar("r"),)
-                ),
-                children, children, children,
-            ),
-            st.builds(
-                lambda sub: Dtc((svar("x"),), (svar("y"),), sub, (svar("z"),), (svar("w"),)),
-                children,
-            ),
+            st.builds(Count, _sorts.flatmap(_distinct), children, _numbers),
+            _bracket(children),
         )
 
     return st.recursive(atoms, extend, max_leaves=12)
