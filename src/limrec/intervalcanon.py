@@ -1,6 +1,6 @@
 """Interval graph canonisation through modular decomposition.
 
-Pipeline: max cliques from closed-neighbourhood pairs, the seeded
+Pipeline: max cliques from one maximum cardinality search, the seeded
 reachability order on cliques, possible ends, the double collapse onto
 the module-free quotient L with its two clique orders, the coloured
 modular decomposition tree, and finally a canonical copy assembled
@@ -8,27 +8,32 @@ bottom-up over that tree.
 
 A collapse names every vertex of its quotient by its flat class, the
 frozenset of base vertices it stands for, singletons included; so the
-second collapse's own graph is L.  The classes of a clique order come
-from one ranking: each clique's rank is its number of predecessors.
+second collapse's own graph is L.  The quotient is built from the images
+of the max cliques, never from the edges.  A clique order is held as one
+predecessor bitmask per clique, and its classes come from one ranking:
+each clique's rank is its number of predecessors.
 
 `module_walk` finds the components of the graph and, recursively, of
 each module's subgraph, once per graph on an explicit stack; the model,
 the tree and the canonical copy are all built from it without recursion,
 so no input costs a Python frame per level of module nesting.
 
-Recognition is exact: the pipeline orders each component's cliques and
-the resulting interval model is verified against the input graph, so
-non-interval inputs are always rejected with a certificate (either a
-clique with no possible end or the failing model comparison).
+Recognition is exact: a graph that is not chordal is rejected by the
+clique search with a chordless cycle of length at least four; otherwise
+the pipeline orders each component's cliques and the resulting interval
+model is verified against the input graph, so every other non-interval
+input is rejected with a certificate (a clique with no possible end, an
+order that is not a strict weak order, a partition check, or the failing
+model comparison).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, RecognitionError
+from .errors import DomainError, LimrecError, RecognitionError
 from .structures import Structure
 from .treelogic import DirectedTree, coloured_keys
 
@@ -43,6 +48,14 @@ def _vkey(v):
 
 def _ckey(clique):
     return tuple(sorted(map(_vkey, clique)))
+
+
+def _bits(x):
+    """The positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 class Graph:
@@ -61,6 +74,15 @@ class Graph:
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
 
+    @classmethod
+    def _from_adj(cls, adj) -> "Graph":
+        """The graph of a symmetric adjacency map, vertex -> frozenset of
+        neighbours, taken as it is."""
+        graph = cls.__new__(cls)
+        graph.vertices = tuple(sorted(adj, key=_vkey))
+        graph.adj = adj
+        return graph
+
     @cached_property
     def cliques(self):
         """max_cliques(self), computed once."""
@@ -72,14 +94,22 @@ class Graph:
         return span_map(self)
 
     @cached_property
-    def overlaps(self):
-        """For each max clique, the ascending indices of the max cliques
-        that meet it (itself included), computed once from `cliques`."""
-        holders = {}
+    def holders(self):
+        """Each vertex's clique bitmask: bit i is set when the vertex lies
+        in cliques[i].  Computed once from `cliques`."""
+        holders = dict.fromkeys(self.vertices, 0)
         for i, c in enumerate(self.cliques):
+            bit = 1 << i
             for v in c:
-                holders.setdefault(v, []).append(i)
-        return [sorted({j for v in c for j in holders[v]}) for c in self.cliques]
+                holders[v] |= bit
+        return holders
+
+    @cached_property
+    def members(self):
+        """Each max clique's vertex bitmask: bit k is set when vertices[k]
+        lies in the clique.  Computed once from `cliques`."""
+        position = {v: k for k, v in enumerate(self.vertices)}
+        return [sum(1 << position[v] for v in c) for c in self.cliques]
 
     @cached_property
     def partition(self) -> "ModularPartition":
@@ -110,7 +140,7 @@ class Graph:
     def subgraph(self, keep) -> "Graph":
         """The subgraph induced by `keep`, a subset of the vertices."""
         keep = frozenset(keep)
-        return Graph(keep, ((a, b) for a in keep for b in self.adj[a] if b in keep))
+        return Graph._from_adj({a: self.adj[a] & keep for a in keep})
 
     def components(self):
         """Vertex sets of the connected components, in `_ckey` order: each
@@ -136,121 +166,201 @@ class Graph:
         """Vertices adjacent to every other vertex."""
         return frozenset(v for v in self.vertices if len(self.adj[v]) == self.n - 1)
 
-    def is_clique_set(self, vs):
-        """Whether each vertex of vs is adjacent to all the others: no
-        vertex is its own neighbour, so vs - adj[a] is {a} exactly then."""
-        vs = frozenset(vs)
-        return all(vs - self.adj[a] == {a} for a in vs)
-
 
 def max_cliques(G: Graph):
-    """All max cliques, via closed-neighbourhood intersections of adjacent
-    pairs and of each vertex with itself.  Exact for interval graphs, where
-    every max clique holds such a witness pair; the final model verification
-    rejects anything this might miss on other inputs."""
-    closed = {v: G.adj[v] | {v} for v in G.vertices}
-    candidates = set()
-    later = set(G.vertices)
-    for u in G.vertices:
-        later.remove(u)
-        candidates.add(closed[u])
-        candidates.update(closed[u] & closed[v] for v in G.adj[u] & later)
-    # a candidate below another candidate lies below a kept one, so the
-    # largest are kept first and each candidate is tested only against them
-    keep = []
-    for c in sorted(filter(G.is_clique_set, candidates), key=len, reverse=True):
-        if not any(c < k for k in keep):
-            keep.append(c)
-    return sorted(keep, key=_ckey)
+    """All max cliques, from one maximum cardinality search (Tarjan and
+    Yannakakis): each step visits an unvisited vertex with the most
+    visited neighbours.  A vertex whose count is at most the previous
+    vertex's starts a new clique, itself and its visited neighbours; any
+    other vertex joins the current clique (Blair and Peyton).
+
+    The same pass checks that the reverse visit order eliminates
+    perfectly: a vertex's visited neighbours, except the last one
+    visited, must all be neighbours of that last one.  A graph that fails
+    is not chordal, so not an interval graph, and is rejected with a
+    chordless cycle of length at least four."""
+    adj = G.adj
+    count = dict.fromkeys(G.vertices, 0)   # unvisited vertex -> visited neighbours
+    buckets = [dict.fromkeys(G.vertices)]  # count -> its vertices, in arrival order
+    earlier = {v: [] for v in G.vertices}  # visited neighbours, in visit order
+    top = 0
+    previous = 0
+    cliques = []
+    for _ in G.vertices:
+        while not buckets[top]:
+            top -= 1
+        v = next(iter(buckets[top]))
+        del buckets[top][v], count[v]
+        seen = earlier.pop(v)
+        if seen and not adj[seen[-1]].issuperset(seen[:-1]):
+            cycle = _chordless_cycle(G, v, seen, count)
+            raise RecognitionError("not chordal: not an interval graph", certificate=cycle)
+        if len(seen) <= previous:
+            cliques.append(seen + [v])
+        else:
+            cliques[-1].append(v)
+        previous = len(seen)
+        for w in adj[v]:
+            k = count.get(w)
+            if k is None:
+                continue
+            del buckets[k][w]
+            count[w] = k + 1
+            if k + 1 == len(buckets):
+                buckets.append({})
+            buckets[k + 1][w] = None
+            earlier[w].append(v)
+        top = min(top + 1, len(buckets) - 1)
+    return sorted(map(frozenset, cliques), key=_ckey)
+
+
+def _chordless_cycle(G: Graph, v, seen, unvisited):
+    """The certificate of a failed elimination check at v, whose visited
+    neighbours, in visit order, are `seen`: with p the last of them and u
+    the first that is not adjacent to p, a shortest path from u to p
+    through visited vertices outside N(v) - {u, p} closes a chordless
+    cycle through v of length at least four."""
+    p = seen[-1]
+    u = next(x for x in seen if x not in G.adj[p])
+    parent = {u: None}
+    queue = deque([u])
+    while queue and p not in parent:
+        x = queue.popleft()
+        for y in G.adj[x]:
+            if (y not in parent and y != v and y not in unvisited
+                    and (y == p or y not in G.adj[v])):
+                parent[y] = x
+                queue.append(y)
+    if p not in parent:
+        raise LimrecError(f"no chordless cycle through {v!r}, {u!r} and {p!r}")
+    path = [p]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return (v, *reversed(path))
 
 
 def span_map(G: Graph):
-    spans = {v: 0 for v in G.vertices}
-    for c in G.cliques:
-        for v in c:
-            spans[v] += 1
-    return spans
+    """Each vertex's number of max cliques."""
+    return {v: h.bit_count() for v, h in G.holders.items()}
 
 
 @dataclass
 class CliquePreorder:
-    """The seeded clique relation for one start clique: `pairs` holds
-    index pairs (i, j) meaning clique i comes strictly before j.
+    """The seeded clique relation for one start clique: bit i of pred[j]
+    means clique i comes strictly before clique j.
 
-    `pairs` is the complete fixed point only when `asymmetric` is true:
-    the propagation stops at the first pair whose reverse it already
-    holds, since from then on the order can no longer be asymmetric."""
+    The relation is the complete fixed point only when `asymmetric` is
+    true: the propagation stops at the first pair whose reverse it
+    already holds, since from then on the order can no longer be
+    asymmetric."""
 
     cliques: list
     start: int
-    pairs: set
+    pred: list
     asymmetric: bool
     classes: list = field(default_factory=list)  # incomparability classes, ordered
+
+    @property
+    def pairs(self):
+        """The relation as index pairs (i, j), i before j."""
+        return {(i, j) for j, p in enumerate(self.pred) for i in _bits(p)}
 
 
 def clique_preorder(G: Graph, M) -> CliquePreorder:
     """Least fixed point of the seeded order: start clique before all
     others, then propagate through overlap witnesses (reachability in
-    the pair graph)."""
+    the pair graph).
+
+    A popped pair (E, D) puts the cliques meeting E - D before D and the
+    cliques meeting D - E after E, each set found as the OR of its
+    vertices' holder bitmasks, with no disjointness test.  A vertex whose
+    cliques were already put before D (after E) adds nothing, so each
+    clique keeps the vertices read for it, and each vertex is read at
+    most once per clique and rule."""
     cliques = G.cliques
-    overlaps = G.overlaps
     index = {c: i for i, c in enumerate(cliques)}
     if M not in index:
         raise DomainError("start clique is not a max clique")
     m = len(cliques)
     start = index[M]
-    pairs = set()
-    work = []
-    for j in range(m):
-        if j != start:
-            pairs.add((start, j))
-            work.append((start, j))
+    members = G.members
+    pred = [1 << start] * m
+    pred[start] = 0
+    succ = [0] * m
+    succ[start] = ((1 << m) - 1) ^ (1 << start)
+    # the vertices of D and those whose cliques were put before D, and the
+    # vertices of C and those whose cliques were put after C
+    before, after = members[:], members[:]
+    work = [(start, j) for j in range(m) if j != start]
     symmetric = False
     while work and not symmetric:
         e, d = work.pop()
-        e_only, d_only = cliques[e] - cliques[d], cliques[d] - cliques[e]
-        # (E before D) and C meets E - D  =>  C before D.  Only the cliques
-        # meeting E (or D, below) can satisfy a rule, and visiting them in
-        # index order adds pairs in the order of a full scan
-        for c in overlaps[e]:
-            if c != d and (c, d) not in pairs and not e_only.isdisjoint(cliques[c]):
-                pairs.add((c, d))
+        # (E before D) and C meets E - D  =>  C before D
+        fresh = members[e] & ~before[d]
+        if fresh:
+            before[d] |= fresh
+            new = _meeting(G, fresh) & ~pred[d]
+            pred[d] |= new
+            symmetric |= bool(new & succ[d])
+            for c in _bits(new):
+                succ[c] |= 1 << d
                 work.append((c, d))
-                symmetric |= (d, c) in pairs
         # (C before E) and D' meets E - C  =>  C before D'
         # here the popped pair plays the role (C, E) = (e, d)
-        for d2 in overlaps[d]:
-            if d2 != e and (e, d2) not in pairs and not d_only.isdisjoint(cliques[d2]):
-                pairs.add((e, d2))
+        fresh = members[d] & ~after[e]
+        if fresh:
+            after[e] |= fresh
+            new = _meeting(G, fresh) & ~succ[e]
+            succ[e] |= new
+            symmetric |= bool(new & pred[e])
+            for d2 in _bits(new):
+                pred[d2] |= 1 << e
                 work.append((e, d2))
-                symmetric |= (d2, e) in pairs
-    # no rescan: a symmetric pair is flagged when its second member is
-    # added, and the seeds (start, j) hold no reverse of one another
+    # a symmetric pair is flagged when its second member is added, and the
+    # seeds (start, j) hold no reverse of one another
     asymmetric = not symmetric
-    classes = _ranked_classes(cliques, pairs) if asymmetric else []
-    return CliquePreorder(cliques, start, pairs, asymmetric, classes)
+    classes = _ranked_classes(cliques, pred) if asymmetric else []
+    return CliquePreorder(cliques, start, pred, asymmetric, classes)
 
 
-def _ranked_classes(cliques, pairs):
-    """The incomparability classes of the pairs, in order.  Each clique's
-    rank is its number of predecessors, and the pairs are a strict weak
-    order exactly when (i, j) is a pair just when rank[i] < rank[j]; the
-    classes are then the equal-rank groups, members ascending."""
+def _meeting(G: Graph, vbits):
+    """The cliques meeting a vertex set, given as a bitmask over the
+    positions in G.vertices: the OR of its vertices' holder bitmasks."""
+    vertices, holders = G.vertices, G.holders
+    meeting = 0
+    while vbits:
+        low = vbits & -vbits
+        meeting |= holders[vertices[low.bit_length() - 1]]
+        vbits ^= low
+    return meeting
+
+
+def _ranked_classes(cliques, pred):
+    """The incomparability classes of the relation whose predecessor
+    bitmasks are `pred`, in order.  Each clique's rank is its number of
+    predecessors, and the relation is a strict weak order exactly when
+    each clique's predecessors are the cliques of lower rank; the classes
+    are then the equal-rank groups, members ascending."""
     m = len(cliques)
-    rank = [0] * m
-    for _, j in pairs:
-        rank[j] += 1
-    for i in range(m):
-        for j in range(m):
-            if i != j and ((i, j) in pairs) != (rank[i] < rank[j]):
-                raise RecognitionError(
-                    "clique order is not a strict weak order",
-                    certificate=(cliques[i], cliques[j]),
-                )
+    rank = [p.bit_count() for p in pred]
     groups = {}
     for i in range(m):
         groups.setdefault(rank[i], []).append(i)
-    return [groups[r] for r in sorted(groups)]
+    classes = [groups[r] for r in sorted(groups)]
+    lower = 0
+    for group in classes:
+        if any(pred[j] != lower for j in group):
+            break
+        lower |= sum(1 << i for i in group)
+    else:
+        return classes
+    i, j = next(
+        (i, j) for i in range(m) for j in range(m)
+        if i != j and bool(pred[j] >> i & 1) != (rank[i] < rank[j])
+    )
+    raise RecognitionError(
+        "clique order is not a strict weak order", certificate=(cliques[i], cliques[j])
+    )
 
 
 def _possible_ends(G: Graph):
@@ -275,13 +385,27 @@ def _flat(v):
     return v if isinstance(v, frozenset) else frozenset((v,))
 
 
-def _quotient(G: Graph, vertex_class) -> Graph:
-    """G with each vertex replaced by its class; two classes are adjacent
-    when some of their members are."""
-    return Graph(
-        set(vertex_class.values()),
-        ((vertex_class[a], vertex_class[b]) for a in G.vertices for b in G.adj[a]),
-    )
+def _images(cliques, vertex_class):
+    """Each clique as the set of the classes of its vertices."""
+    return [frozenset(map(vertex_class.__getitem__, c)) for c in cliques]
+
+
+def _quotient(images) -> Graph:
+    """A graph with each vertex replaced by its class, from the images of
+    its max cliques: a class's neighbours are the other classes of the
+    images that hold it.  Exact for any graph whose cliques cover its
+    edges, and no edge is read."""
+    meets = {}
+    for i, image in enumerate(images):
+        bit = 1 << i
+        for x in image:
+            meets[x] = meets.get(x, 0) | bit
+    adj = {}
+    for x, meet in meets.items():
+        neighbours = set().union(*(images[i] for i in _bits(meet)))
+        neighbours.discard(x)
+        adj[x] = frozenset(neighbours)
+    return Graph._from_adj(adj)
 
 
 @dataclass
@@ -318,20 +442,20 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
         merged = frozenset().union(*map(_flat, s_set))
         for v in s_set:
             vertex_class[v] = merged
-    quotient = _quotient(G, vertex_class)
+    images = _images(cliques, vertex_class)
     clique_order = []
     clique_position = {}
     for pos, group in enumerate(pre.classes):
-        image = frozenset(vertex_class[v] for v in cliques[group[0]])
+        image = images[group[0]]
         for i in group:
-            img = frozenset(vertex_class[v] for v in cliques[i])
-            if img != image:
+            if images[i] != image:
                 raise RecognitionError(
                     "incomparability class does not collapse to one clique",
                     certificate=(cliques[group[0]], cliques[i]),
                 )
             clique_position[cliques[i]] = pos
         clique_order.append(image)
+    quotient = _quotient(images)
     quotient.cliques = clique_order
     return Collapse(quotient, clique_order, vertex_class, clique_position)
 
@@ -361,7 +485,7 @@ def modular_partition(G: Graph) -> ModularPartition:
     if apices:
         rest = frozenset(G.vertices) - apices
         vertex_class = {v: rest if v in rest else frozenset({v}) for v in G.vertices}
-        quotient = _quotient(G, vertex_class)
+        quotient = _quotient(_images(cliques, vertex_class))
         return ModularPartition(
             [list(cliques)], [rest] if rest else [], vertex_class, quotient,
             [frozenset(quotient.vertices)], {c: 0 for c in cliques},
@@ -734,8 +858,7 @@ def _clique_order(entry: WalkEntry, orders) -> list:
         if len(cell) == 1:
             order.append(cell[0])
             continue
-        # read from the image in L: an apex graph's one cell is empty when
-        # max_cliques found none, and the expansion check below rejects it
+        # the cell's module, read from its image in L
         module = next(cls for cls in image if len(cls) > 1)
         outside = frozenset().union(*image) - module
         for c in cell:

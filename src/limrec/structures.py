@@ -162,7 +162,10 @@ class Structure:
             raise ParseError("missing vocab line")
         if universe is None:
             raise ParseError("missing universe line")
-        element_index = cls(vocab, universe, names=names).element_index
+        structure = cls(vocab, universe, names=names)
+        # token -> element: the names, and every other token once
+        # element_index has read it (or raised the error that says why not)
+        element = dict(structure._index)
         arities = dict(vocab.symbols)
         relations: dict[str, set] = {name: set() for name in arities}
         for lineno, toks in tuple_lines:
@@ -173,10 +176,17 @@ class Structure:
             if len(toks) - 1 != ar:
                 raise ParseError(f"{rel} takes {ar} arguments, got {len(toks) - 1}", lineno, 1)
             try:
-                relations[rel].add(tuple(map(element_index, toks[1:])))
-            except DomainError as exc:
-                raise ParseError(str(exc), lineno, 1) from None
-        return cls(vocab, universe, relations, names=names)
+                t = tuple(map(element.__getitem__, toks[1:]))
+            except KeyError:
+                try:
+                    t = tuple(map(structure.element_index, toks[1:]))
+                except DomainError as exc:
+                    raise ParseError(str(exc), lineno, 1) from None
+                element.update(zip(toks[1:], t))
+            relations[rel].add(t)
+        # every tuple was checked as it was read
+        structure.relations = {name: frozenset(ts) for name, ts in relations.items()}
+        return structure
 
     def serialize(self) -> str:
         lines = ["vocab " + " ".join(f"{n}/{a}" for n, a in self.vocab.symbols)]

@@ -377,23 +377,31 @@ def _degrees(edges, n):
 
 # --- reference copies of the interval pipeline's full-work loops -------------
 #
-# The library intersects closed neighbourhoods only over adjacent pairs,
-# visits only overlapping cliques in the clique preorder and stops it at the
-# first symmetric pair, takes only the first possible end and builds the
-# span filtration in one union-find sweep.  These are the plain loops it
-# replaced: every vertex pair, every clique, the full least fixed point,
-# every possible end, and one induced subgraph per (clique, bound) pair.
+# The library finds max cliques by one maximum cardinality search, runs the
+# clique preorder on bitmasks and stops it at the first symmetric pair, takes
+# only the first possible end and builds each quotient from clique images.
+# These are the plain loops it replaced: every vertex pair, every clique, the
+# full least fixed point, every possible end and every edge.  The span
+# filtration below checks the module walk.
+
+
+def is_clique_set(G, vs):
+    """Whether each vertex of vs is adjacent to all the others: no vertex
+    is its own neighbour, so vs - adj[a] is {a} exactly then."""
+    vs = frozenset(vs)
+    return all(vs - G.adj[a] == {a} for a in vs)
 
 
 def reference_max_cliques(G):
     """Closed-neighbourhood intersections of every vertex pair, adjacent or
-    not, that are cliques; those below no other candidate, in clique order."""
+    not, that are cliques; those below no other candidate, in clique order.
+    Exact for interval graphs, where every max clique holds such a pair."""
     closed = {v: G.adj[v] | {v} for v in G.vertices}
     candidates = set()
     for u in G.vertices:
         for v in G.vertices:
             cand = closed[u] & closed[v]
-            if cand and G.is_clique_set(cand):
+            if cand and is_clique_set(G, cand):
                 candidates.add(frozenset(cand))
     keep = [c for c in candidates if not any(c < other for other in candidates)]
     return sorted(keep, key=_ckey)
@@ -436,6 +444,50 @@ def reference_possible_ends(G):
         except RecognitionError:
             continue
         yield pre
+
+
+def reference_quotient(G, vertex_class):
+    """G with each vertex replaced by its class, read from every edge: two
+    classes are adjacent when some of their members are."""
+    return Graph(
+        set(vertex_class.values()),
+        ((vertex_class[a], vertex_class[b]) for a in G.vertices for b in G.adj[a]),
+    )
+
+
+def is_chordless_cycle(G, cycle):
+    """Whether `cycle`, a vertex sequence, is an induced cycle of G of
+    length at least four: distinct vertices, each adjacent to exactly its
+    two neighbours in the sequence."""
+    k = len(cycle)
+    if k < 4 or len(set(cycle)) != k:
+        return False
+    on = set(cycle)
+    return all(
+        G.adj[x] & on == {cycle[i - 1], cycle[(i + 1) % k]} for i, x in enumerate(cycle)
+    )
+
+
+def has_hole(G):
+    """Whether G has an induced cycle of length at least four, by trying
+    every vertex subset of at least four vertices: a subset induces a cycle
+    exactly when it is connected and every vertex has two neighbours in
+    it.  For small graphs only."""
+    vertices = G.vertices
+    for k in range(4, G.n + 1):
+        for subset in itertools.combinations(vertices, k):
+            on = set(subset)
+            if any(len(G.adj[v] & on) != 2 for v in subset):
+                continue
+            reached, stack = {subset[0]}, [subset[0]]
+            while stack:
+                for w in G.adj[stack.pop()] & on:
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+            if reached == on:
+                return True
+    return False
 
 
 def is_module(G, ws):

@@ -20,7 +20,7 @@ from limrec.treelogic import tree_canon, tree_isomorphic, tree_order_less
 
 from .helpers import (
     ExplicitGraph, all_trees, canon_edges_to_tree, decomposition_components, graph_iso,
-    graphs_up_to_iso, is_interval_graph, is_module, lrec_membership, mask_to_edges,
+    graphs_up_to_iso, is_clique_set, is_interval_graph, is_module, lrec_membership, mask_to_edges,
     permute_tree, random_permutation, streaming_like_reference, subtree_string,
     tree_canon_oracle,
 )
@@ -249,7 +249,7 @@ def _brute_is_interval(g: Graph) -> bool:
     cliques = []
     for bits in range(1, 1 << n):
         subset = [verts[i] for i in range(n) if bits >> i & 1]
-        if g.is_clique_set(subset):
+        if is_clique_set(g, subset):
             cliques.append(frozenset(subset))
     maximal = [c for c in cliques if not any(c < d for d in cliques)]
     if len(maximal) > n:

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -119,6 +120,23 @@ def test_canon_interval_rejects_cycle(capsys, tmp_path):
     f.write_text("vocab E/2\nuniverse 4\nE 0 1\nE 1 2\nE 2 3\nE 3 0\n")
     code, _, err = run(capsys, "canon-interval", str(f))
     assert code == 3 and "rejected" in err
+
+
+def test_check_rejects_a_hole_with_a_chordless_cycle(capsys, tmp_path):
+    # C5 plus a pendant vertex: the certificate is the induced 5-cycle, in
+    # cycle order
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]
+    f = tmp_path / "g.struct"
+    f.write_text("vocab E/2\nuniverse 6\n" + "".join(f"E {a} {b}\n" for a, b in edges))
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 3 and out == ""
+    message, certificate = err.splitlines()
+    assert message == "rejected: not chordal: not an interval graph"
+    assert certificate.startswith("certificate: ")
+    cycle = ast.literal_eval(certificate.removeprefix("certificate: "))
+    assert sorted(cycle) == [0, 1, 2, 3, 4]
+    steps = {frozenset((a, cycle[i - 1])) for i, a in enumerate(cycle)}
+    assert steps == set(map(frozenset, edges[:5]))
 
 
 def test_iso_self(capsys, tmp_path):

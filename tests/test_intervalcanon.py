@@ -24,9 +24,10 @@ from limrec.treelogic import DirectedTree, coloured_keys, tree_canon
 
 from .helpers import (
     clique_witness, decomposition_components, graph_iso, graphs_up_to_iso, graphs_up_to_iso_all,
-    is_interval_graph, is_module, mask_to_edges, nested_interval_graph, possible_ends,
-    reference_asymmetric, reference_canon_L, reference_clique_order, reference_clique_pairs,
-    reference_max_cliques, reference_possible_ends,
+    has_hole, is_chordless_cycle, is_clique_set, is_interval_graph, is_module, mask_to_edges,
+    nested_interval_graph, possible_ends, reference_asymmetric, reference_canon_L,
+    reference_clique_order, reference_clique_pairs, reference_max_cliques,
+    reference_possible_ends, reference_quotient,
 )
 
 
@@ -106,7 +107,7 @@ def test_is_clique_set_matches_the_pairwise_check():
         for k in range(n + 1):
             for vs in itertools.combinations(g.vertices, k):
                 pairwise = all(b in g.adj[a] for a, b in itertools.combinations(vs, 2))
-                assert g.is_clique_set(vs) == pairwise, (sorted(g.edges()), vs)
+                assert is_clique_set(g, vs) == pairwise, (sorted(g.edges()), vs)
 
 
 def _brute_max_cliques(g: Graph):
@@ -114,7 +115,7 @@ def _brute_max_cliques(g: Graph):
     cliques = []
     for bits in range(1, 1 << g.n):
         subset = [verts[i] for i in range(g.n) if bits >> i & 1]
-        if g.is_clique_set(subset):
+        if is_clique_set(g, subset):
             cliques.append(frozenset(subset))
     return sorted(
         (c for c in cliques if not any(c < d for d in cliques)),
@@ -167,6 +168,32 @@ def test_adjacent_pairs_find_the_all_pairs_cliques_on_every_small_graph(tmp_path
     # the numbers of interval graphs on 1..7 vertices, so no interval graph
     # was taken for another
     assert interval_counts == [1, 2, 4, 10, 27, 92, 369]
+
+
+def test_max_cliques_rejects_exactly_the_graphs_with_a_hole():
+    # every graph on at most 7 vertices: the clique search rejects exactly
+    # the graphs with an induced cycle of length at least four, each with
+    # such a cycle, and finds the subset enumerator's cliques on the others
+    chordal = []
+    for n in range(1, 8):
+        chordal.append(0)
+        for mask in graphs_up_to_iso_all(n, np):
+            g = Graph(range(n), mask_to_edges(mask, n))
+            if has_hole(g):
+                with pytest.raises(RecognitionError, match="not chordal") as exc:
+                    max_cliques(g)
+                assert is_chordless_cycle(g, exc.value.certificate), (n, mask)
+            else:
+                chordal[-1] += 1
+                assert max_cliques(g) == sorted(_brute_max_cliques(g), key=_ckey), (n, mask)
+    # the numbers of chordal graphs on 1..7 vertices
+    assert chordal == [1, 2, 4, 10, 27, 94, 393]
+    for k in range(4, 33):
+        cycle = Graph(range(k), [(i, (i + 1) % k) for i in range(k)])
+        with pytest.raises(RecognitionError, match="not chordal") as exc:
+            max_cliques(cycle)
+        assert is_chordless_cycle(cycle, exc.value.certificate)
+        assert sorted(exc.value.certificate) == list(range(k))
 
 
 def test_max_cliques_modular_example_has_eleven():
@@ -255,19 +282,21 @@ def test_ranking_accepts_exactly_the_strict_weak_orders():
                               for (i, j), c in zip(free, choice) if c is not None}
             expected = _brute_weak_order_classes(m, pairs)
             total += 1
+            pred = [sum(1 << i for i, k in pairs if k == j) for j in range(m)]
             if expected is None:
                 with pytest.raises(RecognitionError, match="not a strict weak order"):
-                    intervalcanon._ranked_classes(cliques, pairs)
+                    intervalcanon._ranked_classes(cliques, pred)
             else:
                 weak += 1
-                assert intervalcanon._ranked_classes(cliques, pairs) == expected, pairs
+                assert intervalcanon._ranked_classes(cliques, pred) == expected, pairs
         counts.append((weak, total))
     assert counts == [(1, 1), (1, 1), (3, 3), (13, 27), (75, 729)]
-    # 2 is incomparable with 1 and with 3, yet 1 < 3
-    with pytest.raises(RecognitionError):
-        intervalcanon._ranked_classes(
-            [frozenset({i}) for i in range(4)], {(0, 1), (0, 2), (0, 3), (1, 3)}
-        )
+    # 2 is incomparable with 1 and with 3, yet 1 < 3: the certificate is the
+    # first offending pair, (2, 3), since 2 ranks below 3 and is not before it
+    cliques = [frozenset({i}) for i in range(4)]
+    with pytest.raises(RecognitionError) as exc:
+        intervalcanon._ranked_classes(cliques, [0, 0b1, 0b1, 0b11])
+    assert exc.value.certificate == (cliques[2], cliques[3])
 
 
 def test_possible_ends_examples():
@@ -296,8 +325,18 @@ def _consecutive_orders(cliques):
 
 
 def _oracle_first_cliques(g):
-    cliques = max_cliques(g)
+    cliques = g.cliques
     return {tuple(sorted(order[0])) for order in _consecutive_orders(cliques)}
+
+
+def _sweep_cliques(g):
+    """g.cliques; a graph that max_cliques rejects as not chordal gets the
+    all-pairs reference cliques instead, so that its preorders still run."""
+    try:
+        return g.cliques
+    except RecognitionError:
+        g.cliques = reference_max_cliques(g)
+        return g.cliques
 
 
 def _connected_graphs(n):
@@ -312,7 +351,7 @@ def _connected_graphs(n):
 def test_possible_ends_match_permutation_oracle_exhaustive():
     for n in range(1, 6):
         for g in _connected_graphs(n):
-            cliques = max_cliques(g)
+            cliques = _sweep_cliques(g)
             oracle_orders = _consecutive_orders(cliques)
             if not oracle_orders:
                 # not an interval graph (as far as these cliques go)
@@ -324,7 +363,7 @@ def test_possible_ends_match_permutation_oracle_exhaustive():
 def test_strict_weak_order_iff_possible_end_exhaustive():
     for n in range(2, 6):
         for g in _connected_graphs(n):
-            cliques = max_cliques(g)
+            cliques = _sweep_cliques(g)
             if not _consecutive_orders(cliques):
                 continue
             firsts = _oracle_first_cliques(g)
@@ -338,8 +377,9 @@ def test_only_cliques_with_a_span_one_vertex_can_be_ends_exhaustive():
     # since a skipped clique that raised would change a rejection message
     for n in range(1, 7):
         for g in _connected_graphs(n):
+            cliques = _sweep_cliques(g)
             spans = span_map(g)
-            for m in g.cliques:
+            for m in cliques:
                 if all(spans[v] > 1 for v in m):
                     assert not clique_preorder(g, m).asymmetric, (g.edges(), m)
 
@@ -348,7 +388,7 @@ def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
     # non-interval graphs included: their starts are the ones cut short
     for n in range(1, 7):
         for g in _connected_graphs(n):
-            cliques = max_cliques(g)
+            cliques = _sweep_cliques(g)
             for start, m in enumerate(cliques):
                 try:
                     pre = clique_preorder(g, m)
@@ -371,7 +411,7 @@ def test_early_exit_preorder_matches_full_fixpoint_exhaustive():
 def test_incomparability_classes_yield_modules_exhaustive():
     for n in range(2, 7):
         for g in _connected_graphs(n):
-            cliques = max_cliques(g)
+            cliques = _sweep_cliques(g)
             if not _consecutive_orders(cliques):
                 continue
             spans = span_map(g)
@@ -539,7 +579,7 @@ def test_partition_quotient_matches_the_quotient_of_every_edge():
         if not is_interval_graph(g):
             continue
         part = g.partition
-        old = intervalcanon._quotient(g, part.vertex_class)
+        old = reference_quotient(g, part.vertex_class)
         assert (part.quotient.vertices, part.quotient.adj) == (old.vertices, old.adj), g.edges()
         assert part.clique_order == [
             frozenset(part.vertex_class[v] for v in cell[0]) for cell in part.cells
@@ -799,10 +839,11 @@ def test_nested_family_canonises_within_fifty_frames():
     (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2)),
 ])
 def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, counts):
-    # exact work counts of one canonisation: Graph.__init__ covers the
-    # input, its subgraphs and the two quotients of each collapse pair
-    # (L is the second quotient, not rebuilt); Graph.apices runs once per
-    # component, in modular_partition
+    # exact work counts of one canonisation: Graph._from_adj builds every
+    # graph, the input's subgraphs and the two quotients of each collapse
+    # pair (L is the second quotient, not rebuilt), and Graph.__init__ none,
+    # so no edge list is walked; Graph.apices runs once per component, in
+    # modular_partition
     g = graph()
     calls = Counter()
     for name in ("__init__", "apices"):
@@ -811,8 +852,15 @@ def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, cou
             return original(self, *args)
 
         monkeypatch.setattr(Graph, name, counting)
+    from_adj = Graph._from_adj.__func__
+
+    def building(cls, adj):
+        calls["_from_adj"] += 1
+        return from_adj(cls, adj)
+
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(building))
     interval_canon(g)
-    assert (calls["__init__"], calls["apices"]) == counts
+    assert (calls["__init__"], calls["_from_adj"], calls["apices"]) == (0, *counts)
 
 
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
@@ -1004,11 +1052,11 @@ def test_interval_canon_trivial():
 
 def test_interval_canon_rejects_non_interval():
     c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (3, 0)])
-    with pytest.raises(RecognitionError):
+    with pytest.raises(RecognitionError, match="not chordal") as exc:
         interval_canon(c4)
     assert not is_interval_graph(c4)
-    # C4 has no possible end at all
-    assert possible_ends(c4) == []
+    # C4 is rejected by the clique search, with the cycle itself
+    assert is_chordless_cycle(c4, exc.value.certificate)
 
 
 def test_interval_model_verified():
@@ -1076,9 +1124,9 @@ def test_interval_canon_random_relabelled_pairs():
         assert interval_canon(_relabel(g, perm)) == canon
 
 
-def test_overlaps_follow_the_cliques_a_collapse_keeps():
+def test_holders_follow_the_cliques_a_collapse_keeps():
     # a quotient's cliques are the linear order of its collapse, and its
-    # overlap lists index that order, not the order max_cliques gives
+    # clique bitmasks index that order, not the order max_cliques gives
     g, _ = graph_from_intervals(MODULAR_SPANS)
     graphs = [g]
     for M in possible_ends(g):
@@ -1087,7 +1135,12 @@ def test_overlaps_follow_the_cliques_a_collapse_keeps():
         graphs.append(collapse.graph)
     assert any(h.cliques != max_cliques(h) for h in graphs)
     for h in graphs:
-        assert h.overlaps == [[j for j, d in enumerate(h.cliques) if c & d] for c in h.cliques]
+        assert h.holders == {
+            v: sum(1 << i for i, c in enumerate(h.cliques) if v in c) for v in h.vertices
+        }
+        assert h.members == [
+            sum(1 << k for k, v in enumerate(h.vertices) if v in c) for c in h.cliques
+        ]
 
 
 def test_max_cliques_and_preorder_on_a_collapsed_star():
