@@ -2,16 +2,17 @@
 
 Pipeline: max cliques from one maximum cardinality search, the seeded
 reachability order on cliques, possible ends, the double collapse onto
-the module-free quotient L with its two clique orders, the coloured
-modular decomposition tree, and finally a canonical copy assembled
-bottom-up over that tree.
+the module-free quotient L, the coloured modular decomposition tree, and
+finally a canonical copy assembled bottom-up over that tree.
 
 A collapse names every vertex of its quotient by its flat class, the
 frozenset of base vertices it stands for, singletons included; so the
 second collapse's own graph is L.  The quotient is built from the images
-of the max cliques, never from the edges.  A clique order is held as one
-predecessor bitmask per clique, and its classes come from one ranking:
-each clique's rank is its number of predecessors.
+of the max cliques, never from the edges, and its `cliques` are its one
+linear clique order.  A clique order is held as one predecessor bitmask
+per clique, and its classes come from one ranking: each clique's rank is
+its number of predecessors.  Canonical edges are ascending tuples from
+`_render` to the output; only a component with modules sorts, once.
 
 `module_walk` finds the components of the graph and, recursively, of
 each module's subgraph, once per graph on an explicit stack; the model,
@@ -29,6 +30,7 @@ model comparison).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -144,7 +146,12 @@ class Graph:
 
     def components(self):
         """Vertex sets of the connected components, in `_ckey` order: each
-        is found from its least vertex, and they are disjoint."""
+        is found from its least vertex, and they are disjoint.  Found once;
+        the list is shared, so callers must not change it."""
+        return self._components
+
+    @cached_property
+    def _components(self):
         seen = set()
         out = []
         for start in self.vertices:
@@ -410,8 +417,7 @@ def _quotient(images) -> Graph:
 
 @dataclass
 class Collapse:
-    graph: Graph
-    clique_order: list          # quotient cliques, linearly ordered
+    graph: Graph                # the quotient; its cliques are in linear order
     vertex_class: dict          # original vertex -> quotient vertex, a flat class
     clique_position: dict       # original clique -> 0-based position
 
@@ -457,7 +463,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
         clique_order.append(image)
     quotient = _quotient(images)
     quotient.cliques = clique_order
-    return Collapse(quotient, clique_order, vertex_class, clique_position)
+    return Collapse(quotient, vertex_class, clique_position)
 
 
 @dataclass
@@ -465,9 +471,7 @@ class ModularPartition:
     cells: list                 # partition of the max cliques
     modules: list               # the multi-vertex modules, one per big cell
     vertex_class: dict          # vertex -> frozenset class (singletons too)
-    quotient: Graph             # the graph L, the second collapse's graph
-    clique_order: list          # L's max cliques in one linear order
-    clique_position: dict       # original clique -> 0-based position
+    quotient: Graph             # the graph L, its cliques in one linear order
 
 
 def modular_partition(G: Graph) -> ModularPartition:
@@ -486,24 +490,19 @@ def modular_partition(G: Graph) -> ModularPartition:
         rest = frozenset(G.vertices) - apices
         vertex_class = {v: rest if v in rest else frozenset({v}) for v in G.vertices}
         quotient = _quotient(_images(cliques, vertex_class))
-        return ModularPartition(
-            [list(cliques)], [rest] if rest else [], vertex_class, quotient,
-            [frozenset(quotient.vertices)], {c: 0 for c in cliques},
-        )
+        quotient.cliques = [frozenset(quotient.vertices)]
+        return ModularPartition([list(cliques)], [rest] if rest else [], vertex_class, quotient)
     end = next(_possible_ends(G), None)
     if end is None:
         raise RecognitionError(
             "no possible end: not an interval graph", certificate=G.vertices
         )
     first = _collapse(G, end)
-    second = collapse_incomparables(first.graph, first.clique_order[-1])
+    second = collapse_incomparables(first.graph, first.graph.cliques[-1])
     vertex_class = {v: second.vertex_class[x] for v, x in first.vertex_class.items()}
-    cells = [[] for _ in second.clique_order]
-    clique_position = {}
+    cells = [[] for _ in second.graph.cliques]
     for c in cliques:
-        pos = second.clique_position[first.clique_order[first.clique_position[c]]]
-        cells[pos].append(c)
-        clique_position[c] = pos
+        cells[second.clique_position[first.graph.cliques[first.clique_position[c]]]].append(c)
     if not all(cells):
         raise RecognitionError("cell map is not onto the quotient cliques")
     modules = []
@@ -519,9 +518,7 @@ def modular_partition(G: Graph) -> ModularPartition:
             "connected apex-free interval graphs have at least three cells",
             certificate=G.vertices,
         )
-    return ModularPartition(
-        cells, modules, vertex_class, second.graph, second.clique_order, clique_position
-    )
+    return ModularPartition(cells, modules, vertex_class, second.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +588,7 @@ class ModuleRecord:
 @dataclass
 class LCanon:
     size: int                   # |V(L)|
-    edges: frozenset            # canonical copy of L on [1, size]
+    edges: tuple                # canonical copy of L on [1, size], ascending
     intervals: list             # canon vertex i -> (l, r), index i-1
     m: int                      # number of max cliques of L
     palindromic: bool           # the two orders render identically
@@ -599,15 +596,14 @@ class LCanon:
 
 
 def _render(order_of_intervals):
-    """Canonical numbering from vertex intervals: sort by (l, r)."""
+    """Canonical numbering from vertex intervals: sort by (l, r).  Sorted
+    by left end, an interval meets exactly the later intervals whose left
+    end is at most its right end, so the edges come out ascending."""
     intervals = sorted(order_of_intervals)
-    edges = set()
-    for i, (l1, r1) in enumerate(intervals):
-        for j in range(i + 1, len(intervals)):
-            l2, r2 = intervals[j]
-            if l2 <= r1 and l1 <= r2:
-                edges.add((i + 1, j + 1))
-    return intervals, frozenset(edges)
+    lefts = [l for l, _ in intervals]
+    edges = tuple((i, j) for i, (_, r) in enumerate(intervals, 1)
+                  for j in range(i + 1, bisect_right(lefts, r) + 1))
+    return intervals, edges
 
 
 def _intervals(order):
@@ -632,8 +628,8 @@ def canon_L(H: Graph) -> LCanon:
     """
     part = H.partition
     L = part.quotient
-    m = len(part.clique_order)
-    interval = _intervals(part.clique_order)
+    m = len(L.cliques)
+    interval = _intervals(L.cliques)
     fwd = sorted(interval[v] for v in L.vertices)
     bwd = sorted((m + 1 - r, m + 1 - l) for l, r in fwd)  # the reversed order
     palindromic = fwd == bwd
@@ -666,10 +662,10 @@ def canon_L(H: Graph) -> LCanon:
 @dataclass
 class ColouredTree:
     """Directed tree with a colour relation (vertex -> tuple of pairs)
-    plus the payloads the canonisation reads."""
+    plus the payloads the canonisation reads.  Its DirectedTree is built
+    once, on first use, after the last node is added."""
 
     parents: list
-    child_lists: list           # node -> its children, in creation order
     kinds: list                 # "root" | "component" | "arrangement" | "module"
     colours: dict               # node -> tuple of (m, n) pairs
     comp_set: dict = field(default_factory=dict)      # component node -> frozenset
@@ -677,11 +673,16 @@ class ColouredTree:
     module_record: dict = field(default_factory=dict) # module node -> ModuleRecord
     arr_group: dict = field(default_factory=dict)     # arrangement node -> group tag
 
+    @cached_property
+    def _directed(self) -> DirectedTree:
+        return DirectedTree(self.parents)
+
     def children(self, v):
-        return self.child_lists[v]
+        """The children of node v, ascending, which is creation order."""
+        return self._directed.children[v]
 
     def as_directed_tree(self) -> DirectedTree:
-        return DirectedTree(self.parents)
+        return self._directed
 
 
 def build_modular_tree(G: Graph) -> ColouredTree:
@@ -691,15 +692,13 @@ def build_modular_tree(G: Graph) -> ColouredTree:
     module vertex per multi-vertex module.  Nodes are numbered in
     pre-order on an explicit stack, each module's subtree before the next
     module.  The empty graph gets the root alone."""
-    tree = ColouredTree([None], [[]], ["root"], {0: ()})
+    tree = ColouredTree([None], ["root"], {0: ()})
     # (kind, parent node, payload), popped in pre-order
     stack = [("component", 0, entry) for entry in reversed(G.walk.components)]
     while stack:
         kind, parent, payload = stack.pop()
         node = len(tree.parents)
         tree.parents.append(parent)
-        tree.child_lists.append([])
-        tree.child_lists[parent].append(node)
         tree.kinds.append(kind)
         if kind == "component":
             entry = payload
@@ -707,7 +706,7 @@ def build_modular_tree(G: Graph) -> ColouredTree:
             info = canon_L(H)
             tree.comp_set[node] = entry.vertices
             tree.comp_lcanon[node] = info
-            tree.colours[node] = tuple(sorted(info.edges))
+            tree.colours[node] = info.edges
             groups = {}
             for record in info.modules:
                 groups.setdefault(record.group, []).append(record)
@@ -734,7 +733,8 @@ def build_modular_tree(G: Graph) -> ColouredTree:
 
 
 def interval_canon(G: Graph):
-    """Canonical copy of an interval graph: edge set over [1, |V|].
+    """Canonical copy of an interval graph: (|V|, its edges over [1, |V|]
+    as an ascending tuple).
 
     Raises RecognitionError with a certificate when the input is not an
     interval graph.  The blocks of the component and module nodes are
@@ -751,42 +751,41 @@ def interval_canon(G: Graph):
         elif tree.kinds[node] == "module":
             kids = sorted(tree.children(node), key=keys.__getitem__)
             blocks[node] = _side_by_side(map(blocks.pop, kids))
-    pieces = [(n, tuple(sorted(edges))) for n, edges in map(blocks.pop, tree.children(0))]
-    offset, edges = _side_by_side(sorted(pieces))
+    offset, edges = _side_by_side(sorted(map(blocks.pop, tree.children(0))))
     if offset != G.n:
         raise RecognitionError("canonical copy has wrong vertex count", certificate=(offset, G.n))
-    return offset, tuple(sorted(edges))
+    return offset, edges
 
 
 def _side_by_side(blocks):
-    """The disjoint union of (vertex count, edges) blocks, each numbered
-    after the blocks before it."""
-    total, edges = 0, set()
+    """The disjoint union of (vertex count, ascending edges) blocks, each
+    numbered after the blocks before it; its edges ascend too."""
+    total, edges = 0, []
     for n, block in blocks:
-        edges |= {(total + u, total + v) for u, v in block}
+        edges += [(total + u, total + v) for u, v in block]
         total += n
-    return total, edges
+    return total, tuple(edges)
 
 
 def _canon_component(tree: ColouredTree, keys, blocks, node):
     """The canonical block of a component node: its L copy with each
     module's block, taken out of `blocks`, spliced in place of one
-    span-one vertex."""
+    span-one vertex.  The edges of L, of the blocks and of the splices
+    are disjoint but interleave, so they are sorted once at the end."""
     comp = tree.comp_set[node]
     info = tree.comp_lcanon[node]
     arr_nodes = tree.children(node)
     modules = [m for a in arr_nodes for m in tree.children(a)]
     if not modules:  # module-free, or a complete apex component
-        return info.size, set(info.edges)
+        return info.size, info.edges
     if info.m == 1:  # an apex component: one cell, and others have three or more
         total = len(comp)
         if len(modules) != 1:
             raise RecognitionError("apex component has more than one module", certificate=comp)
         sub_n, edges = blocks.pop(modules[0])
-        for i in range(1, total + 1):
-            for j in range(max(i + 1, sub_n + 1), total + 1):
-                edges.add((i, j))
-        return total, edges
+        edges += tuple((i, j) for i in range(1, total + 1)
+                       for j in range(max(i + 1, sub_n + 1), total + 1))
+        return total, tuple(sorted(edges))
     # an apex-free component, ordered by the double collapse
     m = info.m
     if not info.palindromic:
@@ -823,13 +822,13 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
     for i in range(1, info.size + 1):
         if i not in removed:
             number[i] = len(number) + 1
-    edges = {(number[u], number[v]) for u, v in info.edges if u in number and v in number}
+    edges = [(number[u], number[v]) for u, v in info.edges if u in number and v in number]
     offset = len(number)
     starts = {}
     for mod in ordered_blocks:
         bn, bedges = blocks.pop(mod)
         starts[mod] = (offset, bn)
-        edges |= {(offset + u, offset + v) for u, v in bedges}
+        edges += [(offset + u, offset + v) for u, v in bedges]
         offset += bn
     # each module's block, numbered after every vertex of L, meets the
     # neighbours of the vertex it replaces: the kept vertices whose
@@ -838,10 +837,10 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
         start, bn = starts[mod]
         for x, (l, r) in enumerate(intervals, 1):
             if l <= pos <= r and x in number:
-                edges |= {(number[x], start + t) for t in range(1, bn + 1)}
+                edges += [(number[x], start + t) for t in range(1, bn + 1)]
     if offset != len(comp):
         raise RecognitionError("assembled canon has wrong vertex count", certificate=comp)
-    return offset, edges
+    return offset, tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -854,7 +853,7 @@ def _clique_order(entry: WalkEntry, orders) -> list:
     place from the orders of its components, read from `orders`."""
     part = entry.partition
     order = []
-    for cell, image in zip(part.cells, part.clique_order):
+    for cell, image in zip(part.cells, part.quotient.cliques):
         if len(cell) == 1:
             order.append(cell[0])
             continue

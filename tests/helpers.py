@@ -12,7 +12,7 @@ from limrec.evaluator import (
     EvalContext, LabelledGraph, _child_resources, x_membership, x_membership_streaming,
 )
 from limrec.intervalcanon import (
-    Graph, LCanon, ModuleRecord, _ckey, _possible_ends, _render, _vkey, canon_L,
+    Graph, LCanon, ModuleRecord, _ckey, _possible_ends, _vkey, canon_L,
     clique_preorder, interval_model,
 )
 from limrec.structures import CIRCUIT_VOCAB, GRAPH_VOCAB, Structure
@@ -575,22 +575,36 @@ def decomposition_components(G):
     return result
 
 
+def reference_render(order_of_intervals):
+    """The canonical numbering from vertex intervals as once rendered: sort
+    by (l, r), then test every pair for overlap.  The edges are a set."""
+    intervals = sorted(order_of_intervals)
+    edges = set()
+    for i, (l1, r1) in enumerate(intervals):
+        for j in range(i + 1, len(intervals)):
+            l2, r2 = intervals[j]
+            if l2 <= r1 and l1 <= r2:
+                edges.add((i + 1, j + 1))
+    return intervals, frozenset(edges)
+
+
 def reference_canon_L(H):
     """canon_L with the cases it once answered before reading the
     partition: a one-vertex graph, a complete graph, and an apex graph,
     whose non-apex rest is one module at the only clique position."""
     apices = H.apices()
     if H.n == 1:
-        return LCanon(1, frozenset(), [(1, 1)], 1, True, [])
+        return LCanon(1, (), [(1, 1)], 1, True, [])
     if not apices:
         return canon_L(H)
     rest = frozenset(H.vertices) - apices
     if not rest:
         intervals = [(1, 1)] * H.n
-        return LCanon(H.n, _render(intervals)[1], intervals, 1, True, [])
+        return LCanon(H.n, tuple(sorted(reference_render(intervals)[1])), intervals, 1, True, [])
     intervals = [(1, 1)] * (len(apices) + 1)
     modules = [ModuleRecord(rest, (1,), "single")]
-    return LCanon(len(intervals), _render(intervals)[1], intervals, 1, True, modules)
+    edges = tuple(sorted(reference_render(intervals)[1]))
+    return LCanon(len(intervals), edges, intervals, 1, True, modules)
 
 
 def reference_clique_order(H):

@@ -296,7 +296,7 @@ def test_criterion_10_interval_pipeline_properties(interval_reps):
             quotients = []
             for m in ends:
                 first = collapse_incomparables(g, m)
-                z = first.clique_order[-1]
+                z = first.graph.cliques[-1]
                 second = collapse_incomparables(first.graph, z)
                 quotients.append(_int_graph(second.graph))
             for q in quotients[1:]:

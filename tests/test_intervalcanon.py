@@ -27,7 +27,7 @@ from .helpers import (
     has_hole, is_chordless_cycle, is_clique_set, is_interval_graph, is_module, mask_to_edges,
     nested_interval_graph, possible_ends, reference_asymmetric, reference_canon_L,
     reference_clique_order, reference_clique_pairs, reference_max_cliques,
-    reference_possible_ends, reference_quotient,
+    reference_possible_ends, reference_quotient, reference_render,
 )
 
 
@@ -439,7 +439,7 @@ def test_quotients_of_all_ends_isomorphic_exhaustive():
             quotients = []
             for m in ends:
                 first = collapse_incomparables(g, m)
-                z = first.clique_order[-1]
+                z = first.graph.cliques[-1]
                 second = collapse_incomparables(first.graph, z)
                 quotients.append(_int_graph(second.graph))
             for q in quotients[1:]:
@@ -453,7 +453,7 @@ def test_collapse_identity_when_linear():
     col = collapse_incomparables(g, frozenset({0, 1}))
     assert col.vertex_class == {v: frozenset({v}) for v in g.vertices}
     assert col.graph.vertices == tuple(frozenset({v}) for v in g.vertices)
-    assert [sorted(min(x) for x in c) for c in col.clique_order] == [
+    assert [sorted(min(x) for x in c) for c in col.graph.cliques] == [
         [0, 1], [1, 2], [2, 3],
     ]
 
@@ -581,11 +581,16 @@ def test_partition_quotient_matches_the_quotient_of_every_edge():
         part = g.partition
         old = reference_quotient(g, part.vertex_class)
         assert (part.quotient.vertices, part.quotient.adj) == (old.vertices, old.adj), g.edges()
-        assert part.clique_order == [
+        assert part.quotient.cliques == [
             frozenset(part.vertex_class[v] for v in cell[0]) for cell in part.cells
         ], g.edges()
         checked += not g.apices()
     assert checked > 100
+
+
+def _cell_positions(part):
+    """Each max clique -> the 0-based position of its cell."""
+    return {c: pos for pos, cell in enumerate(part.cells) for c in cell}
 
 
 def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
@@ -603,8 +608,8 @@ def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
     assert part.quotient.edges() == {
         (a, b) for a, b in itertools.combinations(part.quotient.vertices, 2)
     }
-    assert part.clique_order == [frozenset(part.quotient.vertices)]
-    assert part.clique_position == {c: 0 for c in g.cliques}
+    assert part.quotient.cliques == [frozenset(part.quotient.vertices)]
+    assert _cell_positions(part) == {c: 0 for c in g.cliques}
     # a complete graph and a one-vertex graph: one cell, no module, L is the graph
     for g in (Graph(range(3), itertools.combinations(range(3), 2)), Graph([7], [])):
         part = modular_partition(g)
@@ -613,8 +618,8 @@ def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
         assert part.vertex_class == {v: frozenset({v}) for v in g.vertices}
         assert list(part.quotient.vertices) == single(*g.vertices)
         assert len(part.quotient.edges()) == g.n * (g.n - 1) // 2
-        assert part.clique_order == [frozenset(single(*g.vertices))]
-        assert part.clique_position == {clique: 0}
+        assert part.quotient.cliques == [frozenset(single(*g.vertices))]
+        assert _cell_positions(part) == {clique: 0}
     for g in (Graph(range(3), [(0, 1)]), Graph([], [])):
         with pytest.raises(DomainError):
             modular_partition(g)
@@ -665,7 +670,7 @@ def _differential_graphs():
 def _partition_fields(part):
     return (
         part.cells, part.modules, part.vertex_class, part.quotient.vertices,
-        part.quotient.adj, part.clique_order, part.clique_position,
+        part.quotient.adj, part.quotient.cliques,
     )
 
 
@@ -834,18 +839,33 @@ def test_nested_family_canonises_within_fifty_frames():
 
 
 @pytest.mark.parametrize("graph, counts", [
-    (lambda: nested_interval_graph(30), (89, 30)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2)),
+    (lambda: nested_interval_graph(30), (89, 30, 30, 6292)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2, 2, 152)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2, 2, 1094)),
 ])
 def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, counts):
     # exact work counts of one canonisation: Graph._from_adj builds every
     # graph, the input's subgraphs and the two quotients of each collapse
     # pair (L is the second quotient, not rebuilt), and Graph.__init__ none,
     # so no edge list is walked; Graph.apices runs once per component, in
-    # modular_partition
+    # modular_partition.  A graph finds its components once, so the walked
+    # graph and a connected module share one search with their partitions;
+    # and `sorted` counts every sort the module makes, the canonical edges
+    # sorted once per component with modules
     g = graph()
     calls = Counter()
+    components = Graph.__dict__["_components"]
+
+    def searching(self, original=components.func):
+        calls["components"] += 1
+        return original(self)
+
+    def sorting(*args, **kwargs):
+        calls["sorted"] += 1
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(components, "func", searching)
+    monkeypatch.setattr(intervalcanon, "sorted", sorting, raising=False)
     for name in ("__init__", "apices"):
         def counting(self, *args, name=name, original=getattr(Graph, name)):
             calls[name] += 1
@@ -860,7 +880,10 @@ def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, cou
 
     monkeypatch.setattr(Graph, "_from_adj", classmethod(building))
     interval_canon(g)
-    assert (calls["__init__"], calls["_from_adj"], calls["apices"]) == (0, *counts)
+    assert (
+        calls["__init__"], calls["_from_adj"], calls["apices"], calls["components"],
+        calls["sorted"],
+    ) == (0, *counts)
 
 
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
@@ -897,7 +920,24 @@ def test_canon_L_single_clique():
     info = canon_L(g)
     assert info.m == 1
     assert info.size == 3
-    assert info.edges == frozenset({(1, 2), (1, 3), (2, 3)})
+    assert info.edges == ((1, 2), (1, 3), (2, 3))
+
+
+def test_render_matches_the_all_pairs_reference():
+    # every multiset of at most five intervals with ends in 1..4, in the
+    # order given and reversed, then random lists of fifty intervals
+    ends = [(l, r) for l in range(1, 5) for r in range(l, 5)]
+    lists = [
+        list(ivs) for k in range(6) for ivs in itertools.combinations_with_replacement(ends, k)
+    ]
+    lists += [ivs[::-1] for ivs in lists]
+    rng = random.Random(29)
+    for _ in range(200):
+        lefts = [rng.randint(1, 40) for _ in range(50)]
+        lists.append([(l, l + rng.choice((0, 0, 1, 3, 10, 40))) for l in lefts])
+    for ivs in lists:
+        intervals, edges = reference_render(ivs)
+        assert intervalcanon._render(ivs) == (intervals, tuple(sorted(edges))), ivs
 
 
 def test_canon_L_p4_palindromic():
@@ -960,7 +1000,7 @@ def test_modular_example_clique_positions():
     # a palindromic order places each clique at its position and the mirror
     by_clique = {
         frozenset(c): tuple(sorted((pos + 1, info.m - pos)))
-        for c, pos in g.partition.clique_position.items()
+        for c, pos in _cell_positions(g.partition).items()
     }
     # the outermost cliques sit at mirrored extremes, the twin-pendant cell
     # in the exact middle
@@ -1069,6 +1109,11 @@ def test_interval_model_verified():
         assert (lb <= ra and la <= rb) == (b in g.adj[a])
 
 
+def _strictly_ascending(edges):
+    """Each edge (u, v) has u < v, and the edges ascend strictly."""
+    return all(u < v for u, v in edges) and all(a < b for a, b in zip(edges, edges[1:]))
+
+
 def test_interval_canon_exhaustive_small():
     # over all connected interval graphs with <= 6 vertices: the canon is a
     # complete isomorphism invariant, isomorphic to its input, idempotent,
@@ -1082,6 +1127,7 @@ def test_interval_canon_exhaustive_small():
                 continue
             cn, cedges = interval_canon(g)
             assert cn == n
+            assert _strictly_ascending(cedges), (mask, n)
             zero_edges = {(u - 1, v - 1) for u, v in cedges}
             assert graph_iso(zero_edges, g.edges(), n, n), (mask, n)
             key = (n, cedges)
@@ -1119,6 +1165,7 @@ def test_interval_canon_random_relabelled_pairs():
         s = generate_random_interval_graph(12, seed=seed)
         g = Graph.from_structure(s)
         canon = interval_canon(g)
+        assert _strictly_ascending(canon[1]), seed
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert interval_canon(_relabel(g, perm)) == canon
@@ -1131,7 +1178,9 @@ def test_holders_follow_the_cliques_a_collapse_keeps():
     graphs = [g]
     for M in possible_ends(g):
         collapse = collapse_incomparables(g, M)
-        assert collapse.graph.cliques is collapse.clique_order
+        images = [frozenset(collapse.vertex_class[v] for v in g.cliques[group[0]])
+                  for group in clique_preorder(g, M).classes]
+        assert collapse.graph.cliques == images
         graphs.append(collapse.graph)
     assert any(h.cliques != max_cliques(h) for h in graphs)
     for h in graphs:
