@@ -17,7 +17,10 @@ its number of predecessors.  Canonical edges are ascending tuples from
 `module_walk` finds the components of the graph and, recursively, of
 each module's subgraph, once per graph on an explicit stack; the model,
 the tree and the canonical copy are all built from it without recursion,
-so no input costs a Python frame per level of module nesting.
+so no input costs a Python frame per level of module nesting.  Only the
+input graph runs the clique search: each walked subgraph inherits its
+cliques, in order, from the graph it is taken from.  A partition maps
+each module to the index of the one cell that holds it.
 
 Recognition is exact: a graph that is not chordal is rejected by the
 clique search with a chordless cycle of length at least four; otherwise
@@ -72,6 +75,8 @@ class Graph:
         for a, b in edges:
             if a == b:
                 continue
+            if a not in self.adj or b not in self.adj:
+                raise DomainError(f"edge {(a, b)!r} has an endpoint outside the vertices")
             self.adj[a].add(b)
             self.adj[b].add(a)
         self.adj = {v: frozenset(ns) for v, ns in self.adj.items()}
@@ -419,7 +424,7 @@ def _quotient(images) -> Graph:
 class Collapse:
     graph: Graph                # the quotient; its cliques are in linear order
     vertex_class: dict          # original vertex -> quotient vertex, a flat class
-    clique_position: dict       # original clique -> 0-based position
+    classes: list               # original clique indices per quotient clique, in order
 
 
 def collapse_incomparables(G: Graph, M) -> Collapse:
@@ -450,8 +455,7 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
             vertex_class[v] = merged
     images = _images(cliques, vertex_class)
     clique_order = []
-    clique_position = {}
-    for pos, group in enumerate(pre.classes):
+    for group in pre.classes:
         image = images[group[0]]
         for i in group:
             if images[i] != image:
@@ -459,17 +463,16 @@ def _collapse(G: Graph, pre: CliquePreorder) -> Collapse:
                     "incomparability class does not collapse to one clique",
                     certificate=(cliques[group[0]], cliques[i]),
                 )
-            clique_position[cliques[i]] = pos
         clique_order.append(image)
     quotient = _quotient(images)
     quotient.cliques = clique_order
-    return Collapse(quotient, vertex_class, clique_position)
+    return Collapse(quotient, vertex_class, pre.classes)
 
 
 @dataclass
 class ModularPartition:
-    cells: list                 # partition of the max cliques
-    modules: list               # the multi-vertex modules, one per big cell
+    cells: list                 # partition of the max cliques, each in clique order
+    modules: dict               # multi-vertex module -> index of its cell, in cell order
     vertex_class: dict          # vertex -> frozenset class (singletons too)
     quotient: Graph             # the graph L, its cliques in one linear order
 
@@ -481,7 +484,9 @@ def modular_partition(G: Graph) -> ModularPartition:
     holding every max clique; its non-apex rest, when there is one, is the
     one module, so L is the apices plus one vertex for the rest, with one
     clique at position 0.  Otherwise the double collapse applies: collapse
-    at any possible end, then at the top clique of the quotient."""
+    at any possible end, then at the top clique of the quotient.  Cell k
+    holds the cliques of the first collapse's classes in the second's
+    class k, and a module lies in the one cell whose image holds it."""
     if len(G.components()) != 1:
         raise DomainError("modular partition needs a connected graph")
     cliques = G.cliques
@@ -491,7 +496,7 @@ def modular_partition(G: Graph) -> ModularPartition:
         vertex_class = {v: rest if v in rest else frozenset({v}) for v in G.vertices}
         quotient = _quotient(_images(cliques, vertex_class))
         quotient.cliques = [frozenset(quotient.vertices)]
-        return ModularPartition([list(cliques)], [rest] if rest else [], vertex_class, quotient)
+        return ModularPartition([list(cliques)], {rest: 0} if rest else {}, vertex_class, quotient)
     end = next(_possible_ends(G), None)
     if end is None:
         raise RecognitionError(
@@ -500,19 +505,17 @@ def modular_partition(G: Graph) -> ModularPartition:
     first = _collapse(G, end)
     second = collapse_incomparables(first.graph, first.graph.cliques[-1])
     vertex_class = {v: second.vertex_class[x] for v, x in first.vertex_class.items()}
-    cells = [[] for _ in second.graph.cliques]
-    for c in cliques:
-        cells[second.clique_position[first.graph.cliques[first.clique_position[c]]]].append(c)
-    if not all(cells):
-        raise RecognitionError("cell map is not onto the quotient cliques")
-    modules = []
-    for cell in cells:
-        classes = {vertex_class[v] for c in cell for v in c}
-        big = [cls for cls in classes if len(cls) > 1]
+    cells = [[cliques[i] for i in sorted(i for j in group for i in first.classes[j])]
+             for group in second.classes]
+    modules = {}
+    for k, image in enumerate(second.graph.cliques):
+        big = [cls for cls in image if len(cls) > 1]
         if len(big) > 1:
             raise RecognitionError("cell yields more than one module")
         if big:
-            modules.append(big[0])
+            if big[0] in modules:
+                raise RecognitionError("module vertex must have span one", certificate=big[0])
+            modules[big[0]] = k
     if len(cells) < 3:
         raise RecognitionError(
             "connected apex-free interval graphs have at least three cells",
@@ -537,6 +540,7 @@ class WalkEntry:
     graph: Graph | None
     partition: ModularPartition
     modules: dict               # module -> WalkEntry per component, in _ckey order
+    outside: dict               # module -> the vertices of its cell outside it
 
 
 @dataclass
@@ -550,28 +554,46 @@ def module_walk(G: Graph) -> ModuleWalk:
     subgraph, in pre-order on an explicit stack: an entry's partition is
     computed when it is reached, then its modules are walked in partition
     order.  Each module's subgraph, and each component's, is taken once.
-    The walk computes partitions only; `interval_model` checks that the
-    modules' cliques expand their cells."""
+    Only G runs the clique search: a component inherits the cliques inside
+    it, and a module its cell's cliques less the cell's vertices outside
+    the module, which the walk checks are the same for every clique."""
     components = []
     entries = []
     stack = [
-        (components, comp, None if len(comp) == G.n else G.subgraph(comp))
+        (components, comp, None if len(comp) == G.n else _inherit(G.subgraph(comp), G.cliques))
         for comp in reversed(G.components())
     ]
     while stack:
         siblings, vertices, graph = stack.pop()
         H = G if graph is None else graph
-        entry = WalkEntry(vertices, graph, H.partition, {})
+        part = H.partition
+        entry = WalkEntry(vertices, graph, part, {}, {})
         siblings.append(entry)
         entries.append(entry)
         pending = []
-        for module in entry.partition.modules:
-            M = H.subgraph(module)
+        for module, k in part.modules.items():
+            cell = part.cells[k]
+            entry.outside[module] = outside = cell[0] - module
+            disagree = [c for c in cell if c - module != outside]
+            if disagree:
+                raise RecognitionError(
+                    "cell cliques disagree outside their module", certificate=disagree[0]
+                )
+            M = _inherit(H.subgraph(module), [c - outside for c in cell])
             entry.modules[module] = subs = []
-            pending += [(subs, comp, M if len(comp) == M.n else M.subgraph(comp))
-                        for comp in M.components()]
+            pending += [
+                (subs, comp, M if len(comp) == M.n else _inherit(M.subgraph(comp), M.cliques))
+                for comp in M.components()
+            ]
         stack.extend(reversed(pending))
     return ModuleWalk(components, entries)
+
+
+def _inherit(H: Graph, cliques) -> Graph:
+    """H, its max cliques set to those of `cliques` inside it, in order."""
+    keep = frozenset(H.vertices)
+    H.cliques = [c for c in cliques if c <= keep]
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +651,15 @@ def canon_L(H: Graph) -> LCanon:
     part = H.partition
     L = part.quotient
     m = len(L.cliques)
-    interval = _intervals(L.cliques)
-    fwd = sorted(interval[v] for v in L.vertices)
+    fwd = sorted(_intervals(L.cliques).values())
     bwd = sorted((m + 1 - r, m + 1 - l) for l, r in fwd)  # the reversed order
     palindromic = fwd == bwd
     reverse = bwd < fwd
     intervals, edges = _render(min(fwd, bwd))
 
     modules = []
-    for cls in part.modules:
-        if cls not in L.adj:
-            raise RecognitionError("module is not a vertex of the quotient", certificate=cls)
-        first, last = interval[cls]
-        if first != last:
-            raise RecognitionError("module vertex must have span one", certificate=cls)
-        pos = m + 1 - first if reverse else first
+    for cls, k in part.modules.items():
+        pos = m - k if reverse else k + 1
         if palindromic and m > 1:
             mirror = m + 1 - pos
             colour = tuple(sorted((pos, mirror)))
@@ -848,32 +864,15 @@ def _canon_component(tree: ColouredTree, keys, blocks, node):
 
 
 def _clique_order(entry: WalkEntry, orders) -> list:
-    """A valid consecutive order of the max cliques of a walk entry's
-    component: the cells in order, each module's cliques expanded in
-    place from the orders of its components, read from `orders`."""
-    part = entry.partition
-    order = []
-    for cell, image in zip(part.cells, part.quotient.cliques):
-        if len(cell) == 1:
-            order.append(cell[0])
-            continue
-        # the cell's module, read from its image in L
-        module = next(cls for cls in image if len(cls) > 1)
-        outside = frozenset().union(*image) - module
-        for c in cell:
-            if frozenset(c - module) != outside:
-                raise RecognitionError(
-                    "cell cliques disagree outside their module", certificate=c
-                )
-        expanded = [
-            frozenset(sc | outside) for sub in entry.modules[module] for sc in orders[sub]
-        ]
-        if sorted(expanded, key=_ckey) != sorted(cell, key=_ckey):
-            raise RecognitionError(
-                "module cliques fail to expand the cell", certificate=cell[0]
-            )
-        order.extend(expanded)
-    return order
+    """A consecutive order of the max cliques of a walk entry's component:
+    the cells in order, each module's cell replaced by the orders of the
+    module's components, read from `orders`, with the cell's vertices
+    outside the module added back to each clique."""
+    blocks = list(entry.partition.cells)
+    for module, k in entry.partition.modules.items():
+        outside = entry.outside[module]
+        blocks[k] = [sc | outside for sub in entry.modules[module] for sc in orders[sub]]
+    return [c for block in blocks for c in block]
 
 
 def interval_model(G: Graph):

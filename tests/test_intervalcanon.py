@@ -563,7 +563,7 @@ def test_decomposition_components_whole_graph_present():
 def test_modular_partition_path_all_singletons():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     part = modular_partition(g)
-    assert part.modules == []
+    assert part.modules == {}
     assert all(len(cell) == 1 for cell in part.cells)
     assert all(len(cls) == 1 for cls in part.vertex_class.values())
 
@@ -602,7 +602,7 @@ def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
     rest = frozenset({2, 3, 4})
     part = modular_partition(g)
     assert part.cells == [g.cliques] and len(g.cliques) == 2
-    assert part.modules == [rest]
+    assert part.modules == {rest: 0}
     assert part.vertex_class == {0: frozenset({0}), 1: frozenset({1}), 2: rest, 3: rest, 4: rest}
     assert set(part.quotient.vertices) == set(single(0, 1)) | {rest}
     assert part.quotient.edges() == {
@@ -614,7 +614,7 @@ def test_modular_partition_of_apex_complete_and_one_vertex_graphs():
     for g in (Graph(range(3), itertools.combinations(range(3), 2)), Graph([7], [])):
         part = modular_partition(g)
         (clique,) = g.cliques
-        assert part.cells == [[clique]] and part.modules == []
+        assert part.cells == [[clique]] and part.modules == {}
         assert part.vertex_class == {v: frozenset({v}) for v in g.vertices}
         assert list(part.quotient.vertices) == single(*g.vertices)
         assert len(part.quotient.edges()) == g.n * (g.n - 1) // 2
@@ -733,6 +733,14 @@ def test_subgraph_is_a_plain_induced_graph():
     assert path.partition.cells == modular_partition(path).cells
 
 
+def test_graph_rejects_an_edge_outside_its_vertices():
+    for vertices, edges in (([0, 1], [(0, 2)]), ([0, 1], [(3, 1)]), ([], [(0, 1)])):
+        with pytest.raises(DomainError, match="outside the vertices") as exc:
+            Graph(vertices, edges)
+        assert repr(edges[0]) in str(exc.value)
+    assert Graph([0, 1], [(1, 1), (0, 1)]).edges() == {(0, 1)}
+
+
 def test_graphs_are_freed_without_the_cyclic_collector():
     # a graph holds its walk, the walk holds the subgraphs below it and
     # never the graph itself, and canonisation leaves no reference cycle,
@@ -839,9 +847,9 @@ def test_nested_family_canonises_within_fifty_frames():
 
 
 @pytest.mark.parametrize("graph, counts", [
-    (lambda: nested_interval_graph(30), (89, 30, 30, 6292)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2, 2, 152)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2, 2, 1094)),
+    (lambda: nested_interval_graph(30), (89, 30, 30, 1048)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2, 2, 125)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2, 2, 875)),
 ])
 def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, counts):
     # exact work counts of one canonisation: Graph._from_adj builds every
@@ -886,8 +894,21 @@ def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, cou
     ) == (0, *counts)
 
 
+def _disjoint_union(*graphs):
+    """The disjoint union of graphs on 0..n-1, each numbered after the
+    graphs before it."""
+    offset, edges = 0, []
+    for g in graphs:
+        edges += [(offset + a, offset + b) for a, b in g.edges()]
+        offset += g.n
+    return Graph(range(offset), edges)
+
+
 def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkeypatch):
-    g = Graph.from_structure(generate_random_interval_graph(40, seed=3))
+    # the clique search runs once per call, on the input graph, and every
+    # walked subgraph inherits its cliques; each vertex set is partitioned
+    # once, and no quotient is searched or partitioned
+    random_40 = Graph.from_structure(generate_random_interval_graph(40, seed=3))
     graphs = {"max_cliques": [], "modular_partition": []}
     for name, seen in graphs.items():
         def counting(G, original=getattr(intervalcanon, name), seen=seen):
@@ -904,12 +925,55 @@ def test_interval_canon_derives_cliques_and_partition_once_per_vertex_set(monkey
         return result
 
     monkeypatch.setattr(intervalcanon, "_collapse", collapsing)
-    interval_canon(g)
-    assert quotients and graphs["modular_partition"]
-    for name, seen in graphs.items():
-        vsets = [frozenset(G.vertices) for G in seen]
-        assert len(vsets) == len(set(vsets)), name
-        assert not any(G is q for G in seen for q in quotients), name
+    makes = [
+        lambda: Graph(random_40.vertices, random_40.edges()),
+        lambda: nested_interval_graph(8),
+        lambda: _disjoint_union(random_40, nested_interval_graph(3), _band(4, 1), Graph([0], [])),
+    ]
+    for make in makes:
+        for run in (interval_canon, interval_model):
+            g = make()
+            for seen in graphs.values():
+                seen.clear()
+            quotients.clear()
+            run(g)
+            assert graphs["max_cliques"] == [g], run
+            assert quotients and graphs["modular_partition"]
+            for name, seen in graphs.items():
+                vsets = [frozenset(G.vertices) for G in seen]
+                assert len(vsets) == len(set(vsets)), name
+                assert not any(G is q for G in seen for q in quotients), name
+
+
+def test_walked_subgraphs_inherit_the_cliques_a_search_would_find():
+    # every graph of the walk, and every module's subgraph, carries the
+    # cliques, in the same order, that a clique search of a fresh graph on
+    # its vertices finds; on at most 7 vertices, also those of the
+    # all-pairs reference
+    small = []
+    for n in range(1, 8):
+        for mask in graphs_up_to_iso_all(n, np):
+            g = Graph(range(n), mask_to_edges(mask, n))
+            if is_interval_graph(g):
+                small.append(g)
+    assert sum(len(g.components()) > 1 for g in small) > 100
+    larger = [nested_interval_graph(depth) for depth in range(11)]
+    larger += [Graph.from_structure(generate_random_interval_graph(n, seed))
+               for n in range(1, 61, 3) for seed in (0, 1, 2)]
+    checked = Counter()
+    for g in small + larger:
+        for e in g.walk.entries:
+            H = g if e.graph is None else e.graph
+            assert H.cliques == max_cliques(Graph(H.vertices, H.edges())), sorted(g.edges())
+            if g.n <= 7:
+                assert H.cliques == reference_max_cliques(H), sorted(g.edges())
+            checked["entries"] += H is not g
+            for module, k in e.partition.modules.items():
+                inherited = [c - e.outside[module] for c in e.partition.cells[k]]
+                fresh = Graph(module, H.subgraph(module).edges())
+                assert inherited == max_cliques(fresh), sorted(g.edges())
+                checked["modules"] += 1
+    assert checked["entries"] > 1000 and checked["modules"] > 400
 
 
 # --- canon_L -----------------------------------------------------------------
