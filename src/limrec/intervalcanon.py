@@ -22,13 +22,15 @@ input graph runs the clique search: each walked subgraph inherits its
 cliques, in order, from the graph it is taken from.  A partition maps
 each module to the index of the one cell that holds it.
 
-Recognition is exact: a graph that is not chordal is rejected by the
-clique search with a chordless cycle of length at least four; otherwise
-the pipeline orders each component's cliques and the resulting interval
-model is verified against the input graph, so every other non-interval
-input is rejected with a certificate (a clique with no possible end, an
-order that is not a strict weak order, a partition check, or the failing
-model comparison).
+Recognition is exact and certified: a graph that is not chordal is
+rejected by the clique search with a chordless cycle of length at least
+four, and the walk rejects others with their own certificates (a clique
+with no possible end, an order that is not a strict weak order, a
+partition check).  A canonical copy carries its numbering pi of the
+input's vertices, and one linear check (`_check_copy`) that its edges
+are pi(E) certifies the copy; every copy the assembly can build is an
+interval graph, so the same check completes the recognition, rejecting
+any other input with the least vertex pair on which the copy disagrees.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import lt
 
 from .errors import DomainError, LimrecError, RecognitionError
 from .structures import Structure
@@ -611,21 +614,19 @@ class ModuleRecord:
 class LCanon:
     size: int                   # |V(L)|
     edges: tuple                # canonical copy of L on [1, size], ascending
-    intervals: list             # canon vertex i -> (l, r), index i-1
+    spans: dict                 # vertex of L -> (l, r) in the kept clique order
     m: int                      # number of max cliques of L
     palindromic: bool           # the two orders render identically
     modules: list               # ModuleRecord per multi-vertex module
 
 
-def _render(order_of_intervals):
-    """Canonical numbering from vertex intervals: sort by (l, r).  Sorted
-    by left end, an interval meets exactly the later intervals whose left
-    end is at most its right end, so the edges come out ascending."""
-    intervals = sorted(order_of_intervals)
+def _render(intervals):
+    """The ascending edges of the intervals, sorted by (l, r) and numbered
+    in that order: an interval meets exactly the later intervals whose
+    left end is at most its right end."""
     lefts = [l for l, _ in intervals]
-    edges = tuple((i, j) for i, (_, r) in enumerate(intervals, 1)
-                  for j in range(i + 1, bisect_right(lefts, r) + 1))
-    return intervals, edges
+    return tuple((i, j) for i, (_, r) in enumerate(intervals, 1)
+                 for j in range(i + 1, bisect_right(lefts, r) + 1))
 
 
 def _intervals(order):
@@ -636,6 +637,18 @@ def _intervals(order):
         for v in clique:
             out[v] = (out.get(v, (p,))[0], p)
     return out
+
+
+def _mirror(spans, m):
+    """Each vertex's interval in the reversed order of m cliques."""
+    return {x: (m + 1 - r, m + 1 - l) for x, (l, r) in spans.items()}
+
+
+def _singles(spans):
+    """L's singleton vertices by ascending interval: their base vertices,
+    and their intervals."""
+    order = sorted((x for x in spans if len(x) == 1), key=spans.__getitem__)
+    return [v for (v,) in order], [spans[x] for x in order]
 
 
 def canon_L(H: Graph) -> LCanon:
@@ -651,11 +664,12 @@ def canon_L(H: Graph) -> LCanon:
     part = H.partition
     L = part.quotient
     m = len(L.cliques)
-    fwd = sorted(_intervals(L.cliques).values())
-    bwd = sorted((m + 1 - r, m + 1 - l) for l, r in fwd)  # the reversed order
+    spans = _intervals(L.cliques)
+    mirrored = _mirror(spans, m)
+    fwd, bwd = sorted(spans.values()), sorted(mirrored.values())
     palindromic = fwd == bwd
     reverse = bwd < fwd
-    intervals, edges = _render(min(fwd, bwd))
+    edges = _render(min(fwd, bwd))
 
     modules = []
     for cls, k in part.modules.items():
@@ -668,7 +682,7 @@ def canon_L(H: Graph) -> LCanon:
             colour = (pos,)
             group = "single"
         modules.append(ModuleRecord(cls, colour, group))
-    return LCanon(L.n, edges, intervals, m, palindromic, modules)
+    return LCanon(L.n, edges, mirrored if reverse else spans, m, palindromic, modules)
 
 
 # ---------------------------------------------------------------------------
@@ -755,108 +769,108 @@ def interval_canon(G: Graph):
     Raises RecognitionError with a certificate when the input is not an
     interval graph.  The blocks of the component and module nodes are
     assembled in decreasing node index: the tree is numbered in
-    pre-order, so every child's block is done before its parent's.
+    pre-order, so every child's block is done before its parent's.  A
+    block is (labels, edges): its vertices of G in canonical order, and
+    its ascending edges over [1, len(labels)].  The copy is returned only
+    once `_check_copy` has certified it against G.
     """
-    interval_model(G)  # full recognition; raises otherwise
     tree = build_modular_tree(G)
     keys = coloured_keys(tree.as_directed_tree(), tree.colours)
-    blocks = {}  # node -> (vertex count, edges), until its parent reads it
+    blocks = {}  # node -> (labels, edges), until its parent reads it
     for node in range(len(tree.parents) - 1, 0, -1):
         if tree.kinds[node] == "component":
             blocks[node] = _canon_component(tree, keys, blocks, node)
         elif tree.kinds[node] == "module":
             kids = sorted(tree.children(node), key=keys.__getitem__)
             blocks[node] = _side_by_side(map(blocks.pop, kids))
-    offset, edges = _side_by_side(sorted(map(blocks.pop, tree.children(0))))
-    if offset != G.n:
-        raise RecognitionError("canonical copy has wrong vertex count", certificate=(offset, G.n))
-    return offset, edges
+    roots = sorted(map(blocks.pop, tree.children(0)), key=lambda b: (len(b[0]), b[1]))
+    labels, edges = _side_by_side(roots)
+    _check_copy(G, labels, edges)
+    return len(labels), edges
 
 
 def _side_by_side(blocks):
-    """The disjoint union of (vertex count, ascending edges) blocks, each
+    """The disjoint union of (labels, ascending edges) blocks, each
     numbered after the blocks before it; its edges ascend too."""
-    total, edges = 0, []
-    for n, block in blocks:
+    labels, edges = [], []
+    for sub, block in blocks:
+        total = len(labels)
         edges += [(total + u, total + v) for u, v in block]
-        total += n
-    return total, tuple(edges)
+        labels += sub
+    return labels, tuple(edges)
+
+
+def _check_copy(G: Graph, labels, edges):
+    """Certify a copy of G: canonical vertex i stands for labels[i - 1],
+    and `edges` must be pi(E), the image of G's edges under that
+    numbering, ascending.  It is when the edges ascend strictly, are as
+    many as G's, and each is the image of an edge of G: one pass over the
+    edges.  Labels that are not a permutation of the vertices, and edges
+    that are not pairs over [1, n] or are pi(E) out of order, are a bug;
+    any other copy rejects G with the least vertex pair, in `_vkey` order,
+    on which it and G disagree."""
+    adj, at = G.adj, dict(enumerate(labels, 1))
+    if len(labels) != G.n or set(labels) != adj.keys():
+        raise LimrecError("canonical labels are not a permutation of the vertices")
+    if (2 * len(edges) == sum(map(len, adj.values())) and all(map(lt, edges, edges[1:]))
+            and all(i < j and at.get(j) in adj.get(at.get(i), ()) for i, j in edges)):
+        return
+    number = {v: i for i, v in at.items()}
+    image = {(i, j) for a, i in number.items() for j in map(number.__getitem__, adj[a]) if i < j}
+    wrong = image.symmetric_difference(edges)
+    if not wrong or not all(0 < i < j <= G.n for i, j in wrong):
+        raise LimrecError("canonical edges are not ascending pairs over the numbering")
+    pairs = (sorted((at[i], at[j]), key=_vkey) for i, j in wrong)
+    a, b = min(pairs, key=lambda pair: tuple(map(_vkey, pair)))
+    raise RecognitionError("interval model disagrees with the graph", certificate=(a, b))
 
 
 def _canon_component(tree: ColouredTree, keys, blocks, node):
-    """The canonical block of a component node: its L copy with each
-    module's block, taken out of `blocks`, spliced in place of one
-    span-one vertex.  The edges of L, of the blocks and of the splices
-    are disjoint but interleave, so they are sorted once at the end."""
-    comp = tree.comp_set[node]
+    """The canonical block of a component node: L's singleton vertices,
+    rendered from their intervals in the orientation the block lays L out
+    in and labelled by their base vertices, then each module's block, taken
+    out of `blocks`, in place of the module's vertex.  The edges of L, of
+    the blocks and of the splices are disjoint but interleave, so they are
+    sorted once."""
     info = tree.comp_lcanon[node]
     arr_nodes = tree.children(node)
     modules = [m for a in arr_nodes for m in tree.children(a)]
     if not modules:  # module-free, or a complete apex component
-        return info.size, info.edges
-    if info.m == 1:  # an apex component: one cell, and others have three or more
-        total = len(comp)
-        if len(modules) != 1:
-            raise RecognitionError("apex component has more than one module", certificate=comp)
-        sub_n, edges = blocks.pop(modules[0])
+        return _singles(info.spans)[0], info.edges
+    if info.m == 1:  # an apex component: the one module's block, then the apices
+        sub, edges = blocks.pop(modules[0])
+        labels = sub + _singles(info.spans)[0]
+        total = len(labels)
         edges += tuple((i, j) for i in range(1, total + 1)
-                       for j in range(max(i + 1, sub_n + 1), total + 1))
-        return total, tuple(sorted(edges))
+                       for j in range(max(i + 1, len(sub) + 1), total + 1))
+        return labels, tuple(sorted(edges))
     # an apex-free component, ordered by the double collapse
-    m = info.m
+    spans = info.spans
     if not info.palindromic:
-        splices = [(tree.module_record[mod].colour[0], mod) for mod in modules]
-        ordered_blocks = [mod for _, mod in sorted(splices)]
+        ordered_blocks = sorted(modules, key=lambda mod: tree.module_record[mod].colour)
     else:
         by_arr = {tree.arr_group[a]: a for a in arr_nodes}
         low, high, mid = map(by_arr.get, ("low", "high", "mid"))
-        flip = high is not None and (low is None or keys[high] < keys[low])
-
-        def position(rec):
-            pos = min(rec.colour)
-            if (rec.group == "low") == flip and rec.group != "mid":
-                pos = m + 1 - pos
-            return pos if rec.group != "mid" else (m + 1) // 2
-
+        # mirror L when that puts the arrangement of smaller key first
+        if high is not None and (low is None or keys[high] < keys[low]):
+            spans = _mirror(spans, info.m)
+            low, high = high, low
         # an arrangement's modules are in colour order already
-        ordered_blocks = []
-        for arr in (mid, high, low) if flip else (mid, low, high):
-            if arr is not None:
-                ordered_blocks += tree.children(arr)
-        splices = [(position(tree.module_record[mod]), mod) for mod in ordered_blocks]
-    # replaced vertex per splice position: least canon vertex whose
-    # interval is exactly that clique and no other
-    intervals = info.intervals
-    removed = set()
-    for pos, _ in splices:
-        cand = [i for i, iv in enumerate(intervals, 1) if iv == (pos, pos) and i not in removed]
-        if not cand:
-            raise RecognitionError("no span-one vertex at module position", certificate=pos)
-        removed.add(cand[0])
-    # the kept canon vertices, numbered in order
-    number = {}
-    for i in range(1, info.size + 1):
-        if i not in removed:
-            number[i] = len(number) + 1
-    edges = [(number[u], number[v]) for u, v in info.edges if u in number and v in number]
-    offset = len(number)
-    starts = {}
+        ordered_blocks = [mod for arr in (mid, low, high) if arr is not None
+                          for mod in tree.children(arr)]
+    labels, intervals = _singles(spans)
+    edges = list(_render(intervals))
+    # each module's block, numbered after the singletons, meets those whose
+    # interval holds the module's one position
     for mod in ordered_blocks:
-        bn, bedges = blocks.pop(mod)
-        starts[mod] = (offset, bn)
-        edges += [(offset + u, offset + v) for u, v in bedges]
-        offset += bn
-    # each module's block, numbered after every vertex of L, meets the
-    # neighbours of the vertex it replaces: the kept vertices whose
-    # interval holds that vertex's one position
-    for pos, mod in splices:
-        start, bn = starts[mod]
-        for x, (l, r) in enumerate(intervals, 1):
-            if l <= pos <= r and x in number:
-                edges += [(number[x], start + t) for t in range(1, bn + 1)]
-    if offset != len(comp):
-        raise RecognitionError("assembled canon has wrong vertex count", certificate=comp)
-    return offset, tuple(sorted(edges))
+        sub, block = blocks.pop(mod)
+        offset = len(labels)
+        pos, _ = spans[tree.module_record[mod].vertices]
+        edges += [(offset + u, offset + v) for u, v in block]
+        edges += [(x, offset + t) for x, (l, r) in enumerate(intervals, 1) if l <= pos <= r
+                  for t in range(1, len(sub) + 1)]
+        labels += sub
+    return labels, tuple(sorted(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +893,8 @@ def interval_model(G: Graph):
     """A verified minimal interval model: list of (vertex, left, right)
     with clique positions 1..m per component, components laid out on
     disjoint ranges.  Clique orders are built bottom-up over the module
-    walk.  Raises RecognitionError when no model exists."""
+    walk, and the model is verified by `_check_copy` on the copy its
+    intervals render.  Raises RecognitionError when no model exists."""
     walk = G.walk
     orders = {}
     for entry in reversed(walk.entries):
@@ -895,15 +910,6 @@ def interval_model(G: Graph):
             first, last = interval[v]
             model.append((v, offset + first, offset + last))
         offset += len(order)
-    spans = {v: (l, r) for v, l, r in model}
-    # G.vertices ascend by _vkey: each pair once, the smaller first
-    for i, a in enumerate(G.vertices):
-        la, ra = spans[a]
-        for b in G.vertices[i + 1:]:
-            lb, rb = spans[b]
-            meets = lb <= ra and la <= rb
-            if meets != (b in G.adj[a]):
-                raise RecognitionError(
-                    "interval model disagrees with the graph", certificate=(a, b)
-                )
+    ordered = sorted(model, key=lambda t: t[1:])
+    _check_copy(G, [v for v, _, _ in ordered], _render([t[1:] for t in ordered]))
     return model

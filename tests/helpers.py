@@ -145,6 +145,19 @@ def is_interval_graph(G) -> bool:
         return False
 
 
+def reference_model_disagreement(G, spans):
+    """The all-pairs model check: the first vertex pair (a, b), a before b
+    in G.vertices, whose intervals in `spans` (vertex -> (l, r)) meet
+    exactly when a and b are not adjacent; None when the model agrees."""
+    for i, a in enumerate(G.vertices):
+        la, ra = spans[a]
+        for b in G.vertices[i + 1:]:
+            lb, rb = spans[b]
+            if (lb <= ra and la <= rb) != (b in G.adj[a]):
+                return a, b
+    return None
+
+
 def nested_interval_graph(depth) -> Graph:
     """The nested family: level 0 is one vertex, and level k + 1 is a path
     a0 - a1 - x - c1 - c0 with x joined to every vertex of level k.  Each
@@ -591,20 +604,20 @@ def reference_render(order_of_intervals):
 def reference_canon_L(H):
     """canon_L with the cases it once answered before reading the
     partition: a one-vertex graph, a complete graph, and an apex graph,
-    whose non-apex rest is one module at the only clique position."""
+    whose non-apex rest is one module at the only clique position.  Every
+    vertex of L, each apex as a singleton and the rest as its class, spans
+    that one position."""
     apices = H.apices()
-    if H.n == 1:
-        return LCanon(1, (), [(1, 1)], 1, True, [])
     if not apices:
         return canon_L(H)
+    spans = {frozenset({v}): (1, 1) for v in apices}
     rest = frozenset(H.vertices) - apices
-    if not rest:
-        intervals = [(1, 1)] * H.n
-        return LCanon(H.n, tuple(sorted(reference_render(intervals)[1])), intervals, 1, True, [])
-    intervals = [(1, 1)] * (len(apices) + 1)
-    modules = [ModuleRecord(rest, (1,), "single")]
-    edges = tuple(sorted(reference_render(intervals)[1]))
-    return LCanon(len(intervals), edges, intervals, 1, True, modules)
+    modules = []
+    if rest:
+        spans[rest] = (1, 1)
+        modules = [ModuleRecord(rest, (1,), "single")]
+    edges = tuple(sorted(reference_render(list(spans.values()))[1]))
+    return LCanon(len(spans), edges, spans, 1, True, modules)
 
 
 def reference_clique_order(H):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from limrec import intervalcanon
-from limrec.errors import DomainError, RecognitionError
+from limrec.errors import DomainError, LimrecError, RecognitionError
 from limrec.intervalcanon import (
     Graph, _ckey, build_modular_tree, canon_L, clique_preorder, collapse_incomparables,
     interval_canon, interval_model, max_cliques, modular_partition, span_map,
@@ -27,7 +27,7 @@ from .helpers import (
     has_hole, is_chordless_cycle, is_clique_set, is_interval_graph, is_module, mask_to_edges,
     nested_interval_graph, possible_ends, reference_asymmetric, reference_canon_L,
     reference_clique_order, reference_clique_pairs, reference_max_cliques,
-    reference_possible_ends, reference_quotient, reference_render,
+    reference_model_disagreement, reference_possible_ends, reference_quotient, reference_render,
 )
 
 
@@ -847,9 +847,9 @@ def test_nested_family_canonises_within_fifty_frames():
 
 
 @pytest.mark.parametrize("graph, counts", [
-    (lambda: nested_interval_graph(30), (89, 30, 30, 1048)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2, 2, 125)),
-    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2, 2, 875)),
+    (lambda: nested_interval_graph(30), (89, 30, 30, 1047)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(40, seed=1)), (4, 2, 2, 124)),
+    (lambda: Graph.from_structure(generate_random_interval_graph(320, seed=0)), (4, 2, 2, 874)),
 ])
 def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, counts):
     # exact work counts of one canonisation: Graph._from_adj builds every
@@ -859,7 +859,8 @@ def test_interval_canon_graph_and_apex_counts_are_pinned(monkeypatch, graph, cou
     # modular_partition.  A graph finds its components once, so the walked
     # graph and a connected module share one search with their partitions;
     # and `sorted` counts every sort the module makes, the canonical edges
-    # sorted once per component with modules
+    # sorted once per component with modules, and L's singletons once per
+    # component, for their labels and intervals
     g = graph()
     calls = Counter()
     components = Graph.__dict__["_components"]
@@ -988,20 +989,19 @@ def test_canon_L_single_clique():
 
 
 def test_render_matches_the_all_pairs_reference():
-    # every multiset of at most five intervals with ends in 1..4, in the
-    # order given and reversed, then random lists of fifty intervals
+    # every multiset of at most five intervals with ends in 1..4, then
+    # random lists of fifty intervals, each sorted as `_render` takes it
     ends = [(l, r) for l in range(1, 5) for r in range(l, 5)]
     lists = [
         list(ivs) for k in range(6) for ivs in itertools.combinations_with_replacement(ends, k)
     ]
-    lists += [ivs[::-1] for ivs in lists]
     rng = random.Random(29)
     for _ in range(200):
         lefts = [rng.randint(1, 40) for _ in range(50)]
         lists.append([(l, l + rng.choice((0, 0, 1, 3, 10, 40))) for l in lefts])
     for ivs in lists:
         intervals, edges = reference_render(ivs)
-        assert intervalcanon._render(ivs) == (intervals, tuple(sorted(edges))), ivs
+        assert intervalcanon._render(intervals) == tuple(sorted(edges)), ivs
 
 
 def test_canon_L_p4_palindromic():
@@ -1141,6 +1141,24 @@ def test_coloured_tree_preorder_on_modular_tree():
     assert keys[low] != keys[high]
 
 
+def test_palindromic_orientation_is_pinned():
+    # a palindromic L is laid out in the orientation that numbers the
+    # arrangement with the smaller coloured key first; the other
+    # orientation is as isomorphic to the input and as canonical, so only a
+    # pinned output tells them apart: a double star whose centres hold two
+    # and three leaves, and the worked 20-vertex example
+    double_star = Graph(range(7), [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (1, 6)])
+    assert interval_canon(double_star) == (7, ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (2, 7)))
+    g, _ = graph_from_intervals(MODULAR_SPANS)
+    assert interval_canon(g) == (20, (
+        (1, 2), (2, 3), (2, 10), (2, 11), (2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (3, 4),
+        (3, 6), (3, 7), (3, 8), (3, 9), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14), (3, 15),
+        (3, 16), (3, 17), (3, 18), (3, 19), (3, 20), (4, 5), (4, 17), (4, 18), (4, 19), (4, 20),
+        (6, 8), (6, 9), (7, 8), (7, 9), (8, 9), (10, 11), (10, 12), (11, 12), (11, 13), (11, 15),
+        (11, 16), (12, 13), (12, 15), (12, 16), (13, 14), (13, 15), (13, 16), (18, 20), (19, 20),
+    ))
+
+
 # --- full canonisation ---------------------------------------------------------
 
 
@@ -1233,6 +1251,173 @@ def test_interval_canon_random_relabelled_pairs():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert interval_canon(_relabel(g, perm)) == canon
+
+
+# --- certified copies ----------------------------------------------------------
+
+
+def _outcome(run, g):
+    """The word accepted, or the message of the RecognitionError run(g) raises."""
+    try:
+        run(g)
+    except RecognitionError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_canon_accepts_exactly_what_the_model_accepts():
+    # every graph on at most 7 vertices, disconnected ones included, and
+    # seeded G(n, p) with n = 8..14: interval_canon, which checks only its
+    # own copy, accepts exactly the graphs interval_model accepts and
+    # rejects the others with the same message, never another exception
+    graphs = [Graph(range(n), mask_to_edges(mask, n))
+              for n in range(1, 8) for mask in graphs_up_to_iso_all(n, np)]
+    rng = random.Random(31)
+    for _ in range(3000):
+        n, p = rng.randint(8, 14), rng.choice((0.15, 0.25, 0.35, 0.5, 0.7))
+        graphs.append(Graph(range(n), [e for e in itertools.combinations(range(n), 2)
+                                       if rng.random() < p]))
+    outcomes = Counter()
+    for g in graphs:
+        model = _outcome(interval_model, g)
+        assert _outcome(interval_canon, Graph(g.vertices, g.edges())) == model, sorted(g.edges())
+        outcomes[model] += 1
+    assert outcomes == {
+        "accepted": 1029,
+        "not chordal: not an interval graph": 3138,
+        "no possible end: not an interval graph": 85,
+    }
+
+
+def _model_copy(G, spans):
+    """The copy `interval_model` checks for a model: its vertices sorted
+    by interval, and the edges their intervals render."""
+    ordered = sorted(G.vertices, key=spans.__getitem__)
+    return ordered, intervalcanon._render([spans[v] for v in ordered])
+
+
+def test_copy_check_names_the_pair_the_all_pairs_check_names():
+    # models of interval graphs, then the same models with one interval
+    # moved, and random spans on G(n, p): the linear check accepts exactly
+    # the models the all-pairs reference accepts, and otherwise raises
+    # with the first pair the reference finds
+    rng = random.Random(37)
+    cases = []
+    for seed in range(150):
+        n = rng.randint(1, 16)
+        g = Graph.from_structure(generate_random_interval_graph(n, seed=seed))
+        spans = {v: (l, r) for v, l, r in interval_model(g)}
+        moved = dict(spans)
+        v = rng.choice(g.vertices)
+        l = max(1, spans[v][0] + rng.choice((-2, -1, 1, 2)))
+        moved[v] = (l, l + rng.randint(0, 3))
+        cases += [(g, spans), (g, moved)]
+        h = Graph(range(n), [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        ends = [sorted((rng.randint(1, n), rng.randint(1, n))) for _ in range(n)]
+        cases.append((h, dict(zip(h.vertices, map(tuple, ends)))))
+    g, _ = graph_from_intervals(MODULAR_SPANS)
+    cases.append((g, {v: (l, r + 1) for v, (l, r) in MODULAR_SPANS.items()}))
+    found = Counter()
+    for g, spans in cases:
+        expected = reference_model_disagreement(g, spans)
+        found[expected is None] += 1
+        labels, edges = _model_copy(g, spans)
+        if expected is None:
+            assert intervalcanon._check_copy(g, labels, edges) is None
+            continue
+        with pytest.raises(RecognitionError, match="interval model disagrees") as exc:
+            intervalcanon._check_copy(g, labels, edges)
+        assert exc.value.certificate == expected, (sorted(g.edges()), spans)
+    assert found[True] > 150 and found[False] > 200
+
+
+def test_copy_check_reports_a_broken_numbering_as_a_bug():
+    # labels that are not a permutation, and edges that are pi(E) but not
+    # ascending or not pairs over the numbering, are errors of the caller,
+    # not a rejection of the graph
+    path = _band(5, 1)
+    labels, edges = [0, 1, 2, 3, 4], ((1, 2), (2, 3), (3, 4), (4, 5))
+    assert intervalcanon._check_copy(path, labels, edges) is None
+    broken = [([0, 1, 2, 3], edges), ([0, 1, 2, 3, 3], edges), ([0, 1, 2, 3, 9], edges),
+              (labels, edges[::-1]), (labels, edges + edges[-1:]),
+              (labels, edges + ((0, 1),)), (labels, edges + ((3, 1),))]
+    for labels, edges in broken:
+        with pytest.raises(LimrecError) as exc:
+            intervalcanon._check_copy(path, labels, edges)
+        assert type(exc.value) is LimrecError, (labels, edges)
+
+
+def _certified_graphs():
+    yield graph_from_intervals(MODULAR_SPANS)[0]
+    yield nested_interval_graph(5)
+    yield _disjoint_union(_band(6, 2), _band(3, 1), Graph([0], []))
+    for seed in range(4):
+        yield Graph.from_structure(generate_random_interval_graph(40, seed=seed))
+
+
+def test_interval_canon_certifies_its_copy_without_the_model(monkeypatch):
+    # one check of the copy per call, on the input graph; the model is
+    # never built
+    def refuse(G):
+        raise AssertionError("interval_canon built an interval model")
+
+    checked = []
+    check = intervalcanon._check_copy
+
+    def checking(G, labels, edges):
+        checked.append(G)
+        return check(G, labels, edges)
+
+    monkeypatch.setattr(intervalcanon, "interval_model", refuse)
+    monkeypatch.setattr(intervalcanon, "_check_copy", checking)
+    for g in _certified_graphs():
+        checked.clear()
+        n, edges = interval_canon(g)
+        assert checked == [g] and n == g.n and len(edges) == len(g.edges())
+
+
+def test_interval_canon_rejects_a_corrupted_assembly(monkeypatch):
+    # two labels of different degree swapped in the first component block
+    # that has such labels, or every module spliced at another position (the mirror of its own, or
+    # the next one for a middle module) while L's singletons keep theirs:
+    # the copy is no longer pi(E), and interval_canon raises, not returns
+    component = intervalcanon._canon_component
+    build = intervalcanon.build_modular_tree
+    swapped, corrupted = [], Counter()
+
+    def swapping(tree, keys, blocks, node, g):
+        labels, edges = component(tree, keys, blocks, node)
+        degree = [len(g.adj[v]) for v in labels]
+        j = next((j for j, d in enumerate(degree) if d != degree[0]), None)
+        if j is not None and g not in swapped:
+            labels = [labels[j], *labels[1:j], labels[0], *labels[j + 1:]]
+            swapped.append(g)
+        return labels, edges
+
+    def misplacing(G):
+        tree = build(G)
+        for info in tree.comp_lcanon.values():
+            for record in info.modules if info.m > 1 else ():
+                p, _ = info.spans[record.vertices]
+                q = info.m + 1 - p if 2 * p != info.m + 1 else p % info.m + 1
+                info.spans = {**info.spans, record.vertices: (q, q)}
+                corrupted["moved", info.palindromic] += 1
+        return tree
+
+    graphs = list(_certified_graphs())
+    for g in graphs:
+        with monkeypatch.context() as patch:
+            patch.setattr(intervalcanon, "_canon_component",
+                          functools.partial(swapping, g=g))
+            with pytest.raises(RecognitionError, match="interval model disagrees"):
+                interval_canon(g)
+    for g in graphs[:2]:
+        with monkeypatch.context() as patch:
+            patch.setattr(intervalcanon, "build_modular_tree", misplacing)
+            with pytest.raises(RecognitionError, match="interval model disagrees"):
+                interval_canon(g)
+    assert swapped == graphs
+    assert corrupted["moved", True] and corrupted["moved", False]
 
 
 def test_holders_follow_the_cliques_a_collapse_keeps():
